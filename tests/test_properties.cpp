@@ -8,9 +8,7 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <sstream>
 
-#include "circuit/serialize.hpp"
 #include "circuit/simulate.hpp"
 #include "common/rng.hpp"
 #include "compile/baseline_compiler.hpp"
@@ -18,6 +16,7 @@
 #include "compile/subgraph_compiler.hpp"
 #include "graph/generators.hpp"
 #include "graph/local_complement.hpp"
+#include "result_fingerprint.hpp"
 #include "stab/graph_conversion.hpp"
 
 namespace epg {
@@ -168,36 +167,6 @@ TEST(Pipelines, FinalStateDecomposesToTargetGraph) {
   std::vector<Vertex> photons(g.vertex_count());
   for (Vertex v = 0; v < g.vertex_count(); ++v) photons[v] = v;
   EXPECT_EQ(gv.graph.induced(photons), g);
-}
-
-/// One text line summarizing everything a FrameworkResult commits to:
-/// every CircuitStats metric, the structural counters, and an FNV-1a
-/// digest of the serialized circuit plus the explicit per-gate and
-/// per-photon schedule times.
-std::string result_fingerprint(const FrameworkResult& r) {
-  const std::string text = serialize_circuit(r.schedule.circuit);
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](const void* data, std::size_t len) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < len; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ull;
-    }
-  };
-  mix(text.data(), text.size());
-  mix(r.schedule.gate_start.data(),
-      r.schedule.gate_start.size() * sizeof(Tick));
-  mix(r.schedule.gate_end.data(), r.schedule.gate_end.size() * sizeof(Tick));
-  mix(r.schedule.photon_emit.data(),
-      r.schedule.photon_emit.size() * sizeof(Tick));
-  std::ostringstream os;
-  os << r.stem_count << ' ' << r.partition.parts.size() << ' '
-     << r.subgraph_nodes << ' ' << r.ne_limit << ' ' << r.dangler_fallback
-     << ' ' << r.stats().ee_cnot_count << ' ' << r.stats().emission_count
-     << ' ' << r.stats().local_count << ' ' << r.stats().measure_count << ' '
-     << r.stats().emitters_used << ' ' << r.stats().makespan_ticks << ' '
-     << std::hex << h;
-  return os.str();
 }
 
 /// Property: the full pipeline is a pure function of its input. A second
