@@ -12,6 +12,9 @@
 //   * emitter_bound — the O(n+m) open-vertex emitter bound over a CSR view
 //   * graphsim_lc_cz— GraphSim local complementations + CZ normalization
 //   * seen_insert   — GraphSeenSet fingerprint dedup inserts
+//   * partition_refine — partition_min_cut (12 restarts) on a paper-size
+//                     Waxman graph: the move/swap refinement the beam and
+//                     anneal strategies call for every scored candidate
 //   * span_off      — obs::Span with no recorder installed: the disabled
 //                     tracing hot path, which must stay a pointer test
 //   * span_on       — obs::Span against a live TraceRecorder (records +
@@ -42,6 +45,7 @@
 #include "graph/metrics.hpp"
 #include "obs/trace.hpp"
 #include "partition/seen_set.hpp"
+#include "solver/partition_refine.hpp"
 #include "stab/graphsim.hpp"
 
 namespace {
@@ -165,6 +169,20 @@ std::uint64_t kernel_seen_insert(const Graph& g, int inner) {
   return h;
 }
 
+std::uint64_t kernel_partition_refine(const Graph& g, int inner) {
+  std::uint64_t h = 0;
+  PartitionConfig cfg;
+  cfg.max_part_size = 7;
+  cfg.restarts = 12;
+  for (int i = 0; i < inner; ++i) {
+    cfg.seed = static_cast<std::uint64_t>(i + 1);
+    const PartitionLabels labels = partition_min_cut(g, cfg);
+    for (std::uint32_t p : labels) h = mix(h, p);
+    h = mix(h, cut_edge_count(g, labels));
+  }
+  return h;
+}
+
 std::uint64_t kernel_span_off(const Graph& g, int inner) {
   // The zero-cost-when-disabled claim, measured: no recorder installed,
   // so every Span constructor/destructor must collapse to a thread-local
@@ -248,12 +266,15 @@ int main(int argc, char** argv) {
   const std::size_t sim_n = quick ? 128 : 512;
   const Graph sim_graph =
       shuffle_labels(make_erdos_renyi(sim_n, 6.0 / sim_n, 13), 2);
+  // Paper-size instance (Section V.A): the same in both modes.
+  const Graph waxman = shuffle_labels(make_waxman(24, 101), 24);
   const std::vector<Kernel> kernels = {
       {"matching", kernel_matching, 80, 10, &sparse},
       {"cut_delta", kernel_cut_delta, 1200, 20, &sparse},
       {"emitter_bound", kernel_emitter_bound, 600, 40, &sparse},
       {"graphsim_lc_cz", kernel_graphsim_lc_cz, 24, 12, &sim_graph},
       {"seen_insert", kernel_seen_insert, 4000, 20000, &lattice},
+      {"partition_refine", kernel_partition_refine, 200, 2000, &waxman},
       {"span_off", kernel_span_off, 20000000, 40000000, &lattice},
       {"span_on", kernel_span_on, 100000, 200000, &lattice},
   };
@@ -263,6 +284,7 @@ int main(int argc, char** argv) {
     Cell cell;
     cell.instance = (k.g == &sparse    ? "sparse_random"
                      : k.g == &lattice ? "lattice"
+                     : k.g == &waxman  ? "waxman"
                                        : "erdos_renyi") +
                     std::to_string(k.g->vertex_count());
     cell.kernel = k.name;

@@ -33,20 +33,24 @@ PartVariants compile_variants(const SubgraphSpec& spec,
   const bool has_boundary =
       std::find(spec.boundary.begin(), spec.boundary.end(), true) !=
       spec.boundary.end();
-  // Per-(policy, ne) searches go through the sub-compile memo: a part
-  // recompiled under a different outer policy (the deadlock ladder) still
-  // shares every single-policy search it has in common with the original
-  // compile — in particular the anchors-only trio, which does not read
-  // stem keys and so caches identically under every outer policy.
-  auto cached_subgraph = [&](const SubgraphCompileConfig& cfg) {
-    const std::string key = part_cache_key(spec, cfg, cfg.ne_limit);
+  const auto last_ne = static_cast<std::uint32_t>(spec.graph.vertex_count()) + 1;
+  // Each variant is compile_subgraph(ne_min + extra), rebuilt from
+  // per-(policy, level) searches in the sub-compile memo. A walk that moves
+  // up from an infeasible ne_min reuses the levels the later variants start
+  // at, and a part recompiled under a different outer policy (the deadlock
+  // ladder) shares every level it has in common with the original compile
+  // — in particular the anchors-only levels, which do not read stem keys
+  // and so cache identically under every outer policy.
+  auto cached_level = [&](const SubgraphCompileConfig& cfg,
+                          std::uint32_t ne) {
+    const std::string key = part_cache_key(spec, cfg, ne);
     {
       std::lock_guard<std::mutex> lock(cache.mu);
       if (auto it = cache.sub_map.find(key); it != cache.sub_map.end())
         return it->second;
     }
-    auto fresh = std::make_shared<const SubgraphCompileResult>(
-        compile_subgraph(spec, cfg));
+    auto fresh = std::make_shared<const SubgraphLevelResult>(
+        compile_subgraph_level(spec, cfg, ne));
     std::lock_guard<std::mutex> lock(cache.mu);
     return cache.sub_map.try_emplace(key, std::move(fresh)).first->second;
   };
@@ -54,9 +58,10 @@ PartVariants compile_variants(const SubgraphSpec& spec,
     for (std::uint32_t extra = 0; extra < 3; ++extra) {
       const std::uint32_t ne = ne_min + extra;
       if (extra > 0 && ne > ne_cap) break;
-      SubgraphCompileConfig cfg = policy_cfg;
-      cfg.ne_limit = ne;
-      const SubgraphCompileResult& r = *cached_subgraph(cfg);
+      SubgraphCompileResult r =
+          walk_subgraph_levels(ne, last_ne, [&](std::uint32_t level) {
+            return cached_level(policy_cfg, level);
+          });
       out.nodes += r.nodes_explored;
       if (!r.success) continue;
       const bool duplicate = std::any_of(
@@ -66,7 +71,7 @@ PartVariants compile_variants(const SubgraphSpec& spec,
                    v.stats.ee_cnot_count == r.best.stats.ee_cnot_count &&
                    v.stats.makespan_ticks == r.best.stats.makespan_ticks;
           });
-      if (!duplicate) out.variants.push_back(r.best);
+      if (!duplicate) out.variants.push_back(std::move(r.best));
     }
   };
   add_variants(base);
@@ -172,11 +177,14 @@ PartVariants cached_compile_variants(PartCompileCache& cache,
 /// circuit generates |G_k> and |G> = U_1^dag ... U_k^dag |G_k>.
 std::vector<Clifford1> lc_correction_frames(
     const Graph& original, const std::vector<Vertex>& lc_sequence) {
-  std::vector<std::vector<Vertex>> neighborhoods;
+  // Neighborhood of step i: neighborhood[start[i], start[i + 1]).
+  std::vector<Vertex> neighborhood;
+  std::vector<std::size_t> start{0};
   Graph g = original;
-  neighborhoods.reserve(lc_sequence.size());
+  start.reserve(lc_sequence.size() + 1);
   for (Vertex v : lc_sequence) {
-    neighborhoods.push_back(g.neighbors(v));
+    g.for_each_neighbor(v, [&](Vertex w) { neighborhood.push_back(w); });
+    start.push_back(neighborhood.size());
     local_complement(g, v);
   }
   std::vector<Clifford1> frame(original.vertex_count(),
@@ -185,8 +193,8 @@ std::vector<Clifford1> lc_correction_frames(
     // U_i^dag = sqrt(X) on v_i, S^dag on its recorded neighborhood; applied
     // chronologically after the later (larger i) corrections.
     frame[lc_sequence[i]] = frame[lc_sequence[i]].then(Clifford1::sqrt_x());
-    for (Vertex w : neighborhoods[i])
-      frame[w] = frame[w].then(Clifford1::sdg());
+    for (std::size_t j = start[i]; j < start[i + 1]; ++j)
+      frame[neighborhood[j]] = frame[neighborhood[j]].then(Clifford1::sdg());
   }
   return frame;
 }

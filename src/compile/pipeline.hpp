@@ -65,14 +65,15 @@ struct PartVariants {
 struct PartCompileCache {
   std::mutex mu;
   std::unordered_map<std::string, std::shared_ptr<const PartVariants>> map;
-  /// Single-policy compile_subgraph memo, keyed on (spec, policy, ne).
-  /// compile_variants assembles each PartVariants from up to six such
-  /// searches; caching at this finer granularity lets the scheduler's
-  /// deadlock-ladder recompiles (key-ordered outer policy) reuse the
-  /// anchors-only searches the subgraph stage already paid for, instead
-  /// of re-running them under a different whole-variants key.
+  /// Single-policy level-search memo (compile_subgraph_level), keyed on
+  /// (spec, policy, ne). compile_variants rebuilds each PartVariants from
+  /// these levels, so every (part, policy, ne) level is searched once: the
+  /// walk up from an infeasible ne_min reuses the levels the +1/+2
+  /// variants start at, and the scheduler's deadlock-ladder recompiles
+  /// (key-ordered outer policy) reuse the anchors-only levels the subgraph
+  /// stage already paid for.
   std::unordered_map<std::string,
-                     std::shared_ptr<const SubgraphCompileResult>>
+                     std::shared_ptr<const SubgraphLevelResult>>
       sub_map;
 };
 

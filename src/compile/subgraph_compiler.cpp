@@ -551,10 +551,11 @@ std::uint32_t subgraph_ne_min(const Graph& g) {
   return static_cast<std::uint32_t>(std::max<std::size_t>(best, 1));
 }
 
-SubgraphCompileResult compile_subgraph(const SubgraphSpec& spec,
-                                       const SubgraphCompileConfig& cfg) {
+SubgraphLevelResult compile_subgraph_level(const SubgraphSpec& spec,
+                                           const SubgraphCompileConfig& cfg,
+                                           std::uint32_t ne) {
   EPG_REQUIRE(spec.graph.vertex_count() > 0, "empty subgraph");
-  SubgraphCompileResult result;
+  SubgraphLevelResult result;
   const auto n = static_cast<std::uint32_t>(spec.graph.vertex_count());
 
   // Scalability path for oversized subgraphs: the exhaustive branch-and-
@@ -563,60 +564,55 @@ SubgraphCompileResult compile_subgraph(const SubgraphSpec& spec,
   // (deterministic: the enumeration order is fixed).
   const bool large = n >= cfg.large_part_threshold;
 
-  for (std::uint32_t ne = cfg.ne_limit; ne <= n + 1; ++ne) {
-    // Phase 1: a quick LC-free pass establishes a strong incumbent so the
-    // full branch-and-bound can prune deep LC branches early.
-    SubgraphCompileConfig lc_free = cfg;
-    lc_free.max_lc_ops = 0;
-    if (cfg.max_lc_ops > 0 && !large) {
-      lc_free.node_budget = std::max<std::size_t>(cfg.node_budget / 8, 2000);
-      lc_free.time_budget_ms = cfg.time_budget_ms / 4;
-    }
-    SearchContext warmup;
-    warmup.init(lc_free);
-    warmup.stop_at_first = large;
-    {
-      ReductionState root(spec, ne, cfg.dangler);
-      root.share_op_log(warmup.path);
-      dfs(warmup, root, 0);
-    }
-    result.nodes_explored += warmup.nodes;
-    result.memo_peak = std::max(result.memo_peak, warmup.memo_peak);
-
-    SearchContext ctx;
-    ctx.init(cfg);
-    ctx.best_cost = warmup.best_cost;
-    ctx.candidates = std::move(warmup.candidates);
-    if (cfg.max_lc_ops > 0 && !large) {
-      ReductionState root(spec, ne, cfg.dangler);
-      root.share_op_log(ctx.path);
-      dfs(ctx, root, 0);
-      result.nodes_explored += ctx.nodes;
-      result.memo_peak = std::max(result.memo_peak, ctx.memo_peak);
-    }
-    if (ctx.candidates.empty()) continue;
-
-    result.success = true;
-    result.relaxed_ne = ne != cfg.ne_limit;
-    result.ne_limit_used = ne;
-    result.sequences_found = ctx.candidates.size();
-
-    // Paper step 2: among min-CNOT candidates pick the min photon-loss one.
-    bool first = true;
-    for (const auto& ops : ctx.candidates) {
-      std::uint32_t slots = 0;
-      for (const ReduceOp& op : ops)
-        if (op.kind == ReduceOpKind::swap_photon)
-          slots = std::max(slots, op.slot_p + 1);
-      SubgraphCircuit circ = synthesize_forward(spec, ops, slots, cfg.hw);
-      if (first || circ.stats.t_loss_tau < result.best.stats.t_loss_tau) {
-        result.best = std::move(circ);
-        first = false;
-      }
-    }
-    break;
+  // Phase 1: a quick LC-free pass establishes a strong incumbent so the
+  // full branch-and-bound can prune deep LC branches early.
+  SubgraphCompileConfig lc_free = cfg;
+  lc_free.max_lc_ops = 0;
+  if (cfg.max_lc_ops > 0 && !large) {
+    lc_free.node_budget = std::max<std::size_t>(cfg.node_budget / 8, 2000);
+    lc_free.time_budget_ms = cfg.time_budget_ms / 4;
   }
-  if (result.success && cfg.verify) {
+  SearchContext warmup;
+  warmup.init(lc_free);
+  warmup.stop_at_first = large;
+  {
+    ReductionState root(spec, ne, cfg.dangler);
+    root.share_op_log(warmup.path);
+    dfs(warmup, root, 0);
+  }
+  result.nodes_explored += warmup.nodes;
+  result.memo_peak = std::max(result.memo_peak, warmup.memo_peak);
+
+  SearchContext ctx;
+  ctx.init(cfg);
+  ctx.best_cost = warmup.best_cost;
+  ctx.candidates = std::move(warmup.candidates);
+  if (cfg.max_lc_ops > 0 && !large) {
+    ReductionState root(spec, ne, cfg.dangler);
+    root.share_op_log(ctx.path);
+    dfs(ctx, root, 0);
+    result.nodes_explored += ctx.nodes;
+    result.memo_peak = std::max(result.memo_peak, ctx.memo_peak);
+  }
+  if (ctx.candidates.empty()) return result;
+
+  result.success = true;
+  result.sequences_found = ctx.candidates.size();
+
+  // Paper step 2: among min-CNOT candidates pick the min photon-loss one.
+  bool first = true;
+  for (const auto& ops : ctx.candidates) {
+    std::uint32_t slots = 0;
+    for (const ReduceOp& op : ops)
+      if (op.kind == ReduceOpKind::swap_photon)
+        slots = std::max(slots, op.slot_p + 1);
+    SubgraphCircuit circ = synthesize_forward(spec, ops, slots, cfg.hw);
+    if (first || circ.stats.t_loss_tau < result.best.stats.t_loss_tau) {
+      result.best = std::move(circ);
+      first = false;
+    }
+  }
+  if (cfg.verify) {
     Rng rng(0xE5C4A9);
     for (int trial = 0; trial < 2; ++trial) {
       SimulationResult sim = simulate(result.best.circuit, rng);
@@ -627,6 +623,36 @@ SubgraphCompileResult compile_subgraph(const SubgraphSpec& spec,
     }
   }
   return result;
+}
+
+SubgraphCompileResult walk_subgraph_levels(
+    std::uint32_t first_ne, std::uint32_t last_ne,
+    const std::function<std::shared_ptr<const SubgraphLevelResult>(
+        std::uint32_t)>& level) {
+  SubgraphCompileResult result;
+  for (std::uint32_t ne = first_ne; ne <= last_ne; ++ne) {
+    const std::shared_ptr<const SubgraphLevelResult> r = level(ne);
+    result.nodes_explored += r->nodes_explored;
+    result.memo_peak = std::max(result.memo_peak, r->memo_peak);
+    if (!r->success) continue;
+    result.success = true;
+    result.relaxed_ne = ne != first_ne;
+    result.ne_limit_used = ne;
+    result.sequences_found = r->sequences_found;
+    result.best = r->best;
+    break;
+  }
+  return result;
+}
+
+SubgraphCompileResult compile_subgraph(const SubgraphSpec& spec,
+                                       const SubgraphCompileConfig& cfg) {
+  EPG_REQUIRE(spec.graph.vertex_count() > 0, "empty subgraph");
+  const auto n = static_cast<std::uint32_t>(spec.graph.vertex_count());
+  return walk_subgraph_levels(cfg.ne_limit, n + 1, [&](std::uint32_t ne) {
+    return std::make_shared<const SubgraphLevelResult>(
+        compile_subgraph_level(spec, cfg, ne));
+  });
 }
 
 }  // namespace epg

@@ -15,6 +15,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -88,8 +90,36 @@ struct SubgraphCompileResult {
   std::uint32_t ne_limit_used = 0;
 };
 
+/// Compile at cfg.ne_limit emitters, moving up one level at a time (to at
+/// most n + 1) while a level finds no reduction within budget.
 SubgraphCompileResult compile_subgraph(const SubgraphSpec& spec,
                                        const SubgraphCompileConfig& cfg);
+
+/// One level of compile_subgraph's walk: the LC-free warmup plus the full
+/// branch-and-bound at exactly `ne` emitters, then synthesis (and, with
+/// cfg.verify, the tableau check) of the winner. A pure function of
+/// (spec, cfg, ne) that never reads cfg.ne_limit.
+struct SubgraphLevelResult {
+  bool success = false;
+  SubgraphCircuit best;
+  std::size_t sequences_found = 0;
+  std::size_t nodes_explored = 0;  ///< warmup + full search
+  std::size_t memo_peak = 0;
+};
+
+SubgraphLevelResult compile_subgraph_level(const SubgraphSpec& spec,
+                                           const SubgraphCompileConfig& cfg,
+                                           std::uint32_t ne);
+
+/// compile_subgraph's walk over levels first_ne..last_ne, stopping at the
+/// first success; `level(ne)` supplies each level's search. Node counts and
+/// memo peaks accumulate over every level visited, and relaxed_ne is set
+/// when the success came above first_ne. The pipeline passes a memoized
+/// `level` so the walks from ne_min, +1 and +2 search each level once.
+SubgraphCompileResult walk_subgraph_levels(
+    std::uint32_t first_ne, std::uint32_t last_ne,
+    const std::function<std::shared_ptr<const SubgraphLevelResult>(
+        std::uint32_t)>& level);
 
 /// Lower bound on the emitters needed for the subgraph (min over a few
 /// natural emission orders of the height-function maximum).

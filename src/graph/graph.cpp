@@ -51,20 +51,6 @@ std::size_t Graph::degree(Vertex v) const {
   return d;
 }
 
-std::vector<Vertex> Graph::neighbors(Vertex v) const {
-  EPG_REQUIRE(v < n_, "Graph::neighbors out of range");
-  std::vector<Vertex> out;
-  for (std::size_t w = 0; w < words_; ++w) {
-    std::uint64_t word = adj_[v * words_ + w];
-    while (word != 0) {
-      const int b = std::countr_zero(word);
-      out.push_back(static_cast<Vertex>(w * 64 + static_cast<std::size_t>(b)));
-      word &= word - 1;
-    }
-  }
-  return out;
-}
-
 bool Graph::same_neighborhood(Vertex u, Vertex v) const {
   EPG_REQUIRE(u < n_ && v < n_, "Graph::same_neighborhood out of range");
   for (std::size_t w = 0; w < words_; ++w) {
@@ -82,8 +68,9 @@ std::vector<Edge> Graph::edges() const {
   std::vector<Edge> out;
   out.reserve(edge_count_);
   for (Vertex u = 0; u < n_; ++u)
-    for (Vertex v : neighbors(u))
+    for_each_neighbor(u, [&](Vertex v) {
       if (u < v) out.emplace_back(u, v);
+    });
   return out;
 }
 
@@ -104,7 +91,12 @@ Vertex Graph::add_vertex() {
 }
 
 void Graph::isolate(Vertex v) {
-  for (Vertex u : neighbors(v)) remove_edge(v, u);
+  EPG_REQUIRE(v < n_, "Graph::isolate out of range");
+  for_each_neighbor(v, [&](Vertex u) {
+    adj_[u * words_ + v / 64] &= ~(1ULL << (v % 64));
+    --edge_count_;
+  });
+  std::fill_n(&adj_[v * words_], words_, 0);
 }
 
 std::vector<std::vector<Vertex>> Graph::connected_components() const {
@@ -120,12 +112,12 @@ std::vector<std::vector<Vertex>> Graph::connected_components() const {
       const Vertex v = stack.back();
       stack.pop_back();
       comps.back().push_back(v);
-      for (Vertex u : neighbors(v)) {
+      for_each_neighbor(v, [&](Vertex u) {
         if (!seen[u]) {
           seen[u] = true;
           stack.push_back(u);
         }
-      }
+      });
     }
     std::sort(comps.back().begin(), comps.back().end());
   }
@@ -148,9 +140,10 @@ Graph Graph::induced(const std::vector<Vertex>& keep,
     map[keep[i]] = static_cast<Vertex>(i);
   }
   for (std::size_t i = 0; i < keep.size(); ++i)
-    for (Vertex u : neighbors(keep[i]))
+    for_each_neighbor(keep[i], [&](Vertex u) {
       if (map[u] != kNoVertex && map[u] > i)
         sub.add_edge(static_cast<Vertex>(i), map[u]);
+    });
   if (old_to_new != nullptr) *old_to_new = std::move(map);
   return sub;
 }

@@ -1,9 +1,10 @@
 // Undirected simple graph — the central combinatorial object of the
 // compiler. A vertex is a qubit of the target graph state; an edge is a CZ
 // entanglement bond. Vertices are dense indices 0..n-1; adjacency is kept
-// both as sorted neighbor lists (iteration) and as bitsets (O(n/64)
-// neighborhood algebra, which local complementation and the absorption
-// legality checks rely on).
+// as bitset rows: O(n/64) neighborhood algebra, which local complementation
+// and the absorption legality checks rely on, and allocation-free ascending
+// iteration through for_each_neighbor (graph/csr.hpp flattens the rows for
+// large sparse graphs).
 #pragma once
 
 #include <cstdint>
@@ -40,11 +41,9 @@ class Graph {
   void toggle_edge(Vertex u, Vertex v);
 
   std::size_t degree(Vertex v) const;
-  /// Sorted neighbor list (materialized on demand from the bitset).
-  std::vector<Vertex> neighbors(Vertex v) const;
 
   /// Smallest neighbor of v, or kNoVertex if v is isolated. O(n/64) and
-  /// allocation-free — the hot-path replacement for neighbors(v)[0].
+  /// allocation-free.
   Vertex first_neighbor(Vertex v) const {
     const std::uint64_t* r = adj_.data() + v * words_;
     for (std::size_t w = 0; w < words_; ++w)
@@ -55,8 +54,9 @@ class Graph {
   }
 
   /// Visit v's neighbors in ascending order without materializing a list.
-  /// `fn` takes the neighbor Vertex; mutating the graph during iteration is
-  /// undefined (copy the row or use neighbors() in that case).
+  /// `fn` takes the neighbor Vertex. `fn` may change edges between other
+  /// vertices (local complementation toggles pairs of v's neighbors), but
+  /// changing an edge incident to v during the visit is undefined.
   template <typename Fn>
   void for_each_neighbor(Vertex v, Fn&& fn) const {
     const std::uint64_t* r = adj_.data() + v * words_;

@@ -21,8 +21,8 @@ void local_complement(Graph& g, Vertex v);
 /// Apply a sequence of local complementations left to right.
 void apply_lc_sequence(Graph& g, const std::vector<Vertex>& sequence);
 
-/// Total edges after LC at v, without mutating g (an O(deg^2) probe used by
-/// the greedy/annealing LC searches).
+/// Total edges after LC at v, without mutating g (an O(deg * n/64) probe
+/// used by the greedy/annealing LC searches).
 std::size_t edge_count_after_lc(const Graph& g, Vertex v);
 
 }  // namespace epg

@@ -12,8 +12,10 @@ std::size_t cut_edge_count(const Graph& g, const PartitionLabels& labels) {
   EPG_REQUIRE(labels.size() == g.vertex_count(),
               "partition labels size mismatch");
   std::size_t cut = 0;
-  for (const auto& [u, v] : g.edges())
-    if (labels[u] != labels[v]) ++cut;
+  for (Vertex u = 0; u < g.vertex_count(); ++u)
+    g.for_each_neighbor(u, [&](Vertex v) {
+      if (u < v && labels[u] != labels[v]) ++cut;
+    });
   return cut;
 }
 
@@ -21,8 +23,10 @@ std::vector<Edge> cut_edges(const Graph& g, const PartitionLabels& labels) {
   EPG_REQUIRE(labels.size() == g.vertex_count(),
               "partition labels size mismatch");
   std::vector<Edge> out;
-  for (const auto& [u, v] : g.edges())
-    if (labels[u] != labels[v]) out.emplace_back(u, v);
+  for (Vertex u = 0; u < g.vertex_count(); ++u)
+    g.for_each_neighbor(u, [&](Vertex v) {
+      if (u < v && labels[u] != labels[v]) out.emplace_back(u, v);
+    });
   return out;
 }
 

@@ -44,8 +44,9 @@ struct BnbState {
     for (std::uint32_t p = 0; p < open_limit; ++p) {
       if (size[p] >= cap) continue;
       std::size_t added = 0;
-      for (Vertex u : g->neighbors(v))
+      g->for_each_neighbor(v, [&](Vertex u) {
         if (u < v && labels[u] != p) ++added;
+      });
       labels[v] = p;
       ++size[p];
       cut += added;

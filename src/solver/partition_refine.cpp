@@ -69,8 +69,8 @@ bool refine_pass(const Graph& g, PartitionLabels& labels, std::size_t k,
   std::vector<std::size_t> size(k, 0);
   for (Vertex v = 0; v < n; ++v) ++size[labels[v]];
 
-  // degree_to[p]: edges from v into part p (recomputed per vertex; n is at
-  // most a few hundred in our workloads so this stays cheap).
+  // Edges from v into part `to` minus edges inside v's own part, counted
+  // by one neighbor scan per candidate part.
   auto gain_of_move = [&](Vertex v, std::uint32_t to) {
     int internal = 0, external = 0;
     g.for_each_neighbor(v, [&](Vertex u) {
@@ -105,21 +105,31 @@ bool refine_pass(const Graph& g, PartitionLabels& labels, std::size_t k,
     }
   }
 
+  // Cut change when x leaves part `from` for part `to` while its neighbor
+  // `partner` moves the other way: the x-partner edge stays cut, every
+  // other edge of x enters the cut if its far end is in `from` and leaves
+  // it if the far end is in `to`.
+  auto half_swap_delta = [&](Vertex x, Vertex partner, std::uint32_t from,
+                             std::uint32_t to) {
+    int delta = 0;
+    g.for_each_neighbor(x, [&](Vertex w) {
+      if (w == partner) return;
+      if (labels[w] == from) ++delta;
+      if (labels[w] == to) --delta;
+    });
+    return delta;
+  };
+
   // Pairwise swaps unlock moves blocked by the size cap. (Labels mutate
   // inside the visit, the graph does not — the live row scan is safe.)
   for (Vertex v : order) {
     g.for_each_neighbor(v, [&](Vertex u) {
       if (labels[u] == labels[v]) return;
       const std::uint32_t pv = labels[v], pu = labels[u];
-      const int before = static_cast<int>(cut_edge_count(g, labels));
-      labels[v] = pu;
-      labels[u] = pv;
-      const int after = static_cast<int>(cut_edge_count(g, labels));
-      if (after < before) {
+      if (half_swap_delta(v, u, pv, pu) + half_swap_delta(u, v, pu, pv) < 0) {
+        labels[v] = pu;
+        labels[u] = pv;
         improved = true;
-      } else {
-        labels[v] = pv;
-        labels[u] = pu;
       }
     });
   }

@@ -24,6 +24,7 @@
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
+#include "neighbor_list.hpp"
 
 namespace epg {
 namespace {
@@ -48,7 +49,7 @@ void expect_csr_matches(const Graph& g, const CsrView& csr) {
   ASSERT_EQ(csr.edge_count(), g.edge_count());
   ASSERT_EQ(csr.xadj().size(), g.vertex_count() + 1);
   for (Vertex v = 0; v < g.vertex_count(); ++v) {
-    const std::vector<Vertex> nb = g.neighbors(v);
+    const std::vector<Vertex> nb = neighbor_list(g, v);
     ASSERT_EQ(csr.degree(v), nb.size());
     ASSERT_EQ(csr.degree(v), g.degree(v));
     // Row contents and order match neighbors() (which is ascending)...

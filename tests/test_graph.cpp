@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
+#include "neighbor_list.hpp"
 
 namespace epg {
 namespace {
@@ -33,7 +34,7 @@ TEST(Graph, DegreeAndNeighborsSorted) {
   g.add_edge(2, 0);
   g.add_edge(2, 3);
   EXPECT_EQ(g.degree(2), 3u);
-  EXPECT_EQ(g.neighbors(2), (std::vector<Vertex>{0, 3, 4}));
+  EXPECT_EQ(neighbor_list(g, 2), (std::vector<Vertex>{0, 3, 4}));
   EXPECT_EQ(g.degree(1), 0u);
 }
 

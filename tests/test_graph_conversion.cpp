@@ -5,6 +5,7 @@
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
 #include "graph/local_complement.hpp"
+#include "neighbor_list.hpp"
 
 namespace epg {
 namespace {
@@ -75,7 +76,7 @@ TEST(GraphConversion, LocalComplementationUnitaryIdentity) {
       local_complement(lc, v);
       std::vector<Clifford1> vops(g.vertex_count(), Clifford1::identity());
       vops[v] = Clifford1::sqrt_x_dag();
-      for (Vertex w : g.neighbors(v)) vops[w] = Clifford1::s();
+      for (Vertex w : neighbor_list(g, v)) vops[w] = Clifford1::s();
       EXPECT_TRUE(states_equal(
           {lc, std::vector<Clifford1>(g.vertex_count(),
                                       Clifford1::identity())},

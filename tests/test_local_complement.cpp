@@ -4,6 +4,7 @@
 
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
+#include "neighbor_list.hpp"
 
 namespace epg {
 namespace {
@@ -38,9 +39,9 @@ TEST(LocalComplement, IsInvolution) {
 
 TEST(LocalComplement, PreservesOwnNeighborhood) {
   Graph g = make_waxman(12, 4);
-  const auto nb = g.neighbors(3);
+  const auto nb = neighbor_list(g, 3);
   local_complement(g, 3);
-  EXPECT_EQ(g.neighbors(3), nb);
+  EXPECT_EQ(neighbor_list(g, 3), nb);
 }
 
 TEST(LocalComplement, DegreeLeqOneIsIdentity) {

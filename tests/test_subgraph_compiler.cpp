@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+
+#include "circuit/serialize.hpp"
 #include "circuit/simulate.hpp"
 #include "compile/verify.hpp"
 #include "graph/generators.hpp"
@@ -165,6 +169,76 @@ TEST(SubgraphCompiler, SynthesizeForwardIsDeterministic) {
   EXPECT_EQ(a.best.circuit.size(), b.best.circuit.size());
   EXPECT_EQ(a.best.stats.ee_cnot_count, b.best.stats.ee_cnot_count);
   EXPECT_EQ(a.best.stats.makespan_ticks, b.best.stats.makespan_ticks);
+}
+
+/// compile_variants' level walk — each (policy, ne) level searched once and
+/// served to every walk that passes it — must rebuild exactly the results
+/// of separate compile_subgraph calls at ne_min, +1 and +2.
+void expect_level_walk_matches_separate_calls(const SubgraphSpec& spec,
+                                              SubgraphCompileConfig cfg,
+                                              std::uint32_t ne_min) {
+  const auto last_ne =
+      static_cast<std::uint32_t>(spec.graph.vertex_count()) + 1;
+  std::map<std::uint32_t, std::shared_ptr<const SubgraphLevelResult>> memo;
+  std::size_t searches = 0;
+  const auto level = [&](std::uint32_t ne) {
+    auto& slot = memo[ne];
+    if (!slot) {
+      ++searches;
+      slot = std::make_shared<const SubgraphLevelResult>(
+          compile_subgraph_level(spec, cfg, ne));
+    }
+    return slot;
+  };
+  std::size_t separate_levels = 0;
+  for (std::uint32_t ne = ne_min; ne < ne_min + 3; ++ne) {
+    SCOPED_TRACE("ne " + std::to_string(ne));
+    cfg.ne_limit = ne;
+    const SubgraphCompileResult want = compile_subgraph(spec, cfg);
+    const SubgraphCompileResult got = walk_subgraph_levels(ne, last_ne, level);
+    separate_levels += want.ne_limit_used - ne + 1;
+    ASSERT_TRUE(want.success);
+    EXPECT_EQ(got.success, want.success);
+    EXPECT_EQ(got.relaxed_ne, want.relaxed_ne);
+    EXPECT_EQ(got.ne_limit_used, want.ne_limit_used);
+    EXPECT_EQ(got.nodes_explored, want.nodes_explored);
+    EXPECT_EQ(got.sequences_found, want.sequences_found);
+    EXPECT_EQ(got.memo_peak, want.memo_peak);
+    EXPECT_EQ(serialize_circuit(got.best.circuit),
+              serialize_circuit(want.best.circuit));
+    EXPECT_EQ(got.best.ne_used, want.best.ne_used);
+    EXPECT_EQ(got.best.ops.size(), want.best.ops.size());
+    EXPECT_EQ(got.best.stats.str(), want.best.stats.str());
+    ASSERT_EQ(got.best.anchors.size(), want.best.anchors.size());
+    for (std::size_t i = 0; i < got.best.anchors.size(); ++i) {
+      const AnchorInfo& a = got.best.anchors[i];
+      const AnchorInfo& b = want.best.anchors[i];
+      EXPECT_EQ(std::tie(a.vertex, a.slot, a.init_gate, a.tail_begin,
+                         a.via_swap),
+                std::tie(b.vertex, b.slot, b.init_gate, b.tail_begin,
+                         b.via_swap));
+    }
+  }
+  // Every level the separate calls visited is searched exactly once.
+  EXPECT_EQ(searches, memo.size());
+  EXPECT_LT(searches, separate_levels);
+}
+
+TEST(SubgraphCompiler, LevelWalkFromInfeasibleNeMatchesSeparateCalls) {
+  // C6 needs two emitters, so the walk from ne 1 moves up to ne 2 and the
+  // +1 call starts on a level the first walk already searched.
+  expect_level_walk_matches_separate_calls(SubgraphSpec(make_ring(6)),
+                                           quick_config(1), 1);
+}
+
+TEST(SubgraphCompiler, LevelWalkWithBoundaryMatchesSeparateCalls) {
+  const Graph g = make_lattice(2, 3);
+  const SubgraphSpec spec(g, {true, false, false, false, true, true});
+  expect_level_walk_matches_separate_calls(spec, quick_config(1), 1);
+  SubgraphCompileConfig anchors = quick_config(1);
+  anchors.dangler = DanglerPolicy::anchors_only();
+  expect_level_walk_matches_separate_calls(spec, anchors,
+                                           subgraph_ne_min(g));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
+#include "neighbor_list.hpp"
 
 namespace epg {
 namespace {
@@ -10,7 +11,7 @@ namespace {
 PauliString k_v(const Graph& g, Vertex v, std::size_t n_total) {
   PauliString p(n_total);
   p.set_op(v, PauliOp::X);
-  for (Vertex u : g.neighbors(v)) p.set_op(u, PauliOp::Z);
+  for (Vertex u : neighbor_list(g, v)) p.set_op(u, PauliOp::Z);
   return p;
 }
 
