@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Docs gate: markdown link integrity + CLI flag-reference accuracy.
+"""Docs gate: markdown link integrity, CLI flag-reference accuracy and
+the span taxonomy.
 
-Two checks, both cheap enough to run on every push:
+Three checks, all cheap enough to run on every push:
 
 1. **Links** — every relative markdown link in README.md and docs/*.md
    must resolve to an existing file or directory (fragments stripped;
@@ -15,6 +16,10 @@ Two checks, both cheap enough to run on every push:
    ghost flags (documented but not implemented) both fail. `--help` /
    `--version` are provided by the shared flag parser for every tool and
    documented once globally, so they are exempt.
+
+3. **Spans** — every `Span` constructed with a literal name under src/
+   (`Span x("name", "cat")`) must have a row in the span-taxonomy table
+   of docs/observability.md naming it, with the same category.
 
 usage: check_docs.py [--build BUILD] [--repo ROOT]
 exit: 0 clean, 1 violations, 2 usage/IO error (e.g. missing binaries)
@@ -30,6 +35,7 @@ CLIS = ("epgc_compile", "epgc_graphgen", "epgc_verify", "epgc_batch",
         "epgc_fuzz", "epgc_serve", "epgc_cluster")
 FLAG_RE = re.compile(r"--[a-zA-Z][a-zA-Z0-9-]*")
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+SPAN_RE = re.compile(r'\bSpan\s+\w+\(\s*"([^"]+)"\s*,\s*"([^"]+)"')
 EXEMPT_FLAGS = {"--help", "--version"}  # shared parser, documented globally
 
 
@@ -101,6 +107,48 @@ def check_flags(repo, build):
     return failures
 
 
+def documented_spans(repo):
+    """Map span name -> category from the observability span table."""
+    text = (repo / "docs" / "observability.md").read_text()
+    start = text.find("### Span taxonomy")
+    spans = {}
+    if start < 0:
+        return spans
+    for line in text[start:].splitlines()[1:]:
+        if line.startswith("#"):
+            break
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if not line.startswith("|") or len(cells) < 2:
+            continue
+        cats = re.findall(r"`([^`]+)`", cells[1])
+        for name in re.findall(r"`([^`]+)`", cells[0]):
+            spans[name] = cats[0] if cats else ""
+    return spans
+
+
+def check_spans(repo):
+    failures = []
+    documented = documented_spans(repo)
+    sources = sorted(repo.glob("src/**/*.cpp")) + sorted(
+        repo.glob("src/**/*.hpp"))
+    found = 0
+    for src in sources:
+        for name, cat in SPAN_RE.findall(src.read_text()):
+            found += 1
+            where = src.relative_to(repo)
+            if name not in documented:
+                failures.append(
+                    f"{where}: span '{name}' is missing from the span "
+                    "table in docs/observability.md")
+            elif documented[name] != cat:
+                failures.append(
+                    f"{where}: span '{name}' has category '{cat}' but "
+                    f"docs/observability.md says '{documented[name]}'")
+    print(f"spans: {found} literal span sites under src/, "
+          f"{len(documented)} documented names")
+    return failures
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--build", default="build",
@@ -116,7 +164,8 @@ def main():
         print(f"error: no README.md under {repo}", file=sys.stderr)
         return 2
 
-    failures = check_links(repo) + check_flags(repo, build)
+    failures = (check_links(repo) + check_flags(repo, build) +
+                check_spans(repo))
     if failures:
         print(f"\ndocs gate FAILED ({len(failures)} issue(s)):",
               file=sys.stderr)
@@ -124,7 +173,8 @@ def main():
             print(f"  - {failure}", file=sys.stderr)
         return 1
     print("\ndocs gate passed: all links resolve, every CLI flag is "
-          "documented and every documented flag exists")
+          "documented, every documented flag exists and every span is in "
+          "the span table")
     return 0
 
 

@@ -167,9 +167,12 @@ class PortfolioStrategy final : public PartitionStrategy {
               "built-in strategies missing from the registry");
 
     // Race restarts: slots 0/1 are the plain beam and anneal runs at the
-    // caller's seed (the portfolio can only improve on either), slots >= 2
-    // re-seed. Members run serial chains — the racing itself is the
-    // parallelism, and each member stays deterministic on its own.
+    // caller's seed, slots >= 2 re-seed. The winner is picked by stem count
+    // alone, so its cut is never worse than plain beam's or anneal's, but
+    // the compiled circuit can be (fewer stems need not mean fewer ee-CZs
+    // once the parts compile). Members run serial chains — the racing
+    // itself is the parallelism, and each member stays deterministic on
+    // its own.
     std::vector<PartitionOutcome> outcomes(width);
     exec.parallel_for(width, [&](std::size_t slot) {
       LcPartitionConfig member = cfg;
