@@ -33,7 +33,8 @@ PartVariants compile_variants(const SubgraphSpec& spec,
   const bool has_boundary =
       std::find(spec.boundary.begin(), spec.boundary.end(), true) !=
       spec.boundary.end();
-  const auto last_ne = static_cast<std::uint32_t>(spec.graph.vertex_count()) + 1;
+  const auto last_ne =
+      static_cast<std::uint32_t>(spec.graph.vertex_count()) + 1;
   // Each variant is compile_subgraph(ne_min + extra), rebuilt from
   // per-(policy, level) searches in the sub-compile memo. A walk that moves
   // up from an infeasible ne_min reuses the levels the later variants start

@@ -3,8 +3,9 @@
 // Assigns vertices in index order; prunes when the running cut already
 // reaches the best complete cut or the free part capacity cannot hold the
 // unassigned vertices, with part-symmetry breaking (vertex i may open at
-// most one new part). Practical up to ~16 vertices, which covers the per-subgraph
-// sizes (g_max = 7) and lets tests certify the heuristic partitioner.
+// most one new part). Practical up to ~16 vertices, which covers the
+// per-subgraph sizes (g_max = 7) and lets tests certify the heuristic
+// partitioner.
 #pragma once
 
 #include <cstdint>

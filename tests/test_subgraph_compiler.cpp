@@ -198,6 +198,17 @@ void expect_level_walk_matches_separate_calls(const SubgraphSpec& spec,
     const SubgraphCompileResult got = walk_subgraph_levels(ne, last_ne, level);
     separate_levels += want.ne_limit_used - ne + 1;
     ASSERT_TRUE(want.success);
+    // The contract itself: nodes summed over every level from ne up to and
+    // including the first success, relaxed exactly when that is above ne.
+    std::size_t level_nodes = 0;
+    std::uint32_t first_success = ne;
+    for (;; ++first_success) {
+      level_nodes += level(first_success)->nodes_explored;
+      if (level(first_success)->success) break;
+    }
+    EXPECT_EQ(want.ne_limit_used, first_success);
+    EXPECT_EQ(want.relaxed_ne, first_success != ne);
+    EXPECT_EQ(want.nodes_explored, level_nodes);
     EXPECT_EQ(got.success, want.success);
     EXPECT_EQ(got.relaxed_ne, want.relaxed_ne);
     EXPECT_EQ(got.ne_limit_used, want.ne_limit_used);
