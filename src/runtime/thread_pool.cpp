@@ -31,7 +31,10 @@ ThreadPool::ThreadPool(std::size_t threads) {
 
 ThreadPool::~ThreadPool() {
   wait_idle();
-  stop_.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(wake_mu_);  // same window as submit()
+    stop_.store(true, std::memory_order_release);
+  }
   wake_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
@@ -53,7 +56,14 @@ void ThreadPool::submit(std::function<void()> task) {
     std::lock_guard<std::mutex> lock(queues_[target]->mu);
     queues_[target]->tasks.push_back(std::move(task));
   }
-  queued_.fetch_add(1, std::memory_order_acq_rel);
+  // Publish under wake_mu_: a worker that has just found queued_ == 0 in
+  // its wait predicate holds wake_mu_ until it blocks, so an unlocked
+  // increment + notify could land in that window and be lost, leaving the
+  // task queued with every worker asleep (and wait_idle() blocked on it).
+  {
+    std::lock_guard<std::mutex> lock(wake_mu_);
+    queued_.fetch_add(1, std::memory_order_acq_rel);
+  }
   wake_cv_.notify_one();
 }
 
