@@ -12,12 +12,13 @@
 //      state back to the exact requested |G>;
 //   5. verify the result end-to-end on the stabilizer simulator.
 //
-// The stages run as an explicit pipeline (compile/pipeline.hpp). Intra-
-// compile parallelism — LC-candidate scoring in the partition search and
-// the per-part subgraph fan-out — goes through an Executor: serial by
-// default, a private pool when cfg.inner_threads > 0, or a pool the caller
-// already owns (the BatchCompiler shares its own). Metrics are
-// bit-identical at any thread count; see docs/architecture.md.
+// compile/pipeline.cpp runs these as five plain stage functions, each
+// under one `pipeline` span and one stage_ms entry; the stage contracts are
+// in its comments. Intra-compile parallelism — LC-candidate scoring in the
+// partition search and the per-part subgraph fan-out — goes through an
+// Executor: serial by default, a private pool when cfg.inner_threads > 0,
+// or a pool the caller already owns (the BatchCompiler shares its own).
+// Metrics are bit-identical at any thread count; see docs/architecture.md.
 #pragma once
 
 #include <string>

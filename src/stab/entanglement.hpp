@@ -2,10 +2,11 @@
 //
 // For a stabilizer state with group S on n qubits and a cut A, the entropy
 // is S(A) = rank_GF2(S restricted to A's symplectic columns) - |A|. On a
-// graph state this equals the cut-rank of the graph (graph/metrics.hpp); the
-// paper uses it ("entanglement entropy theory [26]") to compute the minimal
-// emitter count ne_min of a subgraph, which seeds the flexible resource
-// constraint ne_limit in {ne_min, ne_min+1, ne_min+2}.
+// graph state this equals the cut-rank of the graph (graph/metrics.hpp).
+// The compiler never calls this: its emitter bounds (ne_min, Ne_limit) come
+// from graph/metrics' cut_rank and height function, which work on the
+// adjacency matrix directly. This tableau computation is the independent
+// reference that tests check cut_rank against.
 #pragma once
 
 #include <cstddef>

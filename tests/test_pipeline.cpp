@@ -1,15 +1,18 @@
-// The staged-pipeline contract: compile_framework metrics are bit-identical
-// at any inner thread count, every registered partition strategy yields a
-// verified circuit, and the Executor abstraction runs each index exactly
-// once whether serial, pooled, or lane-capped.
-#include "compile/pipeline.hpp"
+// The staged-pipeline contract: the five stages run in order, each timed
+// and traced, compile_framework metrics are bit-identical at any inner
+// thread count, every registered partition strategy yields a verified
+// circuit, and the Executor abstraction runs each index exactly once
+// whether serial, pooled, or lane-capped.
+#include "compile/framework.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 
 #include "graph/generators.hpp"
 #include "graph/local_complement.hpp"
+#include "obs/trace.hpp"
 #include "partition/partition_strategy.hpp"
 #include "runtime/batch_compiler.hpp"
 #include "solver/anneal.hpp"
@@ -129,17 +132,42 @@ TEST(Pipeline, StagesRunInOrderAndAreTimed) {
   const std::vector<std::string> expected = {"partition", "subgraph",
                                              "schedule", "correction",
                                              "verify"};
-  const auto stages = make_framework_pipeline();
-  ASSERT_EQ(stages.size(), expected.size());
-  for (std::size_t i = 0; i < stages.size(); ++i)
-    EXPECT_EQ(stages[i]->name(), expected[i]);
-
   const FrameworkResult r =
       compile_framework(make_ring(8), pipeline_config());
   ASSERT_EQ(r.stage_ms.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(r.stage_ms[i].stage, expected[i]);
     EXPECT_GE(r.stage_ms[i].ms, 0.0);
+  }
+
+  // Traced on a pooled executor: one `pipeline` span per stage, in order,
+  // and every part compile (pool lanes included) inside the subgraph span.
+  TraceRecorder rec;
+  {
+    ScopedTraceInstall install(&rec);
+    FrameworkConfig cfg = pipeline_config();
+    cfg.inner_threads = 2;
+    compile_framework(make_waxman(14, 2), cfg);
+  }
+  std::vector<TraceEvent> stages;
+  std::vector<TraceEvent> part_compiles;
+  for (const TraceEvent& e : rec.events()) {
+    if (std::find(expected.begin(), expected.end(), e.name) !=
+        expected.end())
+      stages.push_back(e);
+    if (e.name == "part_compile") part_compiles.push_back(e);
+  }
+  ASSERT_EQ(stages.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(stages[i].name, expected[i]);
+    EXPECT_EQ(stages[i].cat, "pipeline") << expected[i];
+  }
+  const TraceEvent& subgraph = stages[1];
+  ASSERT_FALSE(part_compiles.empty());
+  for (const TraceEvent& e : part_compiles) {
+    EXPECT_GE(e.ts_us, subgraph.ts_us) << e.args_json;
+    EXPECT_LE(e.ts_us + e.dur_us, subgraph.ts_us + subgraph.dur_us)
+        << e.args_json;
   }
 }
 

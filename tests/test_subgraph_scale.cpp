@@ -1,6 +1,6 @@
 // Scale-tier regression for the subgraph and schedule stages (slow label):
 //
-//  * the SubgraphStage/ScheduleStage outputs are bit-identical across
+//  * the subgraph and schedule stage outputs are bit-identical across
 //    executor lane counts {0, 2, 8} on a multilevel-partitioned
 //    several-thousand-vertex graph — the determinism contract the
 //    flat-CSR/arena subgraph rewrite and the levelized scheduler must
