@@ -1,14 +1,17 @@
 // Minimal flag parser shared by the epgc command-line tools.
 //
 // Flags are `--name value` pairs (or bare `--name` for booleans); anything
-// else is a positional argument. Unknown flags abort with the tool's usage
-// text so typos never silently fall through to defaults.
+// else is a positional argument. A flag is known iff its `--name` appears in
+// the tool's usage text (which ci/check_docs.py holds equal to the README
+// flag list); any other flag exits 2 with the usage text, so typos never
+// silently fall through to defaults.
 #pragma once
 
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <map>
+#include <regex>
 #include <set>
 #include <string>
 #include <vector>
@@ -20,9 +23,10 @@ namespace epg::cli {
 class Args {
  public:
   /// `bool_flags` lists the flags that take no value.
-  Args(int argc, char** argv, std::set<std::string> bool_flags,
+  Args(int argc, char** argv, const std::set<std::string>& bool_flags,
        std::string usage)
       : usage_(std::move(usage)) {
+    const std::set<std::string> known = usage_flags(usage_);
     for (int i = 1; i < argc; ++i) {
       std::string token = argv[i];
       if (token.rfind("--", 0) != 0) {
@@ -37,15 +41,14 @@ class Args {
         std::cout << version_line() << '\n';
         std::exit(0);
       }
+      if (known.count(token) == 0) fail("unknown flag --" + token);
       if (bool_flags.count(token) > 0) {
         values_[token] = "1";
         continue;
       }
       if (i + 1 >= argc) fail("flag --" + token + " needs a value");
       values_[token] = argv[++i];
-      known_.insert(token);
     }
-    known_ = std::move(bool_flags);
   }
 
   const std::vector<std::string>& positional() const { return positional_; }
@@ -88,8 +91,18 @@ class Args {
  private:
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
-  std::set<std::string> known_;
   std::string usage_;
+
+  /// Every `--name` token in `usage` (without the dashes), matched by the
+  /// same pattern ci/check_docs.py reads `--help` with.
+  static std::set<std::string> usage_flags(const std::string& usage) {
+    static const std::regex flag("--([a-zA-Z][a-zA-Z0-9-]*)");
+    std::set<std::string> flags;
+    for (std::sregex_iterator it(usage.begin(), usage.end(), flag), end;
+         it != end; ++it)
+      flags.insert((*it)[1]);
+    return flags;
+  }
 };
 
 }  // namespace epg::cli

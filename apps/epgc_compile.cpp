@@ -8,15 +8,12 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <optional>
 
 #include "cli_common.hpp"
 #include "circuit/render.hpp"
 #include "obs/trace.hpp"
 #include "circuit/serialize.hpp"
 #include "common/compile_spec.hpp"
-#include "compile/baseline_compiler.hpp"
-#include "compile/framework.hpp"
 #include "io/graph_io.hpp"
 #include "io/qasm_export.hpp"
 #include "runtime/batch_compiler.hpp"
@@ -124,17 +121,21 @@ int main(int argc, char** argv) {
   } catch (const std::exception& e) {
     args.fail(e.what());
   }
-  // Execution shape, not a result knob: deliberately outside the spec (and
-  // the config fingerprint).
-  job.framework.inner_threads = args.get_u64("inner-threads", 0);
 
-  std::unique_ptr<CompileResultStore> store;
+  // The single job runs through the same BatchCompiler (and so the same
+  // store tier) as epgc_batch and epgc_serve: one pool worker per inner
+  // lane plus the calling thread.
+  const std::size_t inner_threads = args.get_u64("inner-threads", 0);
+  BatchConfig bcfg;
+  bcfg.threads = inner_threads + 1;
+  bcfg.inner_threads = inner_threads;
+  bcfg.keep_results = true;
   if (args.has("store-dir")) {
     StoreConfig scfg;
     scfg.dir = args.get("store-dir", "");
     scfg.max_bytes = args.get_u64("store-cap-mb", 0) * 1024 * 1024;
     try {
-      store = std::make_unique<CompileResultStore>(scfg);
+      bcfg.store = std::make_shared<CompileResultStore>(scfg);
     } catch (const std::exception& e) {
       args.fail(e.what());
     }
@@ -146,85 +147,24 @@ int main(int argc, char** argv) {
   if (args.has("trace-out")) recorder = std::make_unique<TraceRecorder>();
   ScopedTraceInstall trace_install(recorder.get());
 
-  Circuit circuit(0, 0);
-  try {
-    if (job.kind == CompilerKind::framework) {
-      const FrameworkConfig& cfg = job.framework;
-      const std::uint64_t fp = config_fingerprint(cfg);
-      std::optional<StoredResult> warm;
-      if (store != nullptr)
-        warm = store->get(target, fp, CompilerKind::framework);
-      if (warm) {
-        // Warm replay: the stored entry carries everything the cold run
-        // printed, so the output below is byte-identical to it.
-        if (!args.has("quiet"))
-          std::cout << "partition: " << warm->parts << " subgraphs, "
-                    << warm->stem_count << " stems, LC depth "
-                    << warm->lc_depth << " (" << warm->strategy
-                    << " strategy)\n";
-        print_stats(warm->stats, warm->ne_limit);
-        std::cout << "verified        "
-                  << (warm->verified ? "yes" : "skipped") << '\n';
-        circuit = warm->circuit;
-      } else {
-        const FrameworkResult r = compile_framework(target, cfg);
-        if (!args.has("quiet"))
-          std::cout << "partition: " << r.partition.parts.size()
-                    << " subgraphs, " << r.stem_count << " stems, LC depth "
-                    << r.partition.lc_sequence.size() << " ("
-                    << r.strategy << " strategy)\n";
-        print_stats(r.stats(), r.ne_limit);
-        std::cout << "verified        " << (r.verified ? "yes" : "skipped")
-                  << '\n';
-        circuit = r.schedule.circuit;
-        if (store != nullptr) {
-          StoredResult sr;
-          sr.stats = r.stats();
-          sr.ne_min = r.ne_min;
-          sr.ne_limit = r.ne_limit;
-          sr.stem_count = r.stem_count;
-          sr.parts = r.partition.parts.size();
-          sr.lc_depth = r.partition.lc_sequence.size();
-          sr.strategy = r.strategy;
-          sr.verified = r.verified;
-          sr.circuit = circuit;
-          store->put(target, fp, CompilerKind::framework, sr);
-        }
-      }
-    } else {
-      const BaselineConfig& cfg = job.baseline;
-      const std::uint64_t fp = config_fingerprint(cfg);
-      std::optional<StoredResult> warm;
-      if (store != nullptr)
-        warm = store->get(target, fp, CompilerKind::baseline);
-      if (warm) {
-        print_stats(warm->stats, warm->ne_limit);
-        circuit = warm->circuit;
-      } else {
-        const BaselineResult r = compile_baseline(target, cfg);
-        if (!r.success) {
-          std::cerr << "baseline compilation failed\n";
-          return 1;
-        }
-        const std::size_t cap =
-            cfg.num_emitters ? cfg.num_emitters : r.ne_min;
-        print_stats(r.stats, cap);
-        circuit = r.circuit;
-        if (store != nullptr) {
-          StoredResult sr;
-          sr.stats = r.stats;
-          sr.ne_min = r.ne_min;
-          sr.ne_limit = static_cast<std::uint32_t>(cap);
-          sr.verified = cfg.verify;
-          sr.circuit = circuit;
-          store->put(target, fp, CompilerKind::baseline, sr);
-        }
-      }
-    }
-  } catch (const std::exception& e) {
-    std::cerr << "compilation failed: " << e.what() << '\n';
+  const JobResult r = BatchCompiler(bcfg).run({job}).front();
+  if (!r.ok) {
+    std::cerr << "compilation failed: " << r.error << '\n';
     return 1;
   }
+  // A store hit carries everything a cold compile prints, so warm output
+  // is byte-identical to it.
+  if (r.framework_result && !args.has("quiet"))
+    std::cout << "partition: " << r.parts << " subgraphs, " << r.stem_count
+              << " stems, LC depth " << r.lc_depth << " ("
+              << r.framework_result->strategy << " strategy)\n";
+  print_stats(r.stats, r.ne_limit);
+  if (r.framework_result)
+    std::cout << "verified        " << (r.verified ? "yes" : "skipped")
+              << '\n';
+  const Circuit& circuit = r.framework_result
+                               ? r.framework_result->schedule.circuit
+                               : r.baseline_result->circuit;
 
   if (args.has("qasm")) {
     std::ofstream out(args.get("qasm", ""));

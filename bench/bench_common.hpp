@@ -79,23 +79,6 @@ struct ThreeWayRow {
   std::size_t stem_count = 0;
 };
 
-/// Framework vs both baseline strengths under a shared emitter budget.
-inline ThreeWayRow run_three_way(const Graph& g, double ne_factor,
-                                 std::uint64_t seed) {
-  ThreeWayRow row;
-  const FrameworkResult ours =
-      compile_framework(g, framework_config(ne_factor, seed));
-  row.ours = ours.stats();
-  row.stem_count = ours.stem_count;
-  BaselineConfig faithful = faithful_baseline_config(seed);
-  faithful.num_emitters = ours.ne_limit;
-  row.faithful = compile_baseline(g, faithful).stats;
-  BaselineConfig strong = baseline_config(seed);
-  strong.num_emitters = ours.ne_limit;
-  row.strong = compile_baseline(g, strong).stats;
-  return row;
-}
-
 /// Batch runtime shared by the figure benches: all cores, metrics only by
 /// default. The anytime searches keep their wall-clock budgets, exactly as
 /// the former serial loops did, so figures can shift slightly with machine
@@ -123,13 +106,13 @@ struct ThreeWayInstance {
   std::uint64_t seed = 1;
 };
 
-/// run_three_way fanned across the batch runtime: one framework phase for
-/// every instance, then both baseline strengths under the emitter budgets
-/// the first phase produced. Row i runs the same configurations as
-/// run_three_way(instance i); as in the serial loops, the anytime
-/// searches' wall-clock budgets can bind differently under load unless
-/// the batch runs in deterministic mode (see make_bench_batch).
-inline std::vector<ThreeWayRow> run_three_way_batch(
+/// Framework vs both baseline strengths under a shared emitter budget,
+/// fanned across the batch runtime: one framework phase for every
+/// instance, then both baseline strengths under the emitter budgets the
+/// first phase produced. The anytime searches' wall-clock budgets can bind
+/// differently under load unless the batch runs in deterministic mode (see
+/// make_bench_batch).
+inline std::vector<ThreeWayRow> compare_three_way_batch(
     const std::vector<ThreeWayInstance>& instances, BatchCompiler& batch) {
   std::vector<CompileJob> fw_jobs;
   fw_jobs.reserve(instances.size());
@@ -159,21 +142,6 @@ inline std::vector<ThreeWayRow> run_three_way_batch(
     rows[i].strong = checked(base[2 * i + 1]).stats;
   }
   return rows;
-}
-
-inline ComparisonRow run_comparison(const std::string& label, const Graph& g,
-                                    double ne_factor, std::uint64_t seed) {
-  return compare_compilers(label, g, framework_config(ne_factor, seed),
-                           baseline_config(seed));
-}
-
-/// Same comparison against the GraphiQ-faithful (budget-starved) baseline —
-/// the comparator the paper's figures actually plot.
-inline ComparisonRow run_comparison_faithful(const std::string& label,
-                                             const Graph& g, double ne_factor,
-                                             std::uint64_t seed) {
-  return compare_compilers(label, g, framework_config(ne_factor, seed),
-                           faithful_baseline_config(seed));
 }
 
 inline void emit(const Table& table, const std::string& title) {

@@ -20,7 +20,7 @@ int main() {
     instances.push_back(
         {"lat" + std::to_string(n), lattice_instance(n, n), 1.5, n});
   BatchCompiler batch = make_bench_batch();
-  const std::vector<ThreeWayRow> rows3 = run_three_way_batch(instances, batch);
+  const std::vector<ThreeWayRow> rows3 = compare_three_way_batch(instances, batch);
 
   Table table(
       {"#qubit", "GraphiQ", "Ours", "Reduction(%)", "Strong", "stems"});

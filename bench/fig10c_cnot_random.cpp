@@ -18,7 +18,7 @@ int main() {
                                std::to_string(i),
                            waxman_instance(n, n + i), 1.5, n * 10 + i});
   BatchCompiler batch = make_bench_batch();
-  const std::vector<ThreeWayRow> rows3 = run_three_way_batch(instances, batch);
+  const std::vector<ThreeWayRow> rows3 = compare_three_way_batch(instances, batch);
 
   Table table(
       {"#qubit", "GraphiQ", "Ours", "Reduction(%)", "Strong", "stems"});

@@ -9,7 +9,6 @@
 #include "compile/baseline_compiler.hpp"
 #include "compile/framework.hpp"
 #include "graph/generators.hpp"
-#include "metrics/report.hpp"
 
 int main() {
   using namespace epg;

@@ -29,28 +29,6 @@ double ComparisonRow::loss_improvement_factor() const {
   return baseline.loss.state_loss / ours.loss.state_loss;
 }
 
-ComparisonRow compare_compilers(const std::string& label, const Graph& g,
-                                const FrameworkConfig& fw_cfg,
-                                const BaselineConfig& base_cfg) {
-  ComparisonRow row;
-  row.label = label;
-  row.num_qubits = g.vertex_count();
-  row.num_edges = g.edge_count();
-
-  const FrameworkResult ours = compile_framework(g, fw_cfg);
-  row.ours = ours.stats();
-  row.ne_min = ours.ne_min;
-  row.ne_limit = ours.ne_limit;
-  row.stem_count = ours.stem_count;
-
-  BaselineConfig bc = base_cfg;
-  // Both compilers draw from the same emitter budget.
-  if (bc.num_emitters == 0) bc.num_emitters = ours.ne_limit;
-  const BaselineResult base = compile_baseline(g, bc);
-  row.baseline = base.stats;
-  return row;
-}
-
 std::vector<ComparisonRow> compare_compilers_batch(
     const std::vector<ComparisonRequest>& requests, BatchCompiler& batch) {
   std::vector<CompileJob> fw_jobs;

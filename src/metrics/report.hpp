@@ -1,6 +1,5 @@
-// Benchmark reporting helpers: run ours vs the baseline on one target and
-// collect the quantities the paper's figures plot — per instance
-// (compare_compilers) or fanned across the batch runtime
+// Benchmark reporting helpers: run ours vs the baseline across the batch
+// runtime and collect the quantities the paper's figures plot
 // (compare_compilers_batch, batch_metrics_table, batch_csv/batch_json).
 #pragma once
 
@@ -31,12 +30,6 @@ struct ComparisonRow {
   double loss_improvement_factor() const;
 };
 
-/// Compile with both compilers under a shared emitter budget
-/// Ne_limit = ceil(factor * Ne_min) and collect the comparison.
-ComparisonRow compare_compilers(const std::string& label, const Graph& g,
-                                const FrameworkConfig& fw_cfg,
-                                const BaselineConfig& base_cfg);
-
 double reduction_pct(double baseline, double ours);
 
 /// One ours-vs-baseline comparison to be fanned across the batch runtime.
@@ -47,10 +40,10 @@ struct ComparisonRequest {
   BaselineConfig baseline;
 };
 
-/// Batch equivalent of compare_compilers: phase 1 compiles every framework
-/// job in parallel, phase 2 compiles every baseline under the emitter
-/// budget phase 1 produced (unless the request pins num_emitters). Rows
-/// match per-request serial compare_compilers calls exactly.
+/// Ours vs the baseline under a shared emitter budget: phase 1 compiles
+/// every framework job in parallel, phase 2 compiles every baseline under
+/// the Ne_limit = ceil(factor * Ne_min) budget phase 1 produced (unless
+/// the request pins num_emitters).
 std::vector<ComparisonRow> compare_compilers_batch(
     const std::vector<ComparisonRequest>& requests, BatchCompiler& batch);
 

@@ -1,8 +1,7 @@
 #include "partition/partition_strategy.hpp"
 
 #include <algorithm>
-#include <map>
-#include <mutex>
+#include <array>
 #include <numeric>
 #include <tuple>
 
@@ -161,10 +160,9 @@ class PortfolioStrategy final : public PartitionStrategy {
                        const Executor& exec) const override {
     EPG_REQUIRE(cfg.g_max >= 1, "g_max must be positive");
     const std::size_t width = std::max<std::size_t>(1, cfg.portfolio_width);
-    const PartitionStrategy* beam = find_partition_strategy("beam");
-    const PartitionStrategy* anneal = find_partition_strategy("anneal");
-    EPG_CHECK(beam != nullptr && anneal != nullptr,
-              "built-in strategies missing from the registry");
+    const BeamStrategy beam;
+    const AnnealStrategy anneal;
+    const PartitionStrategy* const engines[] = {&beam, &anneal};
 
     // Race restarts: slots 0/1 are the plain beam and anneal runs at the
     // caller's seed, slots >= 2 re-seed. The winner is picked by stem count
@@ -178,7 +176,7 @@ class PortfolioStrategy final : public PartitionStrategy {
       LcPartitionConfig member = cfg;
       if (slot >= 2)
         member.seed = derive_seed(cfg.seed, 0x5EEDF0110ULL, slot);
-      const PartitionStrategy* engine = slot % 2 == 0 ? beam : anneal;
+      const PartitionStrategy* engine = engines[slot % 2];
       Span span("strategy_attempt", "partition");
       span.arg("slot", static_cast<std::uint64_t>(slot));
       span.arg("engine", engine->name());
@@ -199,51 +197,33 @@ class PortfolioStrategy final : public PartitionStrategy {
   }
 };
 
-// ---- registry --------------------------------------------------------------
+// ---- built-in table --------------------------------------------------------
 
-struct Registry {
-  std::mutex mu;
-  std::map<std::string, std::unique_ptr<PartitionStrategy>, std::less<>>
-      by_name;
-};
-
-Registry& registry() {
-  static Registry* instance = [] {
-    auto* r = new Registry;
-    r->by_name.emplace("beam", std::make_unique<BeamStrategy>());
-    r->by_name.emplace("anneal", std::make_unique<AnnealStrategy>());
-    r->by_name.emplace("portfolio", std::make_unique<PortfolioStrategy>());
-    r->by_name.emplace("multilevel", make_multilevel_strategy());
-    return r;
-  }();
-  return *instance;
+/// The four built-ins, sorted by name.
+const std::array<const PartitionStrategy*, 4>& builtin_strategies() {
+  static const AnnealStrategy anneal;
+  static const BeamStrategy beam;
+  static const std::unique_ptr<PartitionStrategy> multilevel =
+      make_multilevel_strategy();
+  static const PortfolioStrategy portfolio;
+  static const std::array<const PartitionStrategy*, 4> table = {
+      &anneal, &beam, multilevel.get(), &portfolio};
+  return table;
 }
 
 }  // namespace
 
 const PartitionStrategy* find_partition_strategy(std::string_view name) {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  const auto it = r.by_name.find(name);
-  return it == r.by_name.end() ? nullptr : it->second.get();
+  for (const PartitionStrategy* s : builtin_strategies())
+    if (s->name() == name) return s;
+  return nullptr;
 }
 
 std::vector<std::string> partition_strategy_names() {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
   std::vector<std::string> names;
-  names.reserve(r.by_name.size());
-  for (const auto& [name, strategy] : r.by_name) names.push_back(name);
-  return names;  // std::map iterates sorted
-}
-
-void register_partition_strategy(std::unique_ptr<PartitionStrategy> s) {
-  EPG_REQUIRE(s != nullptr, "null strategy");
-  const std::string name(s->name());
-  EPG_REQUIRE(!name.empty(), "strategy needs a name");
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  r.by_name[name] = std::move(s);
+  for (const PartitionStrategy* s : builtin_strategies())
+    names.emplace_back(s->name());
+  return names;
 }
 
 }  // namespace epg

@@ -3,8 +3,8 @@
 // The partition stage of the compile pipeline is the point where
 // graph-state compilers differentiate (GraphiQ explores alternative
 // circuit-design strategies, OneQ restructures the whole flow), so the
-// engine is a first-class interface with a process-wide registry rather
-// than a hardwired function. Built-ins:
+// engine is a first-class interface looked up by name from a fixed table
+// rather than a hardwired function. The four built-ins:
 //
 //   "beam"      — depth-limited beam search over LC sequences; candidate
 //                 quick-scores are fanned across the executor with
@@ -32,7 +32,6 @@
 // output is a pure function of (g, cfg).
 #pragma once
 
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,16 +49,11 @@ class PartitionStrategy {
                                const Executor& exec) const = 0;
 };
 
-/// Look up a registered strategy; nullptr when unknown. The returned
-/// pointer stays valid for the process lifetime (or until the name is
-/// re-registered). Thread-safe.
+/// Look up a built-in strategy; nullptr when unknown. The returned pointer
+/// stays valid for the process lifetime. Thread-safe.
 const PartitionStrategy* find_partition_strategy(std::string_view name);
 
-/// Registered names, sorted. Thread-safe.
+/// The built-in names, sorted. Thread-safe.
 std::vector<std::string> partition_strategy_names();
-
-/// Install (or replace) a strategy under its own name(). Thread-safe;
-/// intended for experiments and benches that plug custom engines.
-void register_partition_strategy(std::unique_ptr<PartitionStrategy> s);
 
 }  // namespace epg

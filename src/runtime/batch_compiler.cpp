@@ -84,22 +84,6 @@ std::uint64_t config_fingerprint(const BaselineConfig& cfg) {
   return h.digest();
 }
 
-std::vector<CompileJob> sweep_seeds(const CompileJob& base,
-                                    std::uint64_t first_seed,
-                                    std::size_t count) {
-  std::vector<CompileJob> jobs;
-  jobs.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    CompileJob job = base;
-    const std::uint64_t seed = first_seed + i;
-    job.label = base.label + "#" + std::to_string(seed);
-    job.framework.seed = seed;
-    job.baseline.seed = seed;
-    jobs.push_back(std::move(job));
-  }
-  return jobs;
-}
-
 CompileJob make_framework_job(std::string label, Graph graph,
                               FrameworkConfig cfg) {
   CompileJob job;
@@ -208,7 +192,6 @@ JobResult BatchCompiler::compile_one(const CompileJob& job,
   r.kind = job.kind;
   r.num_qubits = job.graph.vertex_count();
   r.num_edges = job.graph.edge_count();
-  StoredResult stored;  // write-back payload, filled on success
   Span span("compile_job", "batch");
   span.arg("label", job.label);
   Stopwatch watch;
@@ -228,15 +211,10 @@ JobResult BatchCompiler::compile_one(const CompileJob& job,
       r.ne_min = result->ne_min;
       r.ne_limit = result->ne_limit;
       r.stem_count = result->stem_count;
+      r.parts = result->partition.parts.size();
+      r.lc_depth = result->partition.lc_sequence.size();
       r.verified = result->verified;
-      r.ok = true;
-      if (cfg_.store && cfg_.use_cache) {
-        stored.circuit = result->schedule.circuit;
-        stored.parts = result->partition.parts.size();
-        stored.lc_depth = result->partition.lc_sequence.size();
-        stored.strategy = result->strategy;
-      }
-      if (cfg_.keep_results) r.framework_result = std::move(result);
+      r.framework_result = std::move(result);
     } else {
       const BaselineConfig cfg = effective_baseline(job);
       auto result = std::make_shared<BaselineResult>(
@@ -248,24 +226,38 @@ JobResult BatchCompiler::compile_one(const CompileJob& job,
       r.ne_limit = static_cast<std::uint32_t>(
           cfg.num_emitters ? cfg.num_emitters : result->ne_min);
       r.verified = cfg.verify;
-      r.ok = true;
-      if (cfg_.store && cfg_.use_cache) stored.circuit = result->circuit;
-      if (cfg_.keep_results) r.baseline_result = std::move(result);
+      r.baseline_result = std::move(result);
     }
+    r.ok = true;
   } catch (const std::exception& e) {
     r.ok = false;
     r.error = e.what();
   }
   r.wall_ms = watch.elapsed_ms();
-  // Write-back to the persistent tier. Runs on the pool worker so the disk
-  // write overlaps other jobs' compute; the store serializes internally.
+  // Write-back to the persistent tier: the one JobResult -> StoredResult
+  // mapping (rehydrate is its inverse). Runs on the pool worker so the
+  // disk write overlaps other jobs' compute; the store serializes
+  // internally.
   if (r.ok && cfg_.store && cfg_.use_cache) {
+    StoredResult stored;
     stored.stats = r.stats;
     stored.ne_min = r.ne_min;
     stored.ne_limit = r.ne_limit;
     stored.stem_count = r.stem_count;
+    stored.parts = r.parts;
+    stored.lc_depth = r.lc_depth;
     stored.verified = r.verified;
+    if (r.framework_result) {
+      stored.circuit = r.framework_result->schedule.circuit;
+      stored.strategy = r.framework_result->strategy;
+    } else {
+      stored.circuit = r.baseline_result->circuit;
+    }
     cfg_.store->put(job.graph, config_hash, job.kind, stored);
+  }
+  if (!cfg_.keep_results) {
+    r.framework_result.reset();
+    r.baseline_result.reset();
   }
   return r;
 }
@@ -284,6 +276,8 @@ JobResult BatchCompiler::rehydrate(const CompileJob& job,
   r.ne_min = stored.ne_min;
   r.ne_limit = stored.ne_limit;
   r.stem_count = stored.stem_count;
+  r.parts = stored.parts;
+  r.lc_depth = stored.lc_depth;
   r.verified = stored.verified;
   if (cfg_.keep_results) {
     // Rehydrated results carry the exact circuit and metrics; search

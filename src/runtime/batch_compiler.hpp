@@ -85,6 +85,8 @@ struct JobResult {
   std::size_t ne_min = 0;
   std::uint32_t ne_limit = 0;
   std::size_t stem_count = 0;  ///< framework only
+  std::size_t parts = 0;       ///< framework only: partition size
+  std::size_t lc_depth = 0;    ///< framework only: LC-sequence length
   bool verified = false;
 
   /// Full compiler outputs (circuits, schedules); populated when
@@ -143,13 +145,6 @@ struct BatchSummary {
     return wall_ms > 0.0 ? compile_ms / wall_ms : 1.0;
   }
 };
-
-/// One graph x a seed sweep: copies of `base` with seeds first..first+count-1
-/// (both the framework and baseline seed fields are set) and labels
-/// "<label>#<seed>". The canonical fan-out for Monte-Carlo noise sweeps.
-std::vector<CompileJob> sweep_seeds(const CompileJob& base,
-                                    std::uint64_t first_seed,
-                                    std::size_t count);
 
 /// Job builders for the common two-phase pattern: compile every framework
 /// job first, then every baseline under the emitter budget phase 1

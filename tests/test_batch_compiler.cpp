@@ -255,16 +255,6 @@ TEST(BatchCompiler, FailedJobsAreIsolatedAndNeverCached) {
   EXPECT_EQ(batch.cache_size(), 1u);  // only the success was cached
 }
 
-TEST(BatchCompiler, SweepSeedsFansOutConfigs) {
-  CompileJob base = framework_job("mc", make_ring(8), 0);
-  const std::vector<CompileJob> jobs = sweep_seeds(base, 10, 5);
-  ASSERT_EQ(jobs.size(), 5u);
-  EXPECT_EQ(jobs[0].label, "mc#10");
-  EXPECT_EQ(jobs[4].label, "mc#14");
-  EXPECT_EQ(jobs[2].framework.seed, 12u);
-  EXPECT_EQ(jobs[2].baseline.seed, 12u);
-}
-
 // ---- Deterministic parallel Monte-Carlo ----------------------------------
 
 TEST(ParallelMc, PhotonLossMatchesSerialChunking) {

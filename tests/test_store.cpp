@@ -433,9 +433,22 @@ TEST_F(StoreTest, RehydratedResultsCarryTheExactCircuit) {
   const std::vector<JobResult> warm_results = warm.run(jobs);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     ASSERT_TRUE(warm_results[i].ok);
+    EXPECT_EQ(warm_results[i].tier, ResultTier::store);
+    // The banner scalars epgc_compile prints survive the store round trip.
+    EXPECT_EQ(warm_results[i].parts, cold_results[i].parts);
+    EXPECT_EQ(warm_results[i].lc_depth, cold_results[i].lc_depth);
+    EXPECT_EQ(warm_results[i].stem_count, cold_results[i].stem_count);
     if (jobs[i].kind == CompilerKind::framework) {
       ASSERT_NE(warm_results[i].framework_result, nullptr);
       ASSERT_NE(cold_results[i].framework_result, nullptr);
+      EXPECT_GT(cold_results[i].parts, 0u);
+      EXPECT_EQ(cold_results[i].parts,
+                cold_results[i].framework_result->partition.parts.size());
+      EXPECT_EQ(
+          cold_results[i].lc_depth,
+          cold_results[i].framework_result->partition.lc_sequence.size());
+      EXPECT_EQ(warm_results[i].framework_result->strategy,
+                cold_results[i].framework_result->strategy);
       EXPECT_EQ(
           serialize_circuit(warm_results[i].framework_result->schedule
                                 .circuit),
