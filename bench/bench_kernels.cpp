@@ -15,6 +15,11 @@
 //   * partition_refine — partition_min_cut (12 restarts) on a paper-size
 //                     Waxman graph: the move/swap refinement the beam and
 //                     anneal strategies call for every scored candidate
+//   * subgraph_level— compile_subgraph_level (paper Sec. IV.B branch-and-
+//                     bound + synthesis) for every beam part of the same
+//                     Waxman graph at ne_min..ne_min+2, under free-form and
+//                     anchors-only, with the time budget lifted; the
+//                     checksum pins the search's node counts and circuits
 //   * span_off      — obs::Span with no recorder installed: the disabled
 //                     tracing hot path, which must stay a pointer test
 //   * span_on       — obs::Span against a live TraceRecorder (records +
@@ -39,12 +44,16 @@
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "common/table.hpp"
+#include "compile/stem.hpp"
+#include "compile/subgraph_compiler.hpp"
 #include "graph/coarsen.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
 #include "obs/trace.hpp"
+#include "partition/partition_strategy.hpp"
 #include "partition/seen_set.hpp"
+#include "runtime/batch_compiler.hpp"
 #include "solver/partition_refine.hpp"
 #include "stab/graphsim.hpp"
 
@@ -183,6 +192,50 @@ std::uint64_t kernel_partition_refine(const Graph& g, int inner) {
   return h;
 }
 
+/// The beam strategy's parts of `g` (default config, budget lifted).
+std::vector<SubgraphSpec> beam_parts(const Graph& g) {
+  LcPartitionConfig cfg;
+  cfg.time_budget_ms = kUnboundedBudgetMs;
+  const PartitionOutcome outcome =
+      find_partition_strategy("beam")->run(g, cfg, Executor::serial());
+  std::vector<SubgraphSpec> parts;
+  for (PartPlan& part : plan_stems(outcome).parts)
+    parts.push_back(std::move(part.spec));
+  return parts;
+}
+
+std::uint64_t kernel_subgraph_level(const Graph& g, int inner) {
+  // The partition is setup, not kernel: built once per process.
+  static const std::vector<SubgraphSpec> parts = beam_parts(g);
+  SubgraphCompileConfig cfg;
+  cfg.time_budget_ms = kUnboundedBudgetMs;
+  std::uint64_t h = parts.size();
+  for (int i = 0; i < inner; ++i) {
+    for (const SubgraphSpec& spec : parts) {
+      const std::uint32_t ne_min = subgraph_ne_min(spec.graph);
+      for (const DanglerPolicy policy :
+           {DanglerPolicy::free_form(), DanglerPolicy::anchors_only()}) {
+        cfg.dangler = policy;
+        for (std::uint32_t ne = ne_min; ne <= ne_min + 2; ++ne) {
+          const SubgraphLevelResult r = compile_subgraph_level(spec, cfg, ne);
+          h = mix(h, r.success ? 1 : 0);
+          h = mix(h, r.nodes_explored);
+          h = mix(h, r.sequences_found);
+          if (!r.success) continue;
+          const CircuitStats& s = r.best.stats;
+          h = mix(h, r.best.ne_used);
+          h = mix(h, s.ee_cnot_count);
+          h = mix(h, s.emission_count);
+          h = mix(h, s.local_count);
+          h = mix(h, s.measure_count);
+          h = mix(h, static_cast<std::uint64_t>(s.makespan_ticks));
+        }
+      }
+    }
+  }
+  return h;
+}
+
 std::uint64_t kernel_span_off(const Graph& g, int inner) {
   // The zero-cost-when-disabled claim, measured: no recorder installed,
   // so every Span constructor/destructor must collapse to a thread-local
@@ -275,6 +328,7 @@ int main(int argc, char** argv) {
       {"graphsim_lc_cz", kernel_graphsim_lc_cz, 24, 12, &sim_graph},
       {"seen_insert", kernel_seen_insert, 4000, 20000, &lattice},
       {"partition_refine", kernel_partition_refine, 200, 2000, &waxman},
+      {"subgraph_level", kernel_subgraph_level, 1, 1, &waxman},
       {"span_off", kernel_span_off, 20000000, 40000000, &lattice},
       {"span_on", kernel_span_on, 100000, 200000, &lattice},
   };
