@@ -41,6 +41,8 @@ struct Cell {
   std::uint64_t makespan_ticks = 0;
   std::size_t emitters = 0;
   std::size_t stems = 0;
+  std::size_t level_searches = 0;
+  std::size_t exhausted_searches = 0;
   bool verified = false;
 };
 
@@ -69,7 +71,10 @@ void write_json(std::ostream& os, const std::vector<Cell>& cells,
        << c.inner_threads << ", \"wall_ms\": " << c.wall_ms
        << ", \"ee_cnot\": " << c.ee_cnot << ", \"makespan_ticks\": "
        << c.makespan_ticks << ", \"emitters\": " << c.emitters
-       << ", \"stems\": " << c.stems << ", \"verified\": "
+       << ", \"stems\": " << c.stems
+       << ", \"level_searches\": " << c.level_searches
+       << ", \"exhausted_searches\": " << c.exhausted_searches
+       << ", \"verified\": "
        << (c.verified ? "true" : "false") << ", \"stage_ms\": {";
     for (std::size_t s = 0; s < c.stage_ms.size(); ++s)
       os << (s ? ", " : "") << '"' << json_escape(c.stage_ms[s].stage)
@@ -153,6 +158,8 @@ int main(int argc, char** argv) {
           cell.makespan_ticks = r.stats().makespan_ticks;
           cell.emitters = r.stats().emitters_used;
           cell.stems = r.stem_count;
+          cell.level_searches = r.level_searches;
+          cell.exhausted_searches = r.exhausted_searches;
           cell.verified = r.verified;
         }
         cells.push_back(std::move(cell));
@@ -184,7 +191,9 @@ int main(int argc, char** argv) {
       if (cells[i].instance == cells[j].instance &&
           cells[i].strategy == cells[j].strategy &&
           (cells[i].ee_cnot != cells[j].ee_cnot ||
-           cells[i].makespan_ticks != cells[j].makespan_ticks)) {
+           cells[i].makespan_ticks != cells[j].makespan_ticks ||
+           cells[i].level_searches != cells[j].level_searches ||
+           cells[i].exhausted_searches != cells[j].exhausted_searches)) {
         std::cerr << "DETERMINISM VIOLATION: " << cells[i].instance << '/'
                   << cells[i].strategy << " differs across thread counts\n";
         return 1;

@@ -70,6 +70,12 @@ struct FrameworkResult {
   std::uint32_t ne_limit = 0;   ///< emitter cap handed to the scheduler
   std::size_t stem_count = 0;
   std::size_t subgraph_nodes = 0;  ///< total DFS nodes across subgraphs
+  /// Distinct (part, policy, level) searches this compile ran, and how
+  /// many of them hit their node or time budget. Work counters: pure
+  /// functions of (target, cfg) at any lane count, kept out of result
+  /// fingerprints and protocol responses.
+  std::size_t level_searches = 0;
+  std::size_t exhausted_searches = 0;
   /// Dangler-host stem windows deadlocked and the parts were recompiled in
   /// the anchor-only mode (diagnostic; the output is still verified).
   bool dangler_fallback = false;

@@ -59,6 +59,11 @@ struct PartCompileCache {
   std::unordered_map<std::string,
                      std::shared_ptr<const SubgraphLevelResult>>
       levels;
+  /// Levels that entered the memo, and how many of them exhausted their
+  /// search budget. Counted at insertion, so a level two lanes raced to
+  /// compute counts once: the counts do not depend on the lane count.
+  std::size_t searches = 0;
+  std::size_t exhausted = 0;
 };
 
 std::vector<Vertex> natural_order(const Graph& g) {
@@ -159,7 +164,12 @@ PartVariants compile_variants(const SubgraphSpec& part,
     auto fresh = std::make_shared<const SubgraphLevelResult>(
         compile_subgraph_level(spec, cfg, ne));
     std::lock_guard<std::mutex> lock(memo.mu);
-    return memo.levels.try_emplace(key, std::move(fresh)).first->second;
+    const auto [it, inserted] = memo.levels.try_emplace(key, std::move(fresh));
+    if (inserted) {
+      ++memo.searches;
+      if (it->second->exhausted) ++memo.exhausted;
+    }
+    return it->second;
   };
   auto add_variants = [&](const SubgraphCompileConfig& policy_cfg) {
     for (std::uint32_t extra = 0; extra < 3; ++extra) {
@@ -478,6 +488,8 @@ FrameworkResult compile_framework(const Graph& target,
   stage("schedule", [&] {
     schedule_stage(target, cfg, plan, variants, exec, memo, result);
   });
+  result.level_searches = memo.searches;
+  result.exhausted_searches = memo.exhausted;
   stage("correction", [&] { correction_stage(target, result); });
   stage("verify", [&] { verify_stage(target, cfg, result); });
   return result;

@@ -1,24 +1,37 @@
 #include "compile/reduction.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
-#include "graph/local_complement.hpp"
 
 namespace epg {
 
 ReductionState::ReductionState(const SubgraphSpec& spec,
                                std::uint32_t ne_limit, DanglerPolicy policy)
-    : g_(spec.graph),
-      spec_(&spec),
-      role_(spec.graph.vertex_count(), Role::photon),
-      slot_(spec.graph.vertex_count(), -1),
+    : spec_(&spec),
+      n_(static_cast<std::uint32_t>(spec.graph.vertex_count())),
+      words_(static_cast<std::uint32_t>(spec.graph.words_per_row())),
+      buf_((n_ + 3) * std::size_t{words_} + 3 * std::size_t{n_}, 0),
       ne_limit_(ne_limit),
       policy_(policy),
-      photons_left_(spec.graph.vertex_count()) {
+      photons_left_(n_) {
   EPG_REQUIRE(ne_limit >= 1, "need at least one emitter");
-  EPG_REQUIRE(spec.boundary.size() == g_.vertex_count(),
-              "boundary flag per vertex required");
-  EPG_REQUIRE(spec.stem_key.size() == g_.vertex_count(),
-              "stem key per vertex required");
+  EPG_REQUIRE(spec.boundary.size() == n_, "boundary flag per vertex required");
+  EPG_REQUIRE(spec.stem_key.size() == n_, "stem key per vertex required");
+  for (Vertex v = 0; v < n_; ++v) {
+    std::copy_n(spec.graph.row(v), words_, row(v));
+    set(photon_mask(), v);
+    if (spec.boundary[v]) set(buf_.data() + 2 * words_, v);
+  }
+}
+
+Graph ReductionState::graph() const {
+  Graph g(n_);
+  for (Vertex u = 0; u < n_; ++u)
+    for_each_set_bit(row(u), words_, [&](Vertex v) {
+      if (u < v) g.add_edge(u, v);
+    });
+  return g;
 }
 
 const std::vector<ReduceOp>& ReductionState::ops() const {
@@ -41,135 +54,74 @@ void ReductionState::share_op_log(std::vector<ReduceOp>& sink) {
   ops_len_ = 0;
 }
 
-void ReductionState::push_op(ReduceOp&& op) {
-  if (ops_sink_ != nullptr) {
-    // Overwrite the dead tail beyond this state's prefix (assignment
-    // reuses the slot's vector capacities) instead of shrinking the
-    // buffer, so deep LC ops do not churn the heap on every append.
-    if (ops_len_ < ops_sink_->size())
-      (*ops_sink_)[ops_len_] = std::move(op);
-    else
-      ops_sink_->push_back(std::move(op));
-    ++ops_len_;
+ReduceOp& ReductionState::append_op(ReduceOpKind kind) {
+  ReduceOp* op;
+  if (ops_sink_ == nullptr) {
+    op = &ops_own_.emplace_back();
   } else {
-    ops_own_.push_back(std::move(op));
+    // Overwrite the dead tail beyond this state's prefix in place.
+    if (ops_len_ == ops_sink_->size()) ops_sink_->emplace_back();
+    op = &(*ops_sink_)[ops_len_++];
   }
+  op->kind = kind;
+  op->p = op->e = 0;
+  op->slot_p = op->slot_e = op->lc_slot = 0;
+  op->twin_adjacent = op->anchor = op->lc_on_emitter = false;
+  op->lc_emitter_neighbors.clear();
+  op->lc_photon_neighbors.clear();
+  return *op;
 }
 
 std::uint32_t ReductionState::slot_of(Vertex v) const {
-  EPG_REQUIRE(role_[v] == Role::emitter, "slot_of needs an emitter vertex");
-  return static_cast<std::uint32_t>(slot_[v]);
+  EPG_REQUIRE(is_emitter(v), "slot_of needs an emitter vertex");
+  return static_cast<std::uint32_t>(slots()[v]);
 }
 
 bool ReductionState::reduced() const {
   if (photons_left_ != 0) return false;
-  for (Vertex v = 0; v < g_.vertex_count(); ++v) {
-    if (role_[v] != Role::emitter) continue;
-    // Only isolated anchors may remain.
-    if (!spec_->boundary[v] || !g_.is_isolated(v)) return false;
-  }
-  return true;
-}
-
-bool ReductionState::can_swap(Vertex p) const {
-  return role_[p] == Role::photon && active_ < ne_limit_;
-}
-
-// Anchors may perform any absorption: legality is evaluated on the local
-// graph (without stem edges), which matches the global reverse order because
-// the scheduler disconnects an anchor's stems before (in reverse time) any
-// of its internal operations — i.e. places stem CZs after all internal
-// anchor gates in the forward circuit.
-
-bool ReductionState::can_absorb_leaf(Vertex e, Vertex p) const {
-  // (b): p's single neighborhood edge goes to e. Boundary photons must keep
-  // their identity until their swap.
-  return role_[e] == Role::emitter && role_[p] == Role::photon &&
-         !spec_->boundary[p] && g_.degree(p) == 1 && g_.has_edge(e, p);
-}
-
-bool ReductionState::can_absorb_dangler(Vertex e, Vertex p) const {
-  // (c): e inherits p's edges. Unlike leaf/twin absorption, the forward
-  // emission hands the host's *entire* neighborhood to the photon, so a
-  // boundary photon may leave this way too: its stem CZs are applied to the
-  // host in the window right before the emission and ride onto the photon.
-  if (role_[e] != Role::emitter || role_[p] != Role::photon) return false;
-  if (spec_->boundary[p]) {
-    // A window may host any number of stem CZs in free form; the key-
-    // ordered policy needs one stem per window (unique keys) and strictly
-    // decreasing keys along the reverse sequence for its acyclicity proof.
-    if (policy_.key_order) {
-      const std::uint32_t key = spec_->stem_key[p];
-      if (key == SubgraphSpec::must_swap) return false;
-      if (static_cast<std::int64_t>(key) >= last_dangler_key_) return false;
-    }
-    const auto slot = static_cast<std::size_t>(slot_[e]);
-    const std::uint32_t used =
-        slot < dangler_windows_.size() ? dangler_windows_[slot] : 0;
-    if (used >= policy_.cap) return false;
-  }
-  return g_.degree(e) == 1 && g_.has_edge(e, p);
-}
-
-bool ReductionState::can_absorb_twin(Vertex e, Vertex p) const {
-  // (d): same neighborhood modulo each other.
-  return role_[e] == Role::emitter && role_[p] == Role::photon &&
-         !spec_->boundary[p] && g_.same_neighborhood(e, p);
-}
-
-bool ReductionState::can_disconnect(Vertex e1, Vertex e2) const {
-  return e1 != e2 && role_[e1] == Role::emitter &&
-         role_[e2] == Role::emitter && g_.has_edge(e1, e2);
-}
-
-bool ReductionState::can_local_comp(Vertex v) const {
-  // LC toggles edges among N(v); anchors would leak the change onto their
-  // external stem edges, and the forward unitary on v is not Z-diagonal.
-  return role_[v] != Role::done && !spec_->boundary[v] && g_.degree(v) >= 2;
+  // Only isolated anchors may remain.
+  const std::uint64_t* em = emitter_mask();
+  const std::uint64_t* bd = boundary_mask();
+  for (std::size_t w = 0; w < words_; ++w)
+    if ((em[w] & ~bd[w]) != 0) return false;
+  return for_each_set_bit(em, words_, [&](Vertex v) { return isolated(v); });
 }
 
 void ReductionState::maybe_retire(Vertex v) {
-  if (role_[v] != Role::emitter || spec_->boundary[v] || !g_.is_isolated(v)) return;
-  ReduceOp op;
-  op.kind = ReduceOpKind::retire_emitter;
+  if (!is_emitter(v) || is_boundary(v) || !isolated(v)) return;
+  ReduceOp& op = append_op(ReduceOpKind::retire_emitter);
   op.e = v;
-  op.slot_e = static_cast<std::uint32_t>(slot_[v]);
-  op.anchor = false;
-  push_op(std::move(op));
-  free_slots_.push_back(static_cast<std::uint32_t>(slot_[v]));
-  slot_[v] = -1;
-  role_[v] = Role::done;
+  op.slot_e = static_cast<std::uint32_t>(slots()[v]);
+  free_slots()[free_count_++] = slots()[v];
+  clear(emitter_mask(), v);
   --active_;
 }
 
 void ReductionState::remove_photon(Vertex p) {
-  role_[p] = Role::done;
+  clear(photon_mask(), p);
   --photons_left_;
 }
 
 void ReductionState::swap_photon(Vertex p) {
   EPG_REQUIRE(can_swap(p), "illegal swap");
-  const bool anchor = spec_->boundary[p];
+  const bool anchor = is_boundary(p);
   std::uint32_t slot;
-  if (!anchor && !free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
+  if (!anchor && free_count_ != 0) {
+    slot = static_cast<std::uint32_t>(free_slots()[--free_count_]);
   } else {
     // Anchors always take a dedicated fresh slot: their forward emission
     // tail may be delayed by the scheduler and must not collide with a
     // reused slot.
     slot = slots_used_++;
   }
-  ReduceOp op;
-  op.kind = ReduceOpKind::swap_photon;
+  ReduceOp& op = append_op(ReduceOpKind::swap_photon);
   op.p = p;
   op.slot_p = slot;
   op.anchor = anchor;
-  push_op(std::move(op));
 
-  role_[p] = Role::emitter;
-  slot_[p] = static_cast<std::int32_t>(slot);
-  --photons_left_;
+  remove_photon(p);
+  set(emitter_mask(), p);
+  slots()[p] = slot;
   ++active_;
   ++swaps_;
   maybe_retire(p);  // a degree-0 photon swaps into an instantly-free emitter
@@ -177,86 +129,66 @@ void ReductionState::swap_photon(Vertex p) {
 
 void ReductionState::absorb_leaf(Vertex e, Vertex p) {
   EPG_REQUIRE(can_absorb_leaf(e, p), "illegal absorb_leaf");
-  ReduceOp op;
-  op.kind = ReduceOpKind::absorb_leaf;
+  ReduceOp& op = append_op(ReduceOpKind::absorb_leaf);
   op.p = p;
   op.e = e;
-  op.slot_e = static_cast<std::uint32_t>(slot_[e]);
-  op.anchor = spec_->boundary[e];
-  push_op(std::move(op));
-  g_.remove_edge(e, p);
+  op.slot_e = static_cast<std::uint32_t>(slots()[e]);
+  op.anchor = is_boundary(e);
+  remove_edge(e, p);
   remove_photon(p);
   maybe_retire(e);
 }
 
 void ReductionState::absorb_dangler(Vertex e, Vertex p) {
   EPG_REQUIRE(can_absorb_dangler(e, p), "illegal absorb_dangler");
-  ReduceOp op;
-  op.kind = ReduceOpKind::absorb_dangler;
+  ReduceOp& op = append_op(ReduceOpKind::absorb_dangler);
   op.p = p;
   op.e = e;
-  op.slot_e = static_cast<std::uint32_t>(slot_[e]);
-  op.anchor = spec_->boundary[p];  // stem-carrying emission: host window needed
+  op.slot_e = static_cast<std::uint32_t>(slots()[e]);
+  op.anchor = is_boundary(p);  // stem-carrying emission: host window needed
   if (op.anchor) {
-    const auto slot = static_cast<std::size_t>(slot_[e]);
-    if (dangler_windows_.size() <= slot) dangler_windows_.resize(slot + 1, 0);
-    ++dangler_windows_[slot];
+    const std::uint64_t slot = slots()[e];
+    ++windows()[slot];
+    windows_len_ = std::max(windows_len_, static_cast<std::uint32_t>(slot + 1));
     last_dangler_key_ = static_cast<std::int64_t>(spec_->stem_key[p]);
   }
-  push_op(std::move(op));
-  g_.remove_edge(e, p);
-  // Transfer p's edges to e. Snapshot p's row first (the loop mutates it);
-  // parts are tiny, so a small stack buffer covers the common case without
-  // touching the heap.
-  const std::size_t words = g_.words_per_row();
-  std::uint64_t stack_row[8];
-  std::vector<std::uint64_t> heap_row;
-  const std::uint64_t* snap;
-  if (words <= 8) {
-    std::copy(g_.row(p), g_.row(p) + words, stack_row);
-    snap = stack_row;
-  } else {
-    heap_row.assign(g_.row(p), g_.row(p) + words);
-    snap = heap_row.data();
-  }
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t bits = snap[w];
-    while (bits != 0) {
-      const auto u = static_cast<Vertex>(
-          w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits)));
-      bits &= bits - 1;
-      g_.remove_edge(p, u);
-      g_.add_edge(e, u);
-    }
-  }
+  // e's only edge went to p: after removing it e is isolated, so e
+  // inherits p's row as is and every neighbor u of p swaps its p bit for
+  // an e bit.
+  remove_edge(e, p);
+  std::uint64_t* rp = row(p);
+  for_each_set_bit(rp, words_, [&](Vertex u) {
+    clear(row(u), p);
+    set(row(u), e);
+  });
+  std::copy_n(rp, words_, row(e));
+  std::fill_n(rp, words_, 0);
   remove_photon(p);
   maybe_retire(e);
 }
 
 void ReductionState::absorb_twin(Vertex e, Vertex p) {
   EPG_REQUIRE(can_absorb_twin(e, p), "illegal absorb_twin");
-  ReduceOp op;
-  op.kind = ReduceOpKind::absorb_twin;
+  ReduceOp& op = append_op(ReduceOpKind::absorb_twin);
   op.p = p;
   op.e = e;
-  op.slot_e = static_cast<std::uint32_t>(slot_[e]);
-  op.twin_adjacent = g_.has_edge(e, p);
-  push_op(std::move(op));
-  g_.isolate(p);
+  op.slot_e = static_cast<std::uint32_t>(slots()[e]);
+  op.twin_adjacent = has_edge(e, p);
+  std::uint64_t* rp = row(p);
+  for_each_set_bit(rp, words_, [&](Vertex u) { clear(row(u), p); });
+  std::fill_n(rp, words_, 0);
   remove_photon(p);
   maybe_retire(e);
 }
 
 void ReductionState::disconnect(Vertex e1, Vertex e2) {
   EPG_REQUIRE(can_disconnect(e1, e2), "illegal disconnect");
-  ReduceOp op;
-  op.kind = ReduceOpKind::disconnect;
+  ReduceOp& op = append_op(ReduceOpKind::disconnect);
   op.e = e1;
   op.p = e2;
-  op.slot_e = static_cast<std::uint32_t>(slot_[e1]);
-  op.slot_p = static_cast<std::uint32_t>(slot_[e2]);
-  push_op(std::move(op));
-  g_.remove_edge(e1, e2);
+  op.slot_e = static_cast<std::uint32_t>(slots()[e1]);
+  op.slot_p = static_cast<std::uint32_t>(slots()[e2]);
+  remove_edge(e1, e2);
   ++disconnects_;
   maybe_retire(e1);
   maybe_retire(e2);
@@ -264,51 +196,61 @@ void ReductionState::disconnect(Vertex e1, Vertex e2) {
 
 void ReductionState::local_comp(Vertex v) {
   EPG_REQUIRE(can_local_comp(v), "illegal local complementation");
-  ReduceOp op;
-  op.kind = ReduceOpKind::local_comp;
+  ReduceOp& op = append_op(ReduceOpKind::local_comp);
   op.p = v;
-  op.lc_on_emitter = role_[v] == Role::emitter;
-  if (op.lc_on_emitter) op.lc_slot = static_cast<std::uint32_t>(slot_[v]);
-  g_.for_each_neighbor(v, [&](Vertex u) {
-    if (role_[u] == Role::emitter)
+  op.lc_on_emitter = is_emitter(v);
+  if (op.lc_on_emitter) op.lc_slot = static_cast<std::uint32_t>(slots()[v]);
+  const std::uint64_t* nv = row(v);
+  for_each_set_bit(nv, words_, [&](Vertex u) {
+    if (is_emitter(u))
       op.lc_emitter_neighbors.emplace_back(
-          u, static_cast<std::uint32_t>(slot_[u]));
+          u, static_cast<std::uint32_t>(slots()[u]));
     else
       op.lc_photon_neighbors.push_back(u);
   });
-  push_op(std::move(op));
-  epg::local_complement(g_, v);
+  // Complement N(v): each neighbor a toggles its edges to N(v) \ {a}. v's
+  // own row is untouched (v is not in N(v)), so it can be read throughout.
+  for_each_set_bit(nv, words_, [&](Vertex a) {
+    std::uint64_t* ra = row(a);
+    for (std::size_t w = 0; w < words_; ++w) ra[w] ^= nv[w];
+    ra[a >> 6] ^= 1ULL << (a & 63);  // undo the self toggle
+  });
   ++lcs_;
 }
 
 void ReductionState::finalize() {
   EPG_REQUIRE(reduced(), "finalize requires a fully reduced state");
-  for (Vertex v = 0; v < g_.vertex_count(); ++v) {
-    if (role_[v] != Role::emitter) continue;
-    EPG_CHECK(spec_->boundary[v], "only anchors survive reduction");
-    ReduceOp op;
-    op.kind = ReduceOpKind::retire_emitter;
+  for (Vertex v = 0; v < n_; ++v) {
+    if (!is_emitter(v)) continue;
+    EPG_CHECK(is_boundary(v), "only anchors survive reduction");
+    ReduceOp& op = append_op(ReduceOpKind::retire_emitter);
     op.e = v;
-    op.slot_e = static_cast<std::uint32_t>(slot_[v]);
+    op.slot_e = static_cast<std::uint32_t>(slots()[v]);
     op.anchor = true;
-    push_op(std::move(op));
-    slot_[v] = -1;
-    role_[v] = Role::done;
+    clear(emitter_mask(), v);
     --active_;
   }
 }
 
 std::uint64_t ReductionState::state_hash() const {
-  std::uint64_t h = g_.fingerprint();
-  for (Vertex v = 0; v < g_.vertex_count(); ++v) {
-    h = h * 0x100000001b3ULL ^ static_cast<std::uint64_t>(role_[v]);
+  std::uint64_t h = adjacency_fingerprint(n_, row(0), std::size_t{n_} * words_);
+  // role(v) per vertex, branch-free: photon 0, emitter 1, done 2.
+  static_assert(static_cast<int>(Role::photon) == 0 &&
+                static_cast<int>(Role::emitter) == 1 &&
+                static_cast<int>(Role::done) == 2);
+  const std::uint64_t* ph = photon_mask();
+  const std::uint64_t* em = emitter_mask();
+  for (Vertex v = 0; v < n_; ++v) {
+    const std::uint64_t not_photon = ~ph[v >> 6] >> (v & 63);
+    const std::uint64_t done = ~(ph[v >> 6] | em[v >> 6]) >> (v & 63);
+    h = h * 0x100000001b3ULL ^ ((not_photon & 1) + (done & 1));
   }
   h = h * 0x100000001b3ULL ^ lcs_;
   // Remaining dangler-window budget / key watermark gate future boundary
   // absorbs, so they are part of the memoized state where active.
   if (policy_.cap != DanglerPolicy::unlimited)
-    for (std::uint32_t w : dangler_windows_)
-      h = h * 0x100000001b3ULL ^ w;
+    for (std::uint32_t s = 0; s < windows_len_; ++s)
+      h = h * 0x100000001b3ULL ^ windows()[s];
   if (policy_.key_order)
     h = h * 0x100000001b3ULL ^ static_cast<std::uint64_t>(last_dangler_key_);
   return h;

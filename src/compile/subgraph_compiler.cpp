@@ -7,6 +7,7 @@
 #include "circuit/timing.hpp"
 #include "common/assert.hpp"
 #include "common/stopwatch.hpp"
+#include "obs/trace.hpp"
 #include "graph/metrics.hpp"
 #include "stab/tableau.hpp"
 
@@ -102,17 +103,16 @@ class FlatMemo {
 };
 
 /// Per-depth scratch: one reusable ReductionState per DFS level, so a child
-/// candidate is produced by copy-*assignment* (which reuses the vectors'
-/// capacity from the previous candidate at this depth) instead of a fresh
-/// copy-construction with ~10 heap allocations per node. unique_ptr keeps
-/// the states address-stable while the arena vector grows under live
-/// references held by outer frames.
+/// is produced by copy-*assignment* into the state left at this depth by
+/// the previous candidate — one same-size buffer copy, no allocation.
+/// unique_ptr keeps the states address-stable while the arena vector grows
+/// under live references held by outer frames.
 struct DepthScratch {
   ReductionState state;
-  std::vector<Vertex> photons;     ///< live photons, ascending
-  std::vector<Vertex> emitters;    ///< live emitters, ascending
-  std::vector<Vertex> live;        ///< photons + emitters, ascending
-  std::vector<Vertex> swap_order;  ///< photons re-sorted for swap moves
+  /// Live photons in swap-move order, each packed as
+  /// (degree << 32) | (2^32 - 1 - vertex): descending keys order photons by
+  /// degree, high first, then by vertex, low first.
+  std::vector<std::uint64_t> swap_order;
 
   explicit DepthScratch(const ReductionState& proto) : state(proto) {}
 };
@@ -122,6 +122,8 @@ struct SearchContext {
   Stopwatch clock;
   std::size_t nodes = 0;
   bool out_of_budget = false;
+  /// The node or time budget (not stop_at_first) ended the search.
+  bool budget_hit = false;
   /// Large-part mode: unwind as soon as one reduction is recorded.
   bool stop_at_first = false;
   std::uint64_t best_cost = ~0ULL;
@@ -149,12 +151,14 @@ struct SearchContext {
     if (out_of_budget) return true;
     if (nodes > cfg->node_budget ||
         ((nodes & 0x3ff) == 0 && clock.expired(cfg->time_budget_ms)))
-      out_of_budget = true;
+      out_of_budget = budget_hit = true;
     return out_of_budget;
   }
 };
 
-void record_solution(SearchContext& ctx, ReductionState state) {
+/// Finalizes `state` (a scratch copy of the reduced node) and keeps its
+/// ops when it ties or beats the incumbent.
+void record_solution(SearchContext& ctx, ReductionState& state) {
   state.finalize();
   const std::uint64_t cost =
       pack_cost(state.disconnect_count(), state.swap_count());
@@ -175,104 +179,92 @@ void dfs(SearchContext& ctx, const ReductionState& state, std::size_t depth) {
   const std::uint64_t cost =
       pack_cost(state.disconnect_count(), state.swap_count());
   if (cost > ctx.best_cost) return;
+  DepthScratch& sc = ctx.scratch(depth, state);
+  ReductionState& next = sc.state;
   if (state.reduced()) {
-    record_solution(ctx, state);
+    next = state;
+    record_solution(ctx, next);
     return;
   }
   if (!ctx.memo.should_visit(state.state_hash(), cost)) return;
   ctx.memo_peak = std::max(ctx.memo_peak, ctx.memo.size());
 
-  const Graph& g = state.graph();
-  const std::size_t n = g.vertex_count();
-  DepthScratch& sc = ctx.scratch(depth, state);
-  ReductionState& next = sc.state;
-
-  // One role sweep feeds every enumeration loop below. The state is const
-  // while moves are generated, so the lists stay valid for the whole node;
-  // each is ascending, preserving the exact visit order of the original
-  // full 0..n scans (six of them, one per move family) they replace.
-  sc.photons.clear();
-  sc.emitters.clear();
-  sc.live.clear();
-  for (Vertex v = 0; v < n; ++v) {
-    const Role r = state.role(v);
-    if (r == Role::photon)
-      sc.photons.push_back(v);
-    else if (r == Role::emitter)
-      sc.emitters.push_back(v);
-    if (r != Role::done) sc.live.push_back(v);
-  }
+  const std::size_t words = state.words();
+  // The state is const while moves are generated, so its role masks stay
+  // valid for the whole node; every family walks them in ascending vertex
+  // order. `visit` runs one child and reports whether to keep going.
+  const std::uint64_t* photons = state.photon_mask();
+  const std::uint64_t* emitters = state.emitter_mask();
+  const auto visit = [&](auto&& move) {
+    next = state;
+    move(next);
+    dfs(ctx, next, depth + 1);
+    return !ctx.budget_exhausted();
+  };
 
   // Move enumeration, cheapest first. Absorptions cost nothing; swaps cost a
   // measurement; LC costs local gates; disconnects cost an ee-CZ.
   // 1) absorb_leaf
-  for (Vertex p : sc.photons) {
-    if (g.degree(p) != 1) continue;
-    const Vertex e = g.first_neighbor(p);
-    if (!state.can_absorb_leaf(e, p)) continue;
-    next = state;
-    next.absorb_leaf(e, p);
-    dfs(ctx, next, depth + 1);
-    if (ctx.budget_exhausted()) return;
-  }
+  if (!for_each_set_bit(photons, words, [&](Vertex p) {
+        const Vertex e = state.sole_neighbor(p);
+        if (e == Graph::kNoVertex || !state.can_absorb_leaf(e, p)) return true;
+        return visit([&](ReductionState& s) { s.absorb_leaf(e, p); });
+      }))
+    return;
   // 2) absorb_twin
-  for (Vertex e : sc.emitters) {
-    for (Vertex p : sc.photons) {
-      if (!state.can_absorb_twin(e, p)) continue;
-      next = state;
-      next.absorb_twin(e, p);
-      dfs(ctx, next, depth + 1);
-      if (ctx.budget_exhausted()) return;
-    }
-  }
+  if (!for_each_set_bit(emitters, words, [&](Vertex e) {
+        return for_each_set_bit(photons, words, [&](Vertex p) {
+          if (!state.can_absorb_twin(e, p)) return true;
+          return visit([&](ReductionState& s) { s.absorb_twin(e, p); });
+        });
+      }))
+    return;
   // 3) absorb_dangler
-  for (Vertex e : sc.emitters) {
-    if (g.degree(e) != 1) continue;
-    const Vertex p = g.first_neighbor(e);
-    if (!state.can_absorb_dangler(e, p)) continue;
-    next = state;
-    next.absorb_dangler(e, p);
-    dfs(ctx, next, depth + 1);
-    if (ctx.budget_exhausted()) return;
-  }
+  if (!for_each_set_bit(emitters, words, [&](Vertex e) {
+        const Vertex p = state.sole_neighbor(e);
+        if (p == Graph::kNoVertex || !state.can_absorb_dangler(e, p))
+          return true;
+        return visit([&](ReductionState& s) { s.absorb_dangler(e, p); });
+      }))
+    return;
   // 4) swaps, high-degree photons first (hubs become emitters so their
-  //    edges are realized by emissions rather than ee-CZs).
+  //    edges are realized by emissions rather than ee-CZs), ties in
+  //    ascending vertex order: an insertion sort of the packed keys.
   if (state.has_free_capacity()) {
-    std::vector<Vertex>& order = sc.swap_order;
-    order.assign(sc.photons.begin(), sc.photons.end());
-    std::sort(order.begin(), order.end(), [&](Vertex a, Vertex b) {
-      if (g.degree(a) != g.degree(b)) return g.degree(a) > g.degree(b);
-      return a < b;
+    std::vector<std::uint64_t>& order = sc.swap_order;
+    order.clear();
+    for_each_set_bit(photons, words, [&](Vertex p) {
+      const std::uint64_t key =
+          (std::uint64_t{state.degree(p)} << 32) | (~p & 0xffffffffULL);
+      std::size_t i = order.size();
+      order.push_back(key);
+      for (; i > 0 && order[i - 1] < key; --i) order[i] = order[i - 1];
+      order[i] = key;
     });
-    for (Vertex p : order) {
-      next = state;
-      next.swap_photon(p);
-      dfs(ctx, next, depth + 1);
-      if (ctx.budget_exhausted()) return;
+    for (const std::uint64_t key : order) {
+      const auto p = static_cast<Vertex>(~key & 0xffffffffULL);
+      if (!visit([&](ReductionState& s) { s.swap_photon(p); })) return;
     }
   }
-  // 5) local complementation (bounded).
+  // 5) local complementation (bounded) at live vertices.
   if (state.lc_count() < ctx.cfg->max_lc_ops) {
-    for (Vertex v : sc.live) {
-      if (!state.can_local_comp(v)) continue;
-      next = state;
-      next.local_comp(v);
-      dfs(ctx, next, depth + 1);
-      if (ctx.budget_exhausted()) return;
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::uint64_t live = photons[w] | emitters[w];
+      if (!for_each_set_bit(&live, 1, [&](Vertex b) {
+            const auto v = static_cast<Vertex>(w * 64 + b);
+            if (!state.can_local_comp(v)) return true;
+            return visit([&](ReductionState& s) { s.local_comp(v); });
+          }))
+        return;
     }
   }
-  // 6) disconnects.
-  for (Vertex e1 : sc.emitters) {
-    bool stop = false;
-    g.for_each_neighbor(e1, [&](Vertex e2) {
-      if (stop || e2 < e1 || !state.can_disconnect(e1, e2)) return;
-      next = state;
-      next.disconnect(e1, e2);
-      dfs(ctx, next, depth + 1);
-      if (ctx.budget_exhausted()) stop = true;
+  // 6) disconnects, each emitter pair once (e1 < e2).
+  for_each_set_bit(emitters, words, [&](Vertex e1) {
+    return for_each_set_bit(state.row(e1), words, [&](Vertex e2) {
+      if (e2 < e1 || !state.can_disconnect(e1, e2)) return true;
+      return visit([&](ReductionState& s) { s.disconnect(e1, e2); });
     });
-    if (stop) return;
-  }
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -411,6 +403,14 @@ std::vector<OpCalibration> calibrate(const SubgraphSpec& spec,
     }
   }
   return calib;
+}
+
+/// Trace label of a dangler policy (the `level_search` span's arg).
+std::string_view policy_name(const DanglerPolicy& policy) {
+  if (policy.cap == 0) return "anchors_only";
+  if (policy.cap == DanglerPolicy::unlimited)
+    return policy.key_order ? "key_ordered" : "free_form";
+  return policy.key_order ? "capped_key_ordered" : "capped";
 }
 
 }  // namespace
@@ -555,6 +555,9 @@ SubgraphLevelResult compile_subgraph_level(const SubgraphSpec& spec,
                                            const SubgraphCompileConfig& cfg,
                                            std::uint32_t ne) {
   EPG_REQUIRE(spec.graph.vertex_count() > 0, "empty subgraph");
+  Span span("level_search", "subgraph");
+  span.arg("ne", std::uint64_t{ne});
+  span.arg("policy", policy_name(cfg.dangler));
   SubgraphLevelResult result;
   const auto n = static_cast<std::uint32_t>(spec.graph.vertex_count());
 
@@ -582,6 +585,7 @@ SubgraphLevelResult compile_subgraph_level(const SubgraphSpec& spec,
   }
   result.nodes_explored += warmup.nodes;
   result.memo_peak = std::max(result.memo_peak, warmup.memo_peak);
+  result.exhausted = warmup.budget_hit;
 
   SearchContext ctx;
   ctx.init(cfg);
@@ -593,7 +597,10 @@ SubgraphLevelResult compile_subgraph_level(const SubgraphSpec& spec,
     dfs(ctx, root, 0);
     result.nodes_explored += ctx.nodes;
     result.memo_peak = std::max(result.memo_peak, ctx.memo_peak);
+    result.exhausted = ctx.budget_hit;
   }
+  span.arg("nodes", static_cast<std::uint64_t>(result.nodes_explored));
+  span.arg("exhausted", std::uint64_t{result.exhausted ? 1u : 0u});
   if (ctx.candidates.empty()) return result;
 
   result.success = true;

@@ -98,13 +98,18 @@ SubgraphCompileResult compile_subgraph(const SubgraphSpec& spec,
 /// One level of compile_subgraph's walk: the LC-free warmup plus the full
 /// branch-and-bound at exactly `ne` emitters, then synthesis (and, with
 /// cfg.verify, the tableau check) of the winner. A pure function of
-/// (spec, cfg, ne) that never reads cfg.ne_limit.
+/// (spec, cfg, ne) that never reads cfg.ne_limit. Traced as one
+/// `level_search` span (args: ne, policy, nodes, exhausted).
 struct SubgraphLevelResult {
   bool success = false;
   SubgraphCircuit best;
   std::size_t sequences_found = 0;
   std::size_t nodes_explored = 0;  ///< warmup + full search
   std::size_t memo_peak = 0;
+  /// The level's last search (the full one, or the warmup alone where no
+  /// full search runs) hit its node or time budget before finishing, so
+  /// `best` may not be the cheapest reduction.
+  bool exhausted = false;
 };
 
 SubgraphLevelResult compile_subgraph_level(const SubgraphSpec& spec,

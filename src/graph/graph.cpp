@@ -148,16 +148,21 @@ Graph Graph::induced(const std::vector<Vertex>& keep,
   return sub;
 }
 
-std::uint64_t Graph::fingerprint() const {
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ (n_ * 0x2545f4914f6cdd1dULL);
-  for (std::size_t i = 0; i < adj_.size(); ++i) {
-    std::uint64_t x = adj_[i] + 0x9e3779b97f4a7c15ULL + i;
+std::uint64_t adjacency_fingerprint(std::size_t n, const std::uint64_t* rows,
+                                    std::size_t count) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ (n * 0x2545f4914f6cdd1dULL);
+  for (std::size_t i = 0; i < count; ++i) {
+    std::uint64_t x = rows[i] + 0x9e3779b97f4a7c15ULL + i;
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
     h ^= x ^ (x >> 31);
     h *= 0xff51afd7ed558ccdULL;
   }
   return h;
+}
+
+std::uint64_t Graph::fingerprint() const {
+  return adjacency_fingerprint(n_, adj_.data(), adj_.size());
 }
 
 bool Graph::operator==(const Graph& other) const {

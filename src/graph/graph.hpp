@@ -120,6 +120,12 @@ class Graph {
   }
 };
 
+/// Graph::fingerprint over raw bitset rows: `count` words, `n` vertices.
+/// Exposed so a row buffer laid out like Graph's (n rows of
+/// ceil(n/64) words) hashes exactly as the Graph it encodes.
+std::uint64_t adjacency_fingerprint(std::size_t n, const std::uint64_t* rows,
+                                    std::size_t count);
+
 /// Human-readable "n=…, m=…, edges=[(a,b)…]" string for diagnostics.
 std::string to_string(const Graph& g);
 

@@ -85,6 +85,39 @@ TEST(Pipeline, MetricsBitIdenticalAcrossInnerThreadCounts) {
   }
 }
 
+TEST(Pipeline, WorkCountersEqualAcrossInnerThreadCounts) {
+  // level_searches / exhausted_searches count part-memo entries, not lane
+  // computations, so lanes racing to search one level cannot move them.
+  std::size_t exhausted = 0;
+  for (int which = 0; which < 3; ++which) {
+    const Graph g = test_instance(which);
+    FrameworkConfig cfg = pipeline_config();
+    cfg.subgraph.node_budget = 3000;  // small enough that some searches run out
+    cfg.inner_threads = 0;
+    TraceRecorder rec;
+    FrameworkResult serial;
+    {
+      ScopedTraceInstall install(&rec);
+      serial = compile_framework(g, cfg);
+    }
+    EXPECT_GT(serial.level_searches, 0u);
+    EXPECT_LE(serial.exhausted_searches, serial.level_searches);
+    exhausted += serial.exhausted_searches;
+    // Serially every level is searched exactly once, under one span.
+    const std::vector<TraceEvent> events = rec.events();
+    EXPECT_EQ(static_cast<std::size_t>(std::count_if(
+                  events.begin(), events.end(),
+                  [](const TraceEvent& e) { return e.name == "level_search"; })),
+              serial.level_searches);
+    cfg.inner_threads = 3;
+    const FrameworkResult pooled = compile_framework(g, cfg);
+    EXPECT_EQ(pooled.level_searches, serial.level_searches) << which;
+    EXPECT_EQ(pooled.exhausted_searches, serial.exhausted_searches) << which;
+    EXPECT_EQ(pooled.subgraph_nodes, serial.subgraph_nodes) << which;
+  }
+  EXPECT_GT(exhausted, 0u);
+}
+
 TEST(Pipeline, StrategiesBitIdenticalAcrossInnerThreadCounts) {
   const Graph g = make_waxman(14, 2);
   for (const char* strategy : {"anneal", "portfolio"}) {

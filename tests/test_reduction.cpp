@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "common/rng.hpp"
 #include "graph/generators.hpp"
+#include "graph/local_complement.hpp"
 
 namespace epg {
 namespace {
@@ -250,6 +254,284 @@ TEST(Reduction, IsolatedPhotonSwapInstantRetire) {
   st.swap_photon(1);
   EXPECT_TRUE(st.reduced());
   EXPECT_EQ(st.swap_count(), 2u);
+}
+
+// ---- randomized cross-check against a Graph-backed reference -------------
+
+/// The reduction rules restated over a Graph, independent of
+/// ReductionState's flat bitmask layout: legality, mutations, slot
+/// bookkeeping and the memo hash (Graph::fingerprint, then roles, LC count,
+/// dangler windows and key watermark where the policy reads them).
+struct Reference {
+  const SubgraphSpec& spec;
+  DanglerPolicy policy;
+  std::uint32_t ne_limit;
+  Graph g;
+  std::vector<Role> role;
+  std::vector<std::uint32_t> slot;
+  std::vector<std::uint32_t> free_slots;
+  std::vector<std::uint32_t> windows;  ///< up to the highest hosting slot
+  std::int64_t last_key = std::numeric_limits<std::int64_t>::max();
+  std::uint32_t active = 0, slots_used = 0, lcs = 0;
+
+  Reference(const SubgraphSpec& s, std::uint32_t ne, DanglerPolicy p)
+      : spec(s),
+        policy(p),
+        ne_limit(ne),
+        g(s.graph),
+        role(s.graph.vertex_count(), Role::photon),
+        slot(s.graph.vertex_count(), 0) {}
+
+  bool photon(Vertex v) const { return role[v] == Role::photon; }
+  bool emitter(Vertex v) const { return role[v] == Role::emitter; }
+  bool boundary(Vertex v) const { return spec.boundary[v]; }
+
+  bool can_swap(Vertex p) const { return photon(p) && active < ne_limit; }
+  bool can_leaf(Vertex e, Vertex p) const {
+    return emitter(e) && photon(p) && !boundary(p) && g.degree(p) == 1 &&
+           g.has_edge(e, p);
+  }
+  bool can_dangler(Vertex e, Vertex p) const {
+    if (!emitter(e) || !photon(p)) return false;
+    if (boundary(p)) {
+      const std::uint32_t key = spec.stem_key[p];
+      if (policy.key_order && (key == SubgraphSpec::must_swap ||
+                               std::int64_t{key} >= last_key))
+        return false;
+      const std::uint32_t used =
+          slot[e] < windows.size() ? windows[slot[e]] : 0;
+      if (used >= policy.cap) return false;
+    }
+    return g.degree(e) == 1 && g.has_edge(e, p);
+  }
+  bool can_twin(Vertex e, Vertex p) const {
+    return emitter(e) && photon(p) && !boundary(p) &&
+           g.same_neighborhood(e, p);
+  }
+  bool can_disconnect(Vertex a, Vertex b) const {
+    return a != b && emitter(a) && emitter(b) && g.has_edge(a, b);
+  }
+  bool can_lc(Vertex v) const {
+    return role[v] != Role::done && !boundary(v) && g.degree(v) >= 2;
+  }
+
+  void retire_if_free(Vertex v) {
+    if (!emitter(v) || boundary(v) || !g.is_isolated(v)) return;
+    free_slots.push_back(slot[v]);
+    role[v] = Role::done;
+    --active;
+  }
+  void swap(Vertex p) {
+    if (!boundary(p) && !free_slots.empty()) {
+      slot[p] = free_slots.back();
+      free_slots.pop_back();
+    } else {
+      slot[p] = slots_used++;
+    }
+    role[p] = Role::emitter;
+    ++active;
+    retire_if_free(p);
+  }
+  void leaf(Vertex e, Vertex p) {
+    g.remove_edge(e, p);
+    role[p] = Role::done;
+    retire_if_free(e);
+  }
+  void dangler(Vertex e, Vertex p) {
+    if (boundary(p)) {
+      if (windows.size() <= slot[e]) windows.resize(slot[e] + 1, 0);
+      ++windows[slot[e]];
+      last_key = spec.stem_key[p];
+    }
+    g.remove_edge(e, p);
+    std::vector<Vertex> moved;
+    g.for_each_neighbor(p, [&](Vertex u) { moved.push_back(u); });
+    for (Vertex u : moved) {
+      g.remove_edge(p, u);
+      g.add_edge(e, u);
+    }
+    role[p] = Role::done;
+    retire_if_free(e);
+  }
+  void twin(Vertex e, Vertex p) {
+    g.isolate(p);
+    role[p] = Role::done;
+    retire_if_free(e);
+  }
+  void disconnect(Vertex a, Vertex b) {
+    g.remove_edge(a, b);
+    retire_if_free(a);
+    retire_if_free(b);
+  }
+  void lc(Vertex v) {
+    local_complement(g, v);
+    ++lcs;
+  }
+
+  std::uint64_t hash() const {
+    std::uint64_t h = g.fingerprint();
+    for (const Role r : role)
+      h = h * 0x100000001b3ULL ^ static_cast<std::uint64_t>(r);
+    h = h * 0x100000001b3ULL ^ lcs;
+    if (policy.cap != DanglerPolicy::unlimited)
+      for (std::uint32_t w : windows) h = h * 0x100000001b3ULL ^ w;
+    if (policy.key_order)
+      h = h * 0x100000001b3ULL ^ static_cast<std::uint64_t>(last_key);
+    return h;
+  }
+};
+
+void expect_matches(const ReductionState& st, const Reference& ref) {
+  ASSERT_TRUE(st.graph() == ref.g);
+  std::size_t photons = 0;
+  for (Vertex v = 0; v < ref.g.vertex_count(); ++v) {
+    ASSERT_EQ(st.role(v), ref.role[v]) << "vertex " << v;
+    if (ref.emitter(v)) {
+      ASSERT_EQ(st.slot_of(v), ref.slot[v]) << "vertex " << v;
+    }
+    photons += ref.photon(v) ? 1 : 0;
+  }
+  ASSERT_EQ(st.photons_left(), photons);
+  ASSERT_EQ(st.active_emitters(), ref.active);
+  ASSERT_EQ(st.slots_used(), ref.slots_used);
+  ASSERT_EQ(st.lc_count(), ref.lcs);
+  ASSERT_EQ(st.state_hash(), ref.hash());
+}
+
+enum class Move { swap, leaf, dangler, twin, disconnect, lc };
+
+struct Candidate {
+  Move move;
+  Vertex a, b;
+};
+
+/// Every move legal in `st`, with each legality check compared against
+/// the reference.
+std::vector<Candidate> legal_moves(const ReductionState& st,
+                                   const Reference& ref) {
+  std::vector<Candidate> legal;
+  const auto n = static_cast<Vertex>(ref.g.vertex_count());
+  for (Vertex a = 0; a < n; ++a) {
+    EXPECT_EQ(st.can_swap(a), ref.can_swap(a)) << a;
+    if (st.can_swap(a)) legal.push_back({Move::swap, a, 0});
+    EXPECT_EQ(st.can_local_comp(a), ref.can_lc(a)) << a;
+    if (st.can_local_comp(a)) legal.push_back({Move::lc, a, 0});
+    for (Vertex b = 0; b < n; ++b) {
+      const std::pair<bool, bool> checks[] = {
+          {st.can_absorb_leaf(a, b), ref.can_leaf(a, b)},
+          {st.can_absorb_dangler(a, b), ref.can_dangler(a, b)},
+          {st.can_absorb_twin(a, b), ref.can_twin(a, b)},
+          {st.can_disconnect(a, b), ref.can_disconnect(a, b)}};
+      const Move moves[] = {Move::leaf, Move::dangler, Move::twin,
+                            Move::disconnect};
+      for (int k = 0; k < 4; ++k) {
+        EXPECT_EQ(checks[k].first, checks[k].second)
+            << "move " << k << " (" << a << ", " << b << ")";
+        if (checks[k].first) legal.push_back({moves[k], a, b});
+      }
+    }
+  }
+  return legal;
+}
+
+void apply(const Candidate& c, ReductionState& st, Reference& ref) {
+  switch (c.move) {
+    case Move::swap: st.swap_photon(c.a); ref.swap(c.a); break;
+    case Move::leaf: st.absorb_leaf(c.a, c.b); ref.leaf(c.a, c.b); break;
+    case Move::dangler:
+      st.absorb_dangler(c.a, c.b);
+      ref.dangler(c.a, c.b);
+      break;
+    case Move::twin: st.absorb_twin(c.a, c.b); ref.twin(c.a, c.b); break;
+    case Move::disconnect:
+      st.disconnect(c.a, c.b);
+      ref.disconnect(c.a, c.b);
+      break;
+    case Move::lc: st.local_comp(c.a); ref.lc(c.a); break;
+  }
+}
+
+TEST(Reduction, RandomMovesMatchGraphReference) {
+  Rng rng(0x5eed);
+  struct Shape {
+    std::size_t n;
+    int specs;
+    std::size_t max_moves;
+  };
+  // The 70-vertex spec has two-word rows.
+  for (const Shape shape : {Shape{4, 25, 30}, Shape{7, 25, 40},
+                            Shape{12, 8, 60}, Shape{70, 2, 60}}) {
+    for (int s = 0; s < shape.specs; ++s) {
+      const double p = shape.n > 12 ? 4.0 / static_cast<double>(shape.n)
+                                    : 0.2 + 0.5 * rng.uniform();
+      Graph g = make_erdos_renyi(shape.n, p, rng.next());
+      std::vector<bool> boundary(shape.n);
+      std::vector<std::uint32_t> keys(shape.n);
+      for (std::size_t v = 0; v < shape.n; ++v) {
+        boundary[v] = rng.chance(0.3);
+        keys[v] = rng.chance(0.15) ? SubgraphSpec::must_swap
+                                   : static_cast<std::uint32_t>(rng.below(40));
+      }
+      const SubgraphSpec spec(std::move(g), boundary, keys);
+      for (const DanglerPolicy policy :
+           {DanglerPolicy::free_form(), DanglerPolicy::key_ordered(),
+            DanglerPolicy::anchors_only(), DanglerPolicy{1, false}}) {
+        const auto ne = static_cast<std::uint32_t>(1 + rng.below(4));
+        SCOPED_TRACE("n=" + std::to_string(shape.n) + " spec " +
+                     std::to_string(s) + " cap " + std::to_string(policy.cap) +
+                     " key_order " + std::to_string(policy.key_order));
+        ReductionState st(spec, ne, policy);
+        std::vector<ReduceOp> log;
+        if (rng.chance(0.5)) st.share_op_log(log);
+        Reference ref(spec, ne, policy);
+        expect_matches(st, ref);
+        if (HasFatalFailure()) return;
+        for (std::size_t m = 0; m < shape.max_moves && !st.reduced(); ++m) {
+          const std::vector<Candidate> legal = legal_moves(st, ref);
+          if (HasFailure() || legal.empty()) break;
+          // Mutate a copy and assign it back: the search's copy path.
+          ReductionState next = st;
+          apply(legal[rng.below(legal.size())], next, ref);
+          st = next;
+          expect_matches(st, ref);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+TEST(Reduction, StateHashValuesArePinned) {
+  // Memo keys recorded before the flat-state rewrite; a change here
+  // changes which search nodes the memo prunes.
+  const SubgraphSpec ring5(make_ring(5));
+  EXPECT_EQ(ReductionState(ring5, 2).state_hash(), 16137544847785220100ULL);
+
+  const SubgraphSpec path4(make_linear_cluster(4), {true, true, false, false},
+                           {5, 2, 0, 0});
+  for (const auto& [policy, pin] :
+       {std::pair{DanglerPolicy::key_ordered(), 14027500704945305065ULL},
+        std::pair{DanglerPolicy{1, false}, 14027500704945305066ULL}}) {
+    ReductionState st(path4, 2, policy);
+    st.swap_photon(3);
+    st.absorb_dangler(3, 2);
+    st.absorb_dangler(3, 1);
+    EXPECT_EQ(st.state_hash(), pin);
+  }
+
+  const SubgraphSpec ring6(make_ring(6));
+  ReductionState lc(ring6, 2);
+  lc.swap_photon(0);
+  lc.local_comp(2);
+  EXPECT_EQ(lc.state_hash(), 17719877620394440733ULL);
+
+  const SubgraphSpec ring70(make_ring(70));  // two words per row
+  ReductionState wide(ring70, 3);
+  wide.swap_photon(1);
+  wide.local_comp(0);
+  wide.swap_photon(69);
+  wide.disconnect(1, 69);
+  EXPECT_EQ(wide.state_hash(), 5030357019142563286ULL);
 }
 
 }  // namespace
