@@ -198,7 +198,6 @@ class ReductionState {
   /// The current graph, built on demand (calibration and tests; the
   /// search reads the rows below).
   Graph graph() const;
-  std::size_t vertex_count() const { return n_; }
   std::size_t words() const { return words_; }
   /// Bitset row of v's neighbors (words() words).
   const std::uint64_t* row(Vertex v) const {
