@@ -205,6 +205,9 @@ class ReductionState {
   }
   const std::uint64_t* photon_mask() const { return buf_.data(); }
   const std::uint64_t* emitter_mask() const { return buf_.data() + words_; }
+  const std::uint64_t* boundary_mask() const {
+    return buf_.data() + 2 * words_;
+  }
   bool has_edge(Vertex u, Vertex v) const { return test(row(u), v); }
   std::size_t degree(Vertex v) const;
   /// v's only neighbor, or Graph::kNoVertex unless v has degree exactly 1.
@@ -297,9 +300,6 @@ class ReductionState {
   std::uint64_t* row(Vertex v) { return buf_.data() + (3 + std::size_t{v}) * words_; }
   std::uint64_t* photon_mask() { return buf_.data(); }
   std::uint64_t* emitter_mask() { return buf_.data() + words_; }
-  const std::uint64_t* boundary_mask() const {
-    return buf_.data() + 2 * words_;
-  }
   std::uint64_t* slots() { return buf_.data() + (n_ + 3) * std::size_t{words_}; }
   const std::uint64_t* slots() const {
     return buf_.data() + (n_ + 3) * std::size_t{words_};

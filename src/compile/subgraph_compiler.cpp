@@ -192,30 +192,59 @@ void dfs(SearchContext& ctx, const ReductionState& state, std::size_t depth) {
   const std::size_t words = state.words();
   // The state is const while moves are generated, so its role masks stay
   // valid for the whole node; every family walks them in ascending vertex
-  // order. `visit` runs one child and reports whether to keep going.
+  // order.
   const std::uint64_t* photons = state.photon_mask();
   const std::uint64_t* emitters = state.emitter_mask();
-  const auto visit = [&](auto&& move) {
-    next = state;
-    move(next);
-    dfs(ctx, next, depth + 1);
+  const std::uint64_t* boundary = state.boundary_mask();
+  // Walks the set bits of word(w) over all words. Leaf and twin
+  // absorptions and LC never apply at a boundary vertex, so those families
+  // drop boundary vertices before any legality check.
+  const auto for_each_in = [&](auto&& word, auto&& fn) {
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::uint64_t bits = word(w);
+      if (!for_each_set_bit(&bits, 1, [&](Vertex b) {
+            return fn(static_cast<Vertex>(w * 64 + b));
+          }))
+        return false;
+    }
+    return true;
+  };
+  const auto inner_photons = [&](std::size_t w) {
+    return photons[w] & ~boundary[w];
+  };
+  // Runs one child of cost `child_cost` and reports whether to keep going.
+  // A child that costs more than the incumbent would only count itself and
+  // return (the top of dfs), so it is counted the same way without being
+  // built.
+  const auto visit = [&](std::uint64_t child_cost, auto&& move) {
+    if (child_cost > ctx.best_cost) {
+      if (!ctx.budget_exhausted()) ++ctx.nodes;
+    } else {
+      next = state;
+      move(next);
+      dfs(ctx, next, depth + 1);
+    }
     return !ctx.budget_exhausted();
   };
+  const std::uint64_t swap_cost = pack_cost(state.disconnect_count(),
+                                            state.swap_count() + 1);
+  const std::uint64_t disconnect_cost = pack_cost(
+      state.disconnect_count() + 1, state.swap_count());
 
   // Move enumeration, cheapest first. Absorptions cost nothing; swaps cost a
   // measurement; LC costs local gates; disconnects cost an ee-CZ.
   // 1) absorb_leaf
-  if (!for_each_set_bit(photons, words, [&](Vertex p) {
+  if (!for_each_in(inner_photons, [&](Vertex p) {
         const Vertex e = state.sole_neighbor(p);
         if (e == Graph::kNoVertex || !state.can_absorb_leaf(e, p)) return true;
-        return visit([&](ReductionState& s) { s.absorb_leaf(e, p); });
+        return visit(cost, [&](ReductionState& s) { s.absorb_leaf(e, p); });
       }))
     return;
   // 2) absorb_twin
   if (!for_each_set_bit(emitters, words, [&](Vertex e) {
-        return for_each_set_bit(photons, words, [&](Vertex p) {
+        return for_each_in(inner_photons, [&](Vertex p) {
           if (!state.can_absorb_twin(e, p)) return true;
-          return visit([&](ReductionState& s) { s.absorb_twin(e, p); });
+          return visit(cost, [&](ReductionState& s) { s.absorb_twin(e, p); });
         });
       }))
     return;
@@ -224,7 +253,8 @@ void dfs(SearchContext& ctx, const ReductionState& state, std::size_t depth) {
         const Vertex p = state.sole_neighbor(e);
         if (p == Graph::kNoVertex || !state.can_absorb_dangler(e, p))
           return true;
-        return visit([&](ReductionState& s) { s.absorb_dangler(e, p); });
+        return visit(cost,
+                     [&](ReductionState& s) { s.absorb_dangler(e, p); });
       }))
     return;
   // 4) swaps, high-degree photons first (hubs become emitters so their
@@ -243,26 +273,29 @@ void dfs(SearchContext& ctx, const ReductionState& state, std::size_t depth) {
     });
     for (const std::uint64_t key : order) {
       const auto p = static_cast<Vertex>(~key & 0xffffffffULL);
-      if (!visit([&](ReductionState& s) { s.swap_photon(p); })) return;
-    }
-  }
-  // 5) local complementation (bounded) at live vertices.
-  if (state.lc_count() < ctx.cfg->max_lc_ops) {
-    for (std::size_t w = 0; w < words; ++w) {
-      const std::uint64_t live = photons[w] | emitters[w];
-      if (!for_each_set_bit(&live, 1, [&](Vertex b) {
-            const auto v = static_cast<Vertex>(w * 64 + b);
-            if (!state.can_local_comp(v)) return true;
-            return visit([&](ReductionState& s) { s.local_comp(v); });
-          }))
+      if (!visit(swap_cost, [&](ReductionState& s) { s.swap_photon(p); }))
         return;
     }
   }
-  // 6) disconnects, each emitter pair once (e1 < e2).
+  // 5) local complementation (bounded) at live vertices.
+  if (state.lc_count() < ctx.cfg->max_lc_ops &&
+      !for_each_in(
+          [&](std::size_t w) {
+            return (photons[w] | emitters[w]) & ~boundary[w];
+          },
+          [&](Vertex v) {
+            if (!state.can_local_comp(v)) return true;
+            return visit(cost, [&](ReductionState& s) { s.local_comp(v); });
+          }))
+    return;
+  // 6) disconnects over emitter neighbors, each pair once (e1 < e2).
   for_each_set_bit(emitters, words, [&](Vertex e1) {
-    return for_each_set_bit(state.row(e1), words, [&](Vertex e2) {
+    const std::uint64_t* r = state.row(e1);
+    return for_each_in([&](std::size_t w) { return r[w] & emitters[w]; },
+                       [&](Vertex e2) {
       if (e2 < e1 || !state.can_disconnect(e1, e2)) return true;
-      return visit([&](ReductionState& s) { s.disconnect(e1, e2); });
+      return visit(disconnect_cost,
+                   [&](ReductionState& s) { s.disconnect(e1, e2); });
     });
   });
 }
