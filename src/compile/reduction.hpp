@@ -246,7 +246,7 @@ class ReductionState {
   bool can_local_comp(Vertex v) const {
     // LC toggles edges among N(v); anchors would leak the change onto
     // their external stem edges, and the forward unitary on v is not
-    // Z-diagonal.
+    // Z-diagonal. Needs degree >= 2.
     return (is_photon(v) || is_emitter(v)) && !is_boundary(v) &&
            !isolated(v) && sole_neighbor(v) == Graph::kNoVertex;
   }
