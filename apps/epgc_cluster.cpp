@@ -42,7 +42,8 @@ options:
                     writes are rename-atomic)
   --store-cap-mb N  per-worker store LRU cap in MiB (default 0 = no cap)
   --jobs N          batch worker threads per worker process
-  --inner-threads N intra-compile lanes per job (default 0 = serial)
+  --inner-threads N intra-compile lanes per job (default: each worker's
+                    --jobs; 0 = serial)
   --deterministic   lift wall-clock budgets in every worker; responses are
                     then bit-stable and identical to epgc_compile output
   --trace-dir DIR   workers record per-request span trees and dump Chrome

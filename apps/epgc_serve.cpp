@@ -10,8 +10,12 @@
 // accepting, answer everything already admitted, exit clean.
 #include <csignal>
 #include <iostream>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "cli_common.hpp"
+#include "runtime/thread_pool.hpp"
 #include "service/service.hpp"
 
 namespace {
@@ -39,7 +43,9 @@ options:
   --store-dir DIR   persistent result store (shared with the other CLIs)
   --store-cap-mb N  LRU-evict the store beyond N MiB (default 0 = no cap)
   --jobs N          batch worker threads (default: hardware concurrency)
-  --inner-threads N intra-compile lanes per job (default 0 = serial)
+  --inner-threads N intra-compile lanes per job, borrowed from the --jobs pool
+                    (default: --jobs, so a lone request uses every idle
+                    lane; 0 = serial)
   --max-queue N     admission-queue capacity in socket mode (default 64)
   --deadline-ms X   default per-request deadline when the request has none
   --deterministic   lift wall-clock budgets; responses are then bit-stable
@@ -64,12 +70,28 @@ void on_signal(int) {
 
 int main(int argc, char** argv) {
   using namespace epg;
+#ifdef __GLIBC__
+  // Compiles fan out over the pool's lanes (see --inner-threads), and glibc
+  // would give every lane thread a malloc arena that keeps its own
+  // high-water of search memory resident; two arenas bound that growth. It
+  // also raises its mmap threshold to the largest block freed so far, after
+  // which freed search memo tables stay in an arena; pinning the threshold
+  // returns them to the OS on free.
+  mallopt(M_ARENA_MAX, 2);
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+#endif
   cli::Args args(argc, argv, {"deterministic", "once"}, kUsage);
   if (!args.positional().empty()) args.fail("epgc_serve takes no positionals");
 
   ServiceConfig cfg;
   cfg.batch.threads = args.get_u64("jobs", 0);
-  cfg.batch.inner_threads = args.get_u64("inner-threads", 0);
+  // A compile's inner lanes borrow the batch pool and its caller takes
+  // part, so defaulting them to the pool width lets a lone request fan its
+  // level searches across the idle lanes while concurrent requests share
+  // the same lanes instead of oversubscribing.
+  cfg.batch.inner_threads = args.get_u64(
+      "inner-threads", cfg.batch.threads == 0 ? ThreadPool::hardware_default()
+                                              : cfg.batch.threads);
   cfg.batch.deterministic = args.has("deterministic");
   cfg.store.dir = args.get("store-dir", "");
   cfg.store.max_bytes = args.get_u64("store-cap-mb", 0) * 1024 * 1024;

@@ -6,7 +6,10 @@
 #   * drift: each graph is compiled by epgc_compile (reference metrics +
 #     --epgc circuit) and through the service with DEFAULT budgets — the
 #     two run the exact same effective configuration, so metrics must
-#     match field-for-field and the embedded circuit byte-for-byte;
+#     match field-for-field and the embedded circuit byte-for-byte. The
+#     service fans each compile across its pool lanes (--inner-threads
+#     defaults to --jobs) while epgc_compile runs serially, so this leg is
+#     also a cross-lane check;
 #   * bit-stability: two deterministic-mode service runs over the same
 #     requests must produce byte-identical NDJSON (deterministic
 #     responses carry no timings);

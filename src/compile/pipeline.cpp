@@ -17,10 +17,10 @@
 #include <cmath>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -128,10 +128,129 @@ SubgraphSpec rank_normalized(const SubgraphSpec& spec) {
   return SubgraphSpec(spec.graph, spec.boundary, std::move(keys));
 }
 
-/// A part's flexible-ne variants: compile_subgraph at ne_min, +1 and +2
-/// (the extras only up to ne_cap) under `base`, and again under
-/// anchors-only when the part has a boundary and `base` hosts danglers.
-/// Each variant is a walk_subgraph_levels over the memo's levels, so each
+/// One (spec, policy, level) search through the memo: the memo's entry, or
+/// a fresh compile_subgraph_level that enters it and is counted there.
+std::shared_ptr<const SubgraphLevelResult> cached_level(
+    const SubgraphSpec& spec, const SubgraphCompileConfig& cfg,
+    std::uint32_t ne, PartCompileCache& memo) {
+  const std::string key = part_cache_key(spec, cfg, ne);
+  {
+    std::lock_guard<std::mutex> lock(memo.mu);
+    if (auto it = memo.levels.find(key); it != memo.levels.end())
+      return it->second;
+  }
+  auto fresh = std::make_shared<const SubgraphLevelResult>(
+      compile_subgraph_level(spec, cfg, ne));
+  std::lock_guard<std::mutex> lock(memo.mu);
+  const auto [it, inserted] = memo.levels.try_emplace(key, std::move(fresh));
+  if (inserted) {
+    ++memo.searches;
+    if (it->second->exhausted) ++memo.exhausted;
+  }
+  return it->second;
+}
+
+/// The dangler policies a part's flexible-ne variants are walked under:
+/// `base`, then anchors-only when the part has a boundary and `base` hosts
+/// danglers. Dangler hosting serializes stem CZs on shared wires; the
+/// anchors-only compilation trades (possibly) more ee-CZs for parallel stem
+/// windows, so offering it lets the makespan-driven variant swap in the
+/// scheduler pick whichever shape wins globally.
+struct VariantPolicies {
+  SubgraphCompileConfig base;
+  SubgraphCompileConfig anchors;
+
+  explicit VariantPolicies(const SubgraphCompileConfig& cfg)
+      : base(cfg), anchors(cfg) {
+    anchors.dangler = DanglerPolicy::anchors_only();
+  }
+
+  /// Calls fn(policy, ne) for every variant walk of `spec`, in variant
+  /// order: under each policy from ne_min, +1 and +2, the extras only up
+  /// to ne_cap, and never above the walk's last level n + 1 (a walk
+  /// starting there would search nothing). Each call's level is one the
+  /// walk is certain to search.
+  template <class Fn>
+  void for_each_walk(const SubgraphSpec& spec, std::uint32_t ne_cap,
+                     Fn&& fn) const {
+    const std::uint32_t ne_min = subgraph_ne_min(spec.graph);
+    const auto last_ne =
+        static_cast<std::uint32_t>(spec.graph.vertex_count()) + 1;
+    const auto walks = [&](const SubgraphCompileConfig& policy) {
+      for (std::uint32_t extra = 0; extra < 3; ++extra) {
+        const std::uint32_t ne = ne_min + extra;
+        if ((extra > 0 && ne > ne_cap) || ne > last_ne) break;
+        fn(policy, ne);
+      }
+    };
+    walks(base);
+    const bool has_boundary =
+        std::find(spec.boundary.begin(), spec.boundary.end(), true) !=
+        spec.boundary.end();
+    if (has_boundary && base.dangler.cap != 0) walks(anchors);
+  }
+};
+
+/// The spec each listed part is searched on under `cfg`: the part's own,
+/// or under the key-ordered policy its rank-normalized copy, which
+/// `normalized` keeps alive.
+std::vector<const SubgraphSpec*> search_specs(
+    const StemPlan& plan, const std::vector<std::uint32_t>& parts,
+    const SubgraphCompileConfig& cfg, std::vector<SubgraphSpec>& normalized) {
+  std::vector<const SubgraphSpec*> specs;
+  specs.reserve(parts.size());
+  if (!cfg.dangler.key_order) {
+    for (std::uint32_t p : parts) specs.push_back(&plan.parts[p].spec);
+    return specs;
+  }
+  normalized.reserve(parts.size());  // no reallocation: pointers stay valid
+  for (std::uint32_t p : parts) {
+    normalized.push_back(rank_normalized(plan.parts[p].spec));
+    specs.push_back(&normalized.back());
+  }
+  return specs;
+}
+
+/// Searches every level the variant walks of `specs` are certain to start
+/// at into the memo, as one flat fan-out across the executor: deduped by
+/// memo key, larger parts (then higher levels) first so the short searches
+/// fill the tail. The
+/// walks that follow then start on memo hits, and a level that fails still
+/// walks upward on demand. Only certain levels are listed, so the memo
+/// ends up with exactly the levels the walks alone would search; the
+/// serial executor runs the same list in order.
+void search_walk_starts(const std::vector<const SubgraphSpec*>& specs,
+                        const VariantPolicies& policies,
+                        std::uint32_t ne_cap, const Executor& exec,
+                        PartCompileCache& memo) {
+  struct Level {
+    const SubgraphSpec* spec;
+    const SubgraphCompileConfig* cfg;
+    std::uint32_t ne;
+  };
+  std::vector<Level> levels;
+  std::unordered_set<std::string> listed;
+  for (const SubgraphSpec* spec : specs)
+    policies.for_each_walk(
+        *spec, ne_cap, [&](const SubgraphCompileConfig& cfg, std::uint32_t ne) {
+          if (listed.insert(part_cache_key(*spec, cfg, ne)).second)
+            levels.push_back({spec, &cfg, ne});
+        });
+  std::stable_sort(levels.begin(), levels.end(),
+                   [](const Level& a, const Level& b) {
+                     const auto cost = [](const Level& l) {
+                       return std::make_pair(l.spec->graph.vertex_count(),
+                                             l.ne);
+                     };
+                     return cost(a) > cost(b);
+                   });
+  exec.parallel_for(levels.size(), [&](std::size_t i) {
+    cached_level(*levels[i].spec, *levels[i].cfg, levels[i].ne, memo);
+  });
+}
+
+/// A part's flexible-ne variants: each walk of for_each_walk goes up from
+/// its start level (walk_subgraph_levels) over the memo's levels, so each
 /// (part, policy, level) is searched once per memo: the walk up from an
 /// infeasible ne_min reuses the levels the later variants start at, a
 /// repeated part costs lookups only, and a deadlock-ladder recompile under
@@ -139,68 +258,29 @@ SubgraphSpec rank_normalized(const SubgraphSpec& spec) {
 /// compile — in particular the anchors-only levels, which do not read stem
 /// keys. `nodes` sums nodes_explored over every walked level, hits
 /// included, exactly as direct compile_subgraph calls would.
-PartVariants compile_variants(const SubgraphSpec& part,
-                              const SubgraphCompileConfig& base,
+PartVariants compile_variants(const SubgraphSpec& spec,
+                              const VariantPolicies& policies,
                               std::uint32_t ne_cap, PartCompileCache& memo) {
-  std::optional<SubgraphSpec> normalized;
-  if (base.dangler.key_order) normalized.emplace(rank_normalized(part));
-  const SubgraphSpec& spec = normalized ? *normalized : part;
-
   PartVariants out;
-  const std::uint32_t ne_min = subgraph_ne_min(spec.graph);
-  const bool has_boundary =
-      std::find(spec.boundary.begin(), spec.boundary.end(), true) !=
-      spec.boundary.end();
   const auto last_ne =
       static_cast<std::uint32_t>(spec.graph.vertex_count()) + 1;
-  auto cached_level = [&](const SubgraphCompileConfig& cfg,
-                          std::uint32_t ne) {
-    const std::string key = part_cache_key(spec, cfg, ne);
-    {
-      std::lock_guard<std::mutex> lock(memo.mu);
-      if (auto it = memo.levels.find(key); it != memo.levels.end())
-        return it->second;
-    }
-    auto fresh = std::make_shared<const SubgraphLevelResult>(
-        compile_subgraph_level(spec, cfg, ne));
-    std::lock_guard<std::mutex> lock(memo.mu);
-    const auto [it, inserted] = memo.levels.try_emplace(key, std::move(fresh));
-    if (inserted) {
-      ++memo.searches;
-      if (it->second->exhausted) ++memo.exhausted;
-    }
-    return it->second;
-  };
-  auto add_variants = [&](const SubgraphCompileConfig& policy_cfg) {
-    for (std::uint32_t extra = 0; extra < 3; ++extra) {
-      const std::uint32_t ne = ne_min + extra;
-      if (extra > 0 && ne > ne_cap) break;
-      SubgraphCompileResult r =
-          walk_subgraph_levels(ne, last_ne, [&](std::uint32_t level) {
-            return cached_level(policy_cfg, level);
-          });
-      out.nodes += r.nodes_explored;
-      if (!r.success) continue;
-      const bool duplicate = std::any_of(
-          out.variants.begin(), out.variants.end(),
-          [&](const SubgraphCircuit& v) {
-            return v.ne_used == r.best.ne_used &&
-                   v.stats.ee_cnot_count == r.best.stats.ee_cnot_count &&
-                   v.stats.makespan_ticks == r.best.stats.makespan_ticks;
-          });
-      if (!duplicate) out.variants.push_back(std::move(r.best));
-    }
-  };
-  add_variants(base);
-  // Dangler hosting serializes stem CZs on shared wires; the anchors-only
-  // compilation trades (possibly) more ee-CZs for parallel stem windows.
-  // Offer it as an alternative so the makespan-driven variant swap in the
-  // scheduler can pick whichever shape wins globally.
-  if (has_boundary && base.dangler.cap != 0) {
-    SubgraphCompileConfig anchors = base;
-    anchors.dangler = DanglerPolicy::anchors_only();
-    add_variants(anchors);
-  }
+  policies.for_each_walk(
+      spec, ne_cap, [&](const SubgraphCompileConfig& cfg, std::uint32_t ne) {
+        SubgraphCompileResult r =
+            walk_subgraph_levels(ne, last_ne, [&](std::uint32_t level) {
+              return cached_level(spec, cfg, level, memo);
+            });
+        out.nodes += r.nodes_explored;
+        if (!r.success) return;
+        const bool duplicate = std::any_of(
+            out.variants.begin(), out.variants.end(),
+            [&](const SubgraphCircuit& v) {
+              return v.ne_used == r.best.ne_used &&
+                     v.stats.ee_cnot_count == r.best.stats.ee_cnot_count &&
+                     v.stats.makespan_ticks == r.best.stats.makespan_ticks;
+            });
+        if (!duplicate) out.variants.push_back(std::move(r.best));
+      });
   EPG_CHECK(!out.variants.empty(), "subgraph compilation failed");
   // Default pick: fewest ee-CZs, then shortest duration.
   std::size_t best = 0;
@@ -212,6 +292,32 @@ PartVariants compile_variants(const SubgraphSpec& part,
   }
   out.chosen = best;
   return out;
+}
+
+/// Compiles the listed parts' variants under `cfg` into `variants`: first
+/// the flat fan-out of their walks' start levels, then each part's walks
+/// across the executor (memo hits, save for upward walks). Each index
+/// writes its own slot, so the result is bit-identical at any lane count.
+/// Returns the parts' summed node counts, reduced in list order.
+std::size_t compile_parts(const StemPlan& plan,
+                          const std::vector<std::uint32_t>& parts,
+                          const SubgraphCompileConfig& cfg,
+                          std::uint32_t ne_cap, const Executor& exec,
+                          PartCompileCache& memo, std::string_view span_name,
+                          std::vector<PartVariants>& variants) {
+  std::vector<SubgraphSpec> normalized;
+  const std::vector<const SubgraphSpec*> specs =
+      search_specs(plan, parts, cfg, normalized);
+  const VariantPolicies policies(cfg);
+  search_walk_starts(specs, policies, ne_cap, exec, memo);
+  exec.parallel_for(parts.size(), [&](std::size_t i) {
+    Span span(span_name, "pipeline");
+    span.arg("part", static_cast<std::uint64_t>(parts[i]));
+    variants[parts[i]] = compile_variants(*specs[i], policies, ne_cap, memo);
+  });
+  std::size_t nodes = 0;
+  for (std::uint32_t p : parts) nodes += variants[p].nodes;
+  return nodes;
 }
 
 /// Per-photon Cliffords undoing the LC sequence: with
@@ -294,24 +400,19 @@ StemPlan partition_stage(const Graph& target, const FrameworkConfig& cfg,
   return plan;
 }
 
-/// Stage 2, subgraph: every part's flexible-ne variants (returned), fanned
-/// across the executor. Each index writes its own slot and the node counts
-/// are reduced in index order, so the fan-out is bit-identical at any lane
-/// count. Adds to result.subgraph_nodes.
+/// Stage 2, subgraph: every part's flexible-ne variants (returned), through
+/// compile_parts. Adds to result.subgraph_nodes.
 std::vector<PartVariants> subgraph_stage(const StemPlan& plan,
                                          const FrameworkConfig& cfg,
                                          const Executor& exec,
                                          PartCompileCache& memo,
                                          FrameworkResult& result) {
-  const SubgraphCompileConfig scfg = part_config(cfg);
+  std::vector<std::uint32_t> parts(plan.parts.size());
+  for (std::uint32_t p = 0; p < parts.size(); ++p) parts[p] = p;
   std::vector<PartVariants> variants(plan.parts.size());
-  exec.parallel_for(plan.parts.size(), [&](std::size_t p) {
-    Span span("part_compile", "pipeline");
-    span.arg("part", static_cast<std::uint64_t>(p));
-    variants[p] =
-        compile_variants(plan.parts[p].spec, scfg, result.ne_limit, memo);
-  });
-  for (const PartVariants& pv : variants) result.subgraph_nodes += pv.nodes;
+  result.subgraph_nodes +=
+      compile_parts(plan, parts, part_config(cfg), result.ne_limit, exec,
+                    memo, "part_compile", variants);
   return variants;
 }
 
@@ -368,15 +469,9 @@ void schedule_stage(const Graph& target, const FrameworkConfig& cfg,
                      static_cast<std::uint64_t>(recompile.size()));
       SubgraphCompileConfig tight = part_config(cfg);
       tight.dangler = ladder[level];
-      exec.parallel_for(recompile.size(), [&](std::size_t i) {
-        const std::uint32_t p = recompile[i];
-        Span span("part_recompile", "pipeline");
-        span.arg("part", static_cast<std::uint64_t>(p));
-        variants[p] = compile_variants(plan.parts[p].spec, tight,
-                                       result.ne_limit, memo);
-      });
-      for (std::uint32_t p : recompile)
-        result.subgraph_nodes += variants[p].nodes;
+      result.subgraph_nodes +=
+          compile_parts(plan, recompile, tight, result.ne_limit, exec, memo,
+                        "part_recompile", variants);
       best = schedule();
     }
     if (!best.deadlocked) break;

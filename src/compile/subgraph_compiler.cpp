@@ -28,6 +28,11 @@ std::uint64_t pack_cost(std::uint32_t disconnects, std::uint32_t swaps) {
 /// admitting *new* states — pruning through already-stored states and
 /// cost updates keep working — so memory stays bounded on pathological
 /// parts instead of growing with every explored node.
+///
+/// A slot is 12 bytes: the 64-bit state hash as two 32-bit halves beside
+/// the cost packed as `disconnects << 16 | swaps`. That packing preserves
+/// pack_cost's order whenever both counts fit in 16 bits (checked), so the
+/// memo's comparisons, and with them its prune decisions, are unchanged.
 class FlatMemo {
  public:
   void reset(std::size_t cap_entries) {
@@ -45,23 +50,25 @@ class FlatMemo {
   /// visit. When the table is saturated at the cap, unseen keys are not
   /// inserted but the node is still visited.
   bool should_visit(std::uint64_t key, std::uint64_t cost) {
+    const std::uint32_t packed = compact(cost);
     if (key == 0) {  // the sentinel slot value, kept out of the table
-      if (zero_used_ && zero_cost_ <= cost) return false;
+      if (zero_used_ && zero_cost_ <= packed) return false;
       zero_used_ = true;
-      zero_cost_ = cost;
+      zero_cost_ = packed;
       return true;
     }
+    const Slot probe = Slot::of(key, packed);
     std::size_t i = index_of(key);
-    while (slots_[i].key != 0) {
-      if (slots_[i].key == key) {
-        if (slots_[i].cost <= cost) return false;
-        slots_[i].cost = cost;
+    while (!slots_[i].empty()) {
+      if (slots_[i].same_key(probe)) {
+        if (slots_[i].cost <= packed) return false;
+        slots_[i].cost = packed;
         return true;
       }
       i = (i + 1) & (slots_.size() - 1);
     }
     if (size_ < cap_) {
-      slots_[i] = {key, cost};
+      slots_[i] = probe;
       ++size_;
       maybe_grow();
     }
@@ -70,9 +77,32 @@ class FlatMemo {
 
  private:
   struct Slot {
-    std::uint64_t key = 0;
-    std::uint64_t cost = 0;
+    std::uint32_t key_lo = 0;
+    std::uint32_t key_hi = 0;
+    std::uint32_t cost = 0;
+
+    static Slot of(std::uint64_t key, std::uint32_t cost) {
+      return {static_cast<std::uint32_t>(key),
+              static_cast<std::uint32_t>(key >> 32), cost};
+    }
+    std::uint64_t key() const {
+      return (static_cast<std::uint64_t>(key_hi) << 32) | key_lo;
+    }
+    bool empty() const { return (key_lo | key_hi) == 0; }
+    bool same_key(const Slot& o) const {
+      return key_lo == o.key_lo && key_hi == o.key_hi;
+    }
   };
+  static_assert(sizeof(Slot) == 12);
+
+  /// pack_cost(d, s) as d << 16 | s, the same order for 16-bit counts.
+  static std::uint32_t compact(std::uint64_t cost) {
+    const std::uint64_t disconnects = cost >> 32;
+    const std::uint64_t swaps = cost & 0xffffffffULL;
+    EPG_CHECK(disconnects <= 0xffff && swaps <= 0xffff,
+              "search cost exceeds the memo's 16-bit counts");
+    return static_cast<std::uint32_t>(disconnects << 16 | swaps);
+  }
 
   std::size_t index_of(std::uint64_t key) const {
     // Fibonacci mixing; the probe start must depend on high bits too.
@@ -88,9 +118,9 @@ class FlatMemo {
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(old.size() * 2, Slot{});
     for (const Slot& s : old) {
-      if (s.key == 0) continue;
-      std::size_t i = index_of(s.key);
-      while (slots_[i].key != 0) i = (i + 1) & (slots_.size() - 1);
+      if (s.empty()) continue;
+      std::size_t i = index_of(s.key());
+      while (!slots_[i].empty()) i = (i + 1) & (slots_.size() - 1);
       slots_[i] = s;
     }
   }
@@ -99,7 +129,7 @@ class FlatMemo {
   std::size_t size_ = 0;
   std::size_t cap_ = 16;
   bool zero_used_ = false;
-  std::uint64_t zero_cost_ = 0;
+  std::uint32_t zero_cost_ = 0;
 };
 
 /// Per-depth scratch: one reusable ReductionState per DFS level, so a child
@@ -601,47 +631,46 @@ SubgraphLevelResult compile_subgraph_level(const SubgraphSpec& spec,
   const bool large = n >= cfg.large_part_threshold;
 
   // Phase 1: a quick LC-free pass establishes a strong incumbent so the
-  // full branch-and-bound can prune deep LC branches early.
+  // full branch-and-bound can prune deep LC branches early. Each search's
+  // context (memo table, depth scratch) is freed before the next phase
+  // starts, so a level holds at most one memo table at a time and none
+  // during synthesis.
   SubgraphCompileConfig lc_free = cfg;
   lc_free.max_lc_ops = 0;
   if (cfg.max_lc_ops > 0 && !large) {
     lc_free.node_budget = std::max<std::size_t>(cfg.node_budget / 8, 2000);
     lc_free.time_budget_ms = cfg.time_budget_ms / 4;
   }
-  SearchContext warmup;
-  warmup.init(lc_free);
-  warmup.stop_at_first = large;
-  {
-    ReductionState root(spec, ne, cfg.dangler);
-    root.share_op_log(warmup.path);
-    dfs(warmup, root, 0);
-  }
-  result.nodes_explored += warmup.nodes;
-  result.memo_peak = std::max(result.memo_peak, warmup.memo_peak);
-  result.exhausted = warmup.budget_hit;
-
-  SearchContext ctx;
-  ctx.init(cfg);
-  ctx.best_cost = warmup.best_cost;
-  ctx.candidates = std::move(warmup.candidates);
-  if (cfg.max_lc_ops > 0 && !large) {
+  std::uint64_t best_cost = ~0ULL;
+  std::vector<std::vector<ReduceOp>> candidates;
+  const auto search = [&](const SubgraphCompileConfig& config,
+                          bool stop_at_first) {
+    SearchContext ctx;
+    ctx.init(config);
+    ctx.stop_at_first = stop_at_first;
+    ctx.best_cost = best_cost;
+    ctx.candidates = std::move(candidates);
     ReductionState root(spec, ne, cfg.dangler);
     root.share_op_log(ctx.path);
     dfs(ctx, root, 0);
     result.nodes_explored += ctx.nodes;
     result.memo_peak = std::max(result.memo_peak, ctx.memo_peak);
     result.exhausted = ctx.budget_hit;
-  }
+    best_cost = ctx.best_cost;
+    candidates = std::move(ctx.candidates);
+  };
+  search(lc_free, large);
+  if (cfg.max_lc_ops > 0 && !large) search(cfg, false);
   span.arg("nodes", static_cast<std::uint64_t>(result.nodes_explored));
   span.arg("exhausted", std::uint64_t{result.exhausted ? 1u : 0u});
-  if (ctx.candidates.empty()) return result;
+  if (candidates.empty()) return result;
 
   result.success = true;
-  result.sequences_found = ctx.candidates.size();
+  result.sequences_found = candidates.size();
 
   // Paper step 2: among min-CNOT candidates pick the min photon-loss one.
   bool first = true;
-  for (const auto& ops : ctx.candidates) {
+  for (const auto& ops : candidates) {
     std::uint32_t slots = 0;
     for (const ReduceOp& op : ops)
       if (op.kind == ReduceOpKind::swap_photon)

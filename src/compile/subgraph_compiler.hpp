@@ -32,7 +32,7 @@ struct SubgraphCompileConfig {
   std::size_t max_lc_ops = 3;      ///< LC moves allowed inside the search
   std::size_t keep_candidates = 6;
   double time_budget_ms = 200.0;
-  /// Hard cap on memoization-table entries (16 bytes each). The table grows
+  /// Hard cap on memoization-table entries (12 bytes each). The table grows
   /// on demand and stops admitting new states at the cap, so a pathological
   /// part cannot blow memory; pruning via already-stored states keeps
   /// working. The default exceeds anything `node_budget` can insert

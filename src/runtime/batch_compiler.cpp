@@ -131,6 +131,12 @@ BatchCompiler::BatchCompiler(BatchConfig cfg)
       "epgc_tier_hits_total{tier=\"dedup\"}", "within-batch duplicate hits");
   failures_total_ =
       &metrics_->counter("epgc_job_failures_total", "failed compile jobs");
+  level_searches_total_ = &metrics_->counter(
+      "epgc_level_searches_total",
+      "subgraph level searches run by compiled framework jobs");
+  exhausted_searches_total_ = &metrics_->counter(
+      "epgc_exhausted_searches_total",
+      "level searches that hit their node or time budget");
   job_wall_ms_ = &metrics_->histogram("epgc_job_wall_ms",
                                       default_latency_buckets_ms(),
                                       "per-job compile wall time (ms)");
@@ -207,6 +213,8 @@ JobResult BatchCompiler::compile_one(const CompileJob& job,
           cfg_.inner_threads == 0 ? Executor::serial() : shared_pool;
       auto result = std::make_shared<FrameworkResult>(
           compile_framework(job.graph, cfg, inner));
+      level_searches_total_->inc(result->level_searches);
+      exhausted_searches_total_->inc(result->exhausted_searches);
       r.stats = result->stats();
       r.ne_min = result->ne_min;
       r.ne_limit = result->ne_limit;

@@ -209,6 +209,8 @@ class BatchCompiler {
   Counter* store_hits_total_ = nullptr;
   Counter* dedup_hits_total_ = nullptr;
   Counter* failures_total_ = nullptr;
+  Counter* level_searches_total_ = nullptr;
+  Counter* exhausted_searches_total_ = nullptr;
   Histogram* job_wall_ms_ = nullptr;
   /// Millisecond aggregates stay local doubles (counters are integral).
   double totals_wall_ms_ = 0.0;

@@ -1,6 +1,7 @@
 #include "runtime/executor.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "obs/trace.hpp"
 
@@ -31,17 +32,20 @@ void Executor::parallel_for(
     pool_->parallel_for(count, fn);
     return;
   }
-  // Capped fan-out on a wider shared pool: split the index space into
-  // `lanes` contiguous chunks so at most that many lanes run at once.
-  // Chunks are claimed atomically by the pool, each index still runs
-  // exactly once.
+  // Capped fan-out on a wider shared pool: `lanes` lane tasks claim
+  // indices from one shared counter, so at most that many run at once, a
+  // slow index holds up only its own lane, and each index runs exactly
+  // once.
+  std::atomic<std::size_t> next{0};
   pool_->parallel_for(lanes, [&](std::size_t lane) {
-    const std::size_t begin = lane * count / lanes;
-    const std::size_t end = (lane + 1) * count / lanes;
     Span span("executor_chunk", "executor");
     span.arg("lane", static_cast<std::uint64_t>(lane));
-    span.arg("indices", static_cast<std::uint64_t>(end - begin));
-    for (std::size_t i = begin; i < end; ++i) fn(i);
+    std::uint64_t ran = 0;
+    for (std::size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) <
+                        count;
+         ++ran)
+      fn(i);
+    span.arg("indices", ran);
   });
 }
 

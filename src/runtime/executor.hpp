@@ -14,9 +14,10 @@
 //                       compile_framework calls with inner_threads > 0.
 //
 // A borrowing executor can additionally cap its fan-out at `max_lanes`
-// concurrent lanes: indices are then split into `max_lanes` contiguous
-// chunks, so a wide shared pool still runs at most that many lanes of this
-// executor's work at once. Every flavor runs fn(i) exactly once per index —
+// concurrent lanes: `max_lanes` lane tasks then claim indices from one
+// shared counter, so a wide shared pool still runs at most that many lanes
+// of this executor's work at once, and an uneven index stalls only its own
+// lane. Every flavor runs fn(i) exactly once per index —
 // callers that keep per-index state and reduce in index order are
 // bit-identical at any lane count.
 #pragma once

@@ -8,6 +8,7 @@
 
 #include "graph/generators.hpp"
 #include "noise/monte_carlo.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/graph_hash.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -208,6 +209,32 @@ TEST(BatchCompiler, CacheHitsIdenticalJobsWithinAndAcrossRuns) {
   EXPECT_EQ(batch.summary().compiled, 0u);
   EXPECT_TRUE(second[0].cache_hit);
   expect_same_metrics(first[0], second[0]);
+}
+
+TEST(BatchCompiler, WorkCountersCountEachCompiledJobOnce) {
+  // The registry's level-search counters add each compiled framework job's
+  // FrameworkResult counts once; duplicates and cache hits add nothing.
+  auto registry = std::make_shared<MetricsRegistry>();
+  BatchConfig cfg;
+  cfg.threads = 2;
+  cfg.deterministic = true;
+  cfg.metrics = registry;
+  BatchCompiler batch(cfg);
+  const Graph g = make_waxman(10, 6);
+  std::vector<CompileJob> jobs;
+  for (int i = 0; i < 3; ++i)
+    jobs.push_back(framework_job("j" + std::to_string(i), g, 5));
+  const std::vector<JobResult> first = batch.run(jobs);
+  ASSERT_TRUE(first[0].ok) << first[0].error;
+  const FrameworkResult& compiled = *first[0].framework_result;
+  Counter& searches = registry->counter("epgc_level_searches_total");
+  Counter& exhausted = registry->counter("epgc_exhausted_searches_total");
+  EXPECT_GT(compiled.level_searches, 0u);
+  EXPECT_EQ(searches.value(), compiled.level_searches);
+  EXPECT_EQ(exhausted.value(), compiled.exhausted_searches);
+  batch.run({framework_job("again", g, 5)});
+  EXPECT_EQ(searches.value(), compiled.level_searches);
+  EXPECT_EQ(exhausted.value(), compiled.exhausted_searches);
 }
 
 TEST(BatchCompiler, IsomorphicByHashGraphsShareCanonicalHashButNotCache) {

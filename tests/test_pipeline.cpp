@@ -9,9 +9,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <thread>
 
+#include "common/compile_spec.hpp"
 #include "graph/generators.hpp"
 #include "graph/local_complement.hpp"
+#include "io/graph_io.hpp"
 #include "obs/trace.hpp"
 #include "partition/partition_strategy.hpp"
 #include "runtime/batch_compiler.hpp"
@@ -116,6 +120,34 @@ TEST(Pipeline, WorkCountersEqualAcrossInnerThreadCounts) {
     EXPECT_EQ(pooled.subgraph_nodes, serial.subgraph_nodes) << which;
   }
   EXPECT_GT(exhausted, 0u);
+
+  // A cold_paper graph (servebench seed 101) at its spec, lc 4 with lifted
+  // budgets. Its partition has a 1-vertex part, whose variant walks end at
+  // level 2 although ne_min + 2 = 3 is within the cap, and its schedule
+  // takes the dangler ladder. The counts were recorded before the subgraph
+  // stage searched its levels as one flat fan-out; they pin that fan-out to
+  // exactly the levels the walks search, at any lane count.
+  CompileSpec spec;
+  spec.lc = 4;
+  const Graph g = read_graph6("N_@@OC@?@OmCOC?Oo`O");
+  FrameworkConfig cfg = make_compile_job(spec, "cold", g).framework;
+  cfg.partition.time_budget_ms = kUnboundedBudgetMs;
+  cfg.subgraph.time_budget_ms = kUnboundedBudgetMs;
+  cfg.inner_threads = 0;
+  const FrameworkResult serial = compile_framework(g, cfg);
+  EXPECT_TRUE(std::any_of(
+      serial.partition.parts.begin(), serial.partition.parts.end(),
+      [](const auto& part) { return part.size() == 1; }));
+  EXPECT_TRUE(serial.dangler_fallback);
+  EXPECT_EQ(serial.level_searches, 22u);
+  EXPECT_EQ(serial.exhausted_searches, 15u);
+  EXPECT_EQ(serial.subgraph_nodes, 1508705u);
+  cfg.inner_threads = 3;
+  const FrameworkResult pooled = compile_framework(g, cfg);
+  EXPECT_EQ(pooled.level_searches, serial.level_searches);
+  EXPECT_EQ(pooled.exhausted_searches, serial.exhausted_searches);
+  EXPECT_EQ(pooled.subgraph_nodes, serial.subgraph_nodes);
+  EXPECT_EQ(Metrics::of(pooled), Metrics::of(serial));
 }
 
 TEST(Pipeline, StrategiesBitIdenticalAcrossInnerThreadCounts) {
@@ -274,6 +306,46 @@ TEST(Pipeline, ExecutorRunsEveryIndexExactlyOnce) {
   EXPECT_EQ(serial.parallelism(), 1u);
   EXPECT_EQ(borrowed.parallelism(), 5u);
   EXPECT_EQ(capped.parallelism(), 2u);
+}
+
+TEST(Pipeline, CappedExecutorClaimsIndicesDynamically) {
+  // One long index holds up only its own lane: the other lane claims every
+  // remaining index while it runs (static per-lane chunks would queue the
+  // long index's chunk-mates behind it).
+  ThreadPool pool(4);
+  const Executor capped(pool, 2);
+  const std::size_t count = 16;
+  std::vector<std::atomic<int>> hits(count);
+  std::vector<std::thread::id> ran_on(count);
+  std::atomic<std::size_t> running{0};
+  std::atomic<std::size_t> peak{0};
+  std::atomic<std::size_t> others_done{0};
+  capped.parallel_for(count, [&](std::size_t i) {
+    const std::size_t now = running.fetch_add(1) + 1;
+    std::size_t seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+    ran_on[i] = std::this_thread::get_id();
+    if (i == 0) {
+      // The long index: runs until every other index is done (bounded, so
+      // a regression fails instead of hanging).
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (others_done.load() < count - 1 &&
+             std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    } else {
+      ++others_done;
+    }
+    ++hits[i];
+    running.fetch_sub(1);
+  });
+  for (std::size_t i = 0; i < count; ++i)
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  EXPECT_LE(peak.load(), 2u);
+  for (std::size_t i = 1; i < count; ++i)
+    EXPECT_NE(ran_on[i], ran_on[0]) << "index " << i << " ran on the long "
+                                    << "index's lane";
 }
 
 TEST(Pipeline, BatchSharedInnerPoolMatchesSerialInner) {
