@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <regex>
 #include <set>
 #include <string>
@@ -104,5 +105,34 @@ class Args {
     return flags;
   }
 };
+
+struct TcpAddress {
+  std::string host;
+  std::uint16_t port = 0;
+};
+
+/// Parse `HOST:PORT` or a bare `PORT` (host 127.0.0.1). The port must be
+/// all digits and at most 65535; anything else is nullopt.
+inline std::optional<TcpAddress> parse_tcp_address(const std::string& spec) {
+  const std::size_t colon = spec.rfind(':');
+  const std::string host =
+      colon == std::string::npos ? "" : spec.substr(0, colon);
+  const std::string port = spec.substr(colon + 1);  // npos + 1 == 0
+  if (port.empty() || port.size() > 5 ||
+      port.find_first_not_of("0123456789") != std::string::npos ||
+      std::stoul(port) > 65535)
+    return std::nullopt;
+  return TcpAddress{host.empty() ? "127.0.0.1" : host,
+                    static_cast<std::uint16_t>(std::stoul(port))};
+}
+
+/// The `--tcp` flag's address: nullopt when absent, exit 2 when malformed.
+inline std::optional<TcpAddress> tcp_flag(const Args& args) {
+  if (!args.has("tcp")) return std::nullopt;
+  const std::string spec = args.get("tcp", "");
+  const std::optional<TcpAddress> addr = parse_tcp_address(spec);
+  if (!addr) args.fail("--tcp needs HOST:PORT or PORT, got '" + spec + "'");
+  return addr;
+}
 
 }  // namespace epg::cli

@@ -98,28 +98,16 @@ int main(int argc, char** argv) {
   }
   cfg.deterministic = args.has("deterministic");
   if (cfg.deterministic) cfg.worker_args.push_back("--deterministic");
+  const std::optional<cli::TcpAddress> tcp = cli::tcp_flag(args);
 
   try {
     ClusterFront front(cfg);
     g_front = &front;
     std::signal(SIGTERM, on_signal);
     std::signal(SIGINT, on_signal);
-    if (args.has("socket")) return front.serve_socket(args.get("socket", ""));
-    const std::string spec = args.get("tcp", "");
-    const std::size_t colon = spec.rfind(':');
-    const std::string host =
-        colon == std::string::npos ? "127.0.0.1" : spec.substr(0, colon);
-    const std::string port_text =
-        colon == std::string::npos ? spec : spec.substr(colon + 1);
-    int port = -1;
-    try {
-      port = std::stoi(port_text);
-    } catch (const std::exception&) {
-    }
-    if (port < 0 || port > 65535)
-      args.fail("--tcp needs HOST:PORT or PORT, got '" + spec + "'");
-    return front.serve_tcp(host.empty() ? "127.0.0.1" : host,
-                           static_cast<std::uint16_t>(port));
+    front.start();
+    if (tcp) return front.serve_tcp(tcp->host, tcp->port);
+    return front.serve_socket(args.get("socket", ""));
   } catch (const std::exception& e) {
     std::cerr << "epgc_cluster: " << e.what() << '\n';
     return 1;

@@ -107,6 +107,7 @@ int main(int argc, char** argv) {
     args.fail("--socket and --tcp are mutually exclusive");
   if (cfg.once && (args.has("socket") || args.has("tcp")))
     args.fail("--once is stream-mode only");
+  const std::optional<cli::TcpAddress> tcp = cli::tcp_flag(args);
 
   try {
     Service service(cfg);
@@ -115,23 +116,7 @@ int main(int argc, char** argv) {
     std::signal(SIGINT, on_signal);
     if (args.has("socket"))
       return service.serve_socket(args.get("socket", ""));
-    if (args.has("tcp")) {
-      const std::string spec = args.get("tcp", "");
-      const std::size_t colon = spec.rfind(':');
-      const std::string host =
-          colon == std::string::npos ? "127.0.0.1" : spec.substr(0, colon);
-      const std::string port_text =
-          colon == std::string::npos ? spec : spec.substr(colon + 1);
-      int port = -1;
-      try {
-        port = std::stoi(port_text);
-      } catch (const std::exception&) {
-      }
-      if (port < 0 || port > 65535)
-        args.fail("--tcp needs HOST:PORT or PORT, got '" + spec + "'");
-      return service.serve_tcp(host.empty() ? "127.0.0.1" : host,
-                               static_cast<std::uint16_t>(port));
-    }
+    if (tcp) return service.serve_tcp(tcp->host, tcp->port);
     return service.serve_stream(std::cin, std::cout);
   } catch (const std::exception& e) {
     std::cerr << "epgc_serve: " << e.what() << '\n';

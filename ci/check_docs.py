@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Docs gate: markdown link integrity, CLI flag-reference accuracy and
-the span taxonomy.
+"""Docs gate: markdown link integrity, CLI flag-reference accuracy, the
+span taxonomy and the metric catalog.
 
-Three checks, all cheap enough to run on every push:
+Four checks, all cheap enough to run on every push:
 
 1. **Links** — every relative markdown link in README.md and docs/*.md
    must resolve to an existing file or directory (fragments stripped;
@@ -21,6 +21,11 @@ Three checks, all cheap enough to run on every push:
    (`Span x("name", "cat")`) must have a row in the span-taxonomy table
    of docs/observability.md naming it, with the same category.
 
+4. **Metrics** — every metric registered with a literal name under src/
+   (`counter("name"`, `gauge(...)`, `histogram(...)`, the literal possibly
+   on the next line, backslash-escaped quotes unescaped) must have a row
+   in the metric catalog of docs/observability.md.
+
 usage: check_docs.py [--build BUILD] [--repo ROOT]
 exit: 0 clean, 1 violations, 2 usage/IO error (e.g. missing binaries)
 """
@@ -36,6 +41,8 @@ CLIS = ("epgc_compile", "epgc_graphgen", "epgc_verify", "epgc_batch",
 FLAG_RE = re.compile(r"--[a-zA-Z][a-zA-Z0-9-]*")
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 SPAN_RE = re.compile(r'\bSpan\s+\w+\(\s*"([^"]+)"\s*,\s*"([^"]+)"')
+METRIC_RE = re.compile(
+    r'\b(?:counter|gauge|histogram)\(\s*"((?:[^"\\]|\\.)*)"')
 EXEMPT_FLAGS = {"--help", "--version"}  # shared parser, documented globally
 
 
@@ -107,18 +114,27 @@ def check_flags(repo, build):
     return failures
 
 
-def documented_spans(repo):
-    """Map span name -> category from the observability span table."""
+def table_rows(repo, heading):
+    """Cells of each table row under `heading` in docs/observability.md."""
     text = (repo / "docs" / "observability.md").read_text()
-    start = text.find("### Span taxonomy")
-    spans = {}
+    start = text.find(heading)
     if start < 0:
-        return spans
+        return []
+    rows = []
     for line in text[start:].splitlines()[1:]:
         if line.startswith("#"):
             break
-        cells = [c.strip() for c in line.strip().strip("|").split("|")]
-        if not line.startswith("|") or len(cells) < 2:
+        if line.startswith("|"):
+            rows.append(
+                [c.strip() for c in line.strip().strip("|").split("|")])
+    return rows
+
+
+def documented_spans(repo):
+    """Map span name -> category from the observability span table."""
+    spans = {}
+    for cells in table_rows(repo, "### Span taxonomy"):
+        if len(cells) < 2:
             continue
         cats = re.findall(r"`([^`]+)`", cells[1])
         for name in re.findall(r"`([^`]+)`", cells[0]):
@@ -126,13 +142,16 @@ def documented_spans(repo):
     return spans
 
 
+def src_files(repo):
+    return sorted(repo.glob("src/**/*.cpp")) + sorted(
+        repo.glob("src/**/*.hpp"))
+
+
 def check_spans(repo):
     failures = []
     documented = documented_spans(repo)
-    sources = sorted(repo.glob("src/**/*.cpp")) + sorted(
-        repo.glob("src/**/*.hpp"))
     found = 0
-    for src in sources:
+    for src in src_files(repo):
         for name, cat in SPAN_RE.findall(src.read_text()):
             found += 1
             where = src.relative_to(repo)
@@ -145,6 +164,25 @@ def check_spans(repo):
                     f"{where}: span '{name}' has category '{cat}' but "
                     f"docs/observability.md says '{documented[name]}'")
     print(f"spans: {found} literal span sites under src/, "
+          f"{len(documented)} documented names")
+    return failures
+
+
+def check_metrics(repo):
+    failures = []
+    documented = set()
+    for cells in table_rows(repo, "### Catalog"):
+        documented.update(re.findall(r"`([^`]+)`", cells[0]))
+    found = 0
+    for src in src_files(repo):
+        for literal in METRIC_RE.findall(src.read_text()):
+            found += 1
+            name = literal.replace('\\"', '"')
+            if name not in documented:
+                failures.append(
+                    f"{src.relative_to(repo)}: metric '{name}' is missing "
+                    "from the catalog in docs/observability.md")
+    print(f"metrics: {found} literal metric registrations under src/, "
           f"{len(documented)} documented names")
     return failures
 
@@ -165,7 +203,7 @@ def main():
         return 2
 
     failures = (check_links(repo) + check_flags(repo, build) +
-                check_spans(repo))
+                check_spans(repo) + check_metrics(repo))
     if failures:
         print(f"\ndocs gate FAILED ({len(failures)} issue(s)):",
               file=sys.stderr)
@@ -173,8 +211,8 @@ def main():
             print(f"  - {failure}", file=sys.stderr)
         return 1
     print("\ndocs gate passed: all links resolve, every CLI flag is "
-          "documented, every documented flag exists and every span is in "
-          "the span table")
+          "documented, every documented flag exists, every span is in "
+          "the span table and every metric is in the catalog")
     return 0
 
 

@@ -13,11 +13,9 @@
 #include <sstream>
 
 #include "common/assert.hpp"
-#include "common/build_info.hpp"
 #include "common/compile_spec.hpp"
 #include "common/json.hpp"
 #include "common/json_value.hpp"
-#include "obs/metrics.hpp"
 #include "runtime/graph_hash.hpp"
 
 namespace epg {
@@ -41,10 +39,42 @@ bool is_queue_full_response(const std::string& resp) {
   }
 }
 
+/// Compile/batch requests route by labelled-graph hash — the same graph
+/// always lands on the same worker, preserving single-process cache
+/// progression per graph. nullopt when the request names no decodable
+/// graph.
+std::optional<std::uint64_t> graph_route_key(const JsonValue& request) {
+  try {
+    const std::string op = request.get_string("op", "");
+    if (op == "compile")
+      return labelled_graph_hash(graph_from_json_spec(request));
+    const JsonValue* jobs = request.find("jobs");
+    if (op == "batch" && jobs != nullptr && !jobs->items().empty()) {
+      // One batch = one worker (its summary is a per-run contract); the
+      // combined hash keeps equal batches on equal workers.
+      HashStream h;
+      for (const JsonValue& job : jobs->items())
+        h.mix(labelled_graph_hash(graph_from_json_spec(job)));
+      return h.digest();
+    }
+  } catch (const std::exception&) {
+    // unroutable: the caller falls back to line-hash routing
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 ClusterFront::ClusterFront(ClusterConfig cfg)
-    : cfg_(std::move(cfg)), ring_(cfg_.workers, cfg_.ring_replicas) {
+    // One executor per worker: independent workers make progress in
+    // parallel, while the per-worker mutex keeps each worker serving one
+    // request at a time (admission order per worker == response order).
+    : ServingCore("epgc_cluster", nullptr, cfg.max_queue, cfg.max_frame_bytes,
+                  cfg.default_deadline_ms, cfg.workers),
+      cfg_(std::move(cfg)),
+      ring_(cfg_.workers, cfg_.ring_replicas),
+      respawns_(registry_->counter("epgc_worker_respawns_total",
+                                   "worker processes respawned")) {
   EPG_REQUIRE(cfg_.workers > 0, "cluster needs at least one worker");
   EPG_REQUIRE(!cfg_.worker_bin.empty(), "cluster needs a worker binary");
 }
@@ -123,7 +153,7 @@ void ClusterFront::respawn_locked(Worker& w) {
   if (workers_down_.load()) return;  // draining: stay down
   std::string err;
   if (spawn_locked(w, err)) {
-    respawns_.fetch_add(1);
+    respawns_.inc();
   } else {
     std::cerr << "epgc_cluster: respawn failed: " << err << '\n';
   }
@@ -229,7 +259,8 @@ pid_t ClusterFront::worker_pid(std::size_t i) const {
 // ---- request path ----------------------------------------------------------
 
 std::string ClusterFront::forward(std::size_t worker,
-                                  const std::string& line) {
+                                  const std::string& line,
+                                  const std::string& id_json) {
   Worker& w = *workers_[worker];
   std::lock_guard<std::mutex> lock(w.mutex);
   for (std::size_t attempt = 0; attempt < cfg_.delivery_attempts;
@@ -269,71 +300,34 @@ std::string ClusterFront::forward(std::size_t worker,
     }
     return resp;
   }
-  errors_.fetch_add(1);
-  return error_response(extract_request_id(line), kErrWorkerFailed,
+  return error_response(id_json, kErrWorkerFailed,
                         "worker " + std::to_string(worker) +
                             " unavailable after " +
                             std::to_string(cfg_.delivery_attempts) +
                             " delivery attempts");
 }
 
-std::string ClusterFront::route_and_forward(const std::string& line) {
-  // Compile/batch requests route by labelled-graph hash — the same graph
-  // always lands on the same worker, preserving single-process cache
-  // progression per graph. Anything unroutable (malformed JSON, unknown
-  // op, undecodable graph) routes by line hash and is answered by the
-  // worker's parser, which renders exactly the bytes a single-process
-  // epgc_serve would.
-  std::optional<std::uint64_t> key;
-  try {
-    const JsonValue v = JsonValue::parse(line);
-    if (v.type() == JsonValue::Type::object) {
-      const std::string op = v.get_string("op", "");
-      if (op == "compile") {
-        key = labelled_graph_hash(graph_from_json_spec(v));
-      } else if (op == "batch") {
-        const JsonValue* jobs = v.find("jobs");
-        if (jobs != nullptr && !jobs->items().empty()) {
-          // One batch = one worker (its summary is a per-run contract);
-          // the combined hash keeps equal batches on equal workers.
-          HashStream h;
-          for (const JsonValue& job : jobs->items())
-            h.mix(labelled_graph_hash(graph_from_json_spec(job)));
-          key = h.digest();
-        }
-      }
-    }
-  } catch (const std::exception&) {
-    // unroutable: fall through to line-hash routing
-  }
-  const std::uint64_t route_key =
-      key ? *key : HashStream().mix(line).digest();
-  return forward(ring_.route(route_key), line);
-}
-
-std::string ClusterFront::handle_line(const std::string& line,
-                                      double queued_ms) {
-  requests_.fetch_add(1);
+std::string ClusterFront::answer(const std::string& line, double queued_ms) {
   std::string op;
   std::string id_json = "null";
   std::string trace_id;
   bool want_prometheus = false;
-  double deadline = cfg_.default_deadline_ms;
+  double deadline_ms = 0.0;
   std::optional<JsonValue> parsed;
   try {
     parsed = JsonValue::parse(line);
   } catch (const std::exception&) {
     // forwarded below; the worker's parser answers
   }
-  if (parsed && parsed->type() == JsonValue::Type::object) {
+  const bool object = parsed && parsed->type() == JsonValue::Type::object;
+  if (object) {
     const JsonValue* id = parsed->find("id");
     if (id != nullptr) id_json = id->dump();
     try {
       op = parsed->get_string("op", "");
       trace_id = parsed->get_string("trace_id", "");
       want_prometheus = parsed->get_bool("prometheus", false);
-      const double d = parsed->get_number("deadline_ms", 0.0);
-      if (d > 0.0) deadline = d;
+      deadline_ms = parsed->get_number("deadline_ms", 0.0);
     } catch (const std::exception&) {
       op.clear();  // wrong-typed op/deadline: the worker renders the error
     }
@@ -341,15 +335,9 @@ std::string ClusterFront::handle_line(const std::string& line,
 
   // The deadline is charged against the front's queue wait, exactly like
   // a single epgc_serve charges it against its own admission queue.
-  if (deadline > 0.0 && queued_ms > deadline) {
-    expired_.fetch_add(1);
-    errors_.fetch_add(1);
-    return error_response(id_json, kErrDeadline,
-                          "deadline exceeded: request queued " +
-                              std::to_string(queued_ms) + " ms, deadline " +
-                              std::to_string(deadline) + " ms",
-                          trace_id);
-  }
+  const std::string expired =
+      expire(id_json, deadline_ms, queued_ms, trace_id);
+  if (!expired.empty()) return expired;
 
   const bool front_op = op == "ping" || op == "stats" || op == "health" ||
                         op == "metrics" || op == "shutdown";
@@ -363,14 +351,14 @@ std::string ClusterFront::handle_line(const std::string& line,
     try {
       check_request_proto(*parsed);
     } catch (const UnsupportedProtoError& e) {
-      errors_.fetch_add(1);
+      requests_.errors.inc();
       return error_response(id_json, kErrUnsupportedProto, e.what(),
                             trace_id);
     } catch (const std::exception& e) {
-      errors_.fetch_add(1);
+      requests_.errors.inc();
       return error_response(id_json, kErrBadRequest, e.what(), trace_id);
     }
-    ok_.fetch_add(1);
+    requests_.ok.inc();  // before rendering, so stats counts itself
     if (op == "ping") return pong_response(id_json, trace_id);
     if (op == "shutdown") {
       stop_.store(true);
@@ -386,89 +374,55 @@ std::string ClusterFront::handle_line(const std::string& line,
   // into the forwarded line; the worker echoes it like a client-supplied
   // one. Client-supplied ids are already in the line (pass-through).
   std::string forwarded = line;
-  if (routable && !trace_id.empty() && parsed &&
-      parsed->find("trace_id") == nullptr) {
+  if (routable && !trace_id.empty() && parsed->find("trace_id") == nullptr) {
     const std::size_t close = forwarded.rfind('}');
     if (close != std::string::npos)
       forwarded.insert(close,
                        ",\"trace_id\":\"" + json_escape(trace_id) + "\"");
   }
-  const std::string resp = route_and_forward(forwarded);
+  // Anything without a graph key (malformed JSON, unknown op, undecodable
+  // graph) routes by line hash and is answered by the worker's parser,
+  // which renders exactly the bytes a single-process epgc_serve would.
+  const std::optional<std::uint64_t> key =
+      object ? graph_route_key(*parsed) : std::nullopt;
+  const std::string resp =
+      forward(ring_.route(key ? *key : HashStream().mix(forwarded).digest()),
+              forwarded, id_json);
   // A raw '"' cannot occur inside a JSON string value, so this substring
   // test reads the response's actual ok field.
   if (resp.find("\"ok\":false") == std::string::npos)
-    ok_.fetch_add(1);
+    requests_.ok.inc();
   else
-    errors_.fetch_add(1);
+    requests_.errors.inc();
   return resp;
 }
 
 // ---- aggregated observability ---------------------------------------------
-
-namespace {
-
-/// The echoed-correlation fragment all front-rendered envelopes share.
-std::string trace_id_field(const std::string& trace_id) {
-  if (trace_id.empty()) return {};
-  return ",\"trace_id\":\"" + json_escape(trace_id) + "\"";
-}
-
-}  // namespace
 
 std::string ClusterFront::stats_response_line(const std::string& id_json,
                                               const std::string& trace_id) {
   // Live per-worker snapshots, summed into a cluster view; a worker that
   // cannot answer contributes a failure placeholder instead of stalling
   // the whole snapshot.
-  struct Totals {
-    std::uint64_t requests = 0, ok = 0, errors = 0, rejected = 0,
-                  expired = 0, jobs = 0, compiled = 0, cache_hits = 0,
-                  memory_hits = 0, store_hits = 0, dedup_hits = 0,
-                  failures = 0;
-  } agg;
+  std::vector<StatsField> aggregate = stats_counter_fields({}, {});
   std::vector<std::string> per_worker(workers_.size());
   for (std::size_t i = 0; i < workers_.size(); ++i) {
-    const std::string resp = forward(
-        i, R"({"op":"stats","id":"__stats__"})");
-    per_worker[i] = resp;
+    per_worker[i] = forward(i, R"({"op":"stats","id":"__stats__"})",
+                            R"("__stats__")");
     try {
-      const JsonValue v = JsonValue::parse(resp);
-      agg.requests += v.get_u64("requests", 0);
-      agg.ok += v.get_u64("ok_count", 0);
-      agg.errors += v.get_u64("errors", 0);
-      agg.rejected += v.get_u64("rejected", 0);
-      agg.expired += v.get_u64("expired", 0);
-      agg.jobs += v.get_u64("jobs", 0);
-      agg.compiled += v.get_u64("compiled", 0);
-      agg.cache_hits += v.get_u64("cache_hits", 0);
-      agg.memory_hits += v.get_u64("memory_hits", 0);
-      agg.store_hits += v.get_u64("store_hits", 0);
-      agg.dedup_hits += v.get_u64("dedup_hits", 0);
-      agg.failures += v.get_u64("failures", 0);
+      const JsonValue v = JsonValue::parse(per_worker[i]);
+      for (auto& [name, value] : aggregate) value += v.get_u64(name, 0);
     } catch (const std::exception&) {
       // placeholder already carries the error response
     }
   }
-  LineServer* server = server_.load();
   std::ostringstream os;
-  os << "{\"id\":" << id_json << ",\"proto\":\"" << proto_string() << '"'
-     << trace_id_field(trace_id)
+  os << response_head(id_json, trace_id)
      << ",\"op\":\"stats\",\"ok\":true,\"role\":\"front\""
      << ",\"workers_configured\":" << workers_.size() << ",\"respawns\":"
-     << respawns_.load() << ",\"requests\":" << requests_.load()
-     << ",\"ok_count\":" << ok_.load() << ",\"errors\":" << errors_.load()
-     << ",\"rejected\":"
-     << transport_rejected_.load() +
-            (server != nullptr ? server->rejected() : 0)
-     << ",\"expired\":" << expired_.load() << ",\"aggregate\":{"
-     << "\"requests\":" << agg.requests << ",\"ok_count\":" << agg.ok
-     << ",\"errors\":" << agg.errors << ",\"rejected\":" << agg.rejected
-     << ",\"expired\":" << agg.expired << ",\"jobs\":" << agg.jobs
-     << ",\"compiled\":" << agg.compiled << ",\"cache_hits\":"
-     << agg.cache_hits << ",\"memory_hits\":" << agg.memory_hits
-     << ",\"store_hits\":" << agg.store_hits << ",\"dedup_hits\":"
-     << agg.dedup_hits << ",\"failures\":" << agg.failures
-     << "},\"workers\":[";
+     << respawns_.value() << ','
+     << json_fields(request_counter_fields(counters()))
+     << ",\"aggregate\":{" << json_fields(aggregate) << "},\"workers\":[";
   for (std::size_t i = 0; i < per_worker.size(); ++i) {
     if (i) os << ',';
     os << per_worker[i];
@@ -479,19 +433,12 @@ std::string ClusterFront::stats_response_line(const std::string& id_json,
 
 std::string ClusterFront::health_response_line(const std::string& id_json,
                                                const std::string& trace_id) {
-  const std::uint64_t uptime_ms = static_cast<std::uint64_t>(
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - start_)
-          .count());
-  LineServer* server = server_.load();
   std::ostringstream os;
-  os << "{\"id\":" << id_json << ",\"proto\":\"" << proto_string() << '"'
-     << trace_id_field(trace_id)
+  os << response_head(id_json, trace_id)
      << ",\"op\":\"health\",\"ok\":true,\"role\":\"front\""
-     << ",\"uptime_ms\":" << uptime_ms << ",\"queue_depth\":"
-     << (server != nullptr ? server->queue_depth() : 0) << ",\"max_queue\":"
-     << cfg_.max_queue << ",\"respawns\":" << respawns_.load()
-     << ",\"workers\":[";
+     << ",\"uptime_ms\":" << uptime_ms() << ",\"queue_depth\":"
+     << queue_depth() << ",\"max_queue\":" << max_queue()
+     << ",\"respawns\":" << respawns_.value() << ",\"workers\":[";
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     Worker& w = *workers_[i];
     if (i) os << ',';
@@ -517,7 +464,7 @@ std::string ClusterFront::metrics_response_line(const std::string& id_json,
   // "metrics" objects (counters/gauges sum, matching histograms merge
   // bucket-wise). A worker that cannot answer still appears verbatim in
   // "workers" — as its error response — and contributes nothing to the
-  // aggregate.
+  // aggregate. The front's own registry is reported apart, under "front".
   std::string probe = R"({"op":"metrics","id":"__metrics__")";
   if (want_prometheus) probe += R"(,"prometheus":true)";
   probe += "}";
@@ -526,7 +473,7 @@ std::string ClusterFront::metrics_response_line(const std::string& id_json,
   parsed.reserve(workers_.size());
   std::vector<const JsonValue*> snaps;
   for (std::size_t i = 0; i < workers_.size(); ++i) {
-    per_worker[i] = forward(i, probe);
+    per_worker[i] = forward(i, probe, R"("__metrics__")");
     try {
       JsonValue v = JsonValue::parse(per_worker[i]);
       const JsonValue* m = v.find("metrics");
@@ -539,10 +486,10 @@ std::string ClusterFront::metrics_response_line(const std::string& id_json,
     }
   }
   std::ostringstream os;
-  os << "{\"id\":" << id_json << ",\"proto\":\"" << proto_string() << '"'
-     << trace_id_field(trace_id)
+  os << response_head(id_json, trace_id)
      << ",\"op\":\"metrics\",\"ok\":true,\"role\":\"front\""
      << ",\"workers_configured\":" << workers_.size()
+     << ",\"front\":" << registry_->json()
      << ",\"aggregate\":" << merge_metric_snapshots(snaps)
      << ",\"workers\":[";
   for (std::size_t i = 0; i < per_worker.size(); ++i) {
@@ -551,69 +498,6 @@ std::string ClusterFront::metrics_response_line(const std::string& id_json,
   }
   os << "]}";
   return os.str();
-}
-
-// ---- transports ------------------------------------------------------------
-
-int ClusterFront::serve_listener(int listen_fd) {
-  LineServerConfig scfg;
-  scfg.max_queue = cfg_.max_queue;
-  scfg.max_frame_bytes = cfg_.max_frame_bytes;
-  // One executor per worker: independent workers make progress in
-  // parallel, while the per-worker mutex keeps each worker serving one
-  // request at a time (admission order per worker == response order).
-  scfg.executors = workers_.size();
-  scfg.handler = [this](const std::string& line, double queued_ms) {
-    return handle_line(line, queued_ms);
-  };
-  scfg.reject_response = [this](const std::string& line) {
-    return error_response(extract_request_id(line), kErrQueueFull,
-                          "queue full (" + std::to_string(cfg_.max_queue) +
-                              " pending); retry later");
-  };
-  scfg.oversize_response = [this](const std::string& line) {
-    return error_response(extract_request_id(line), kErrOversizedFrame,
-                          "request line exceeds " +
-                              std::to_string(cfg_.max_frame_bytes) +
-                              " bytes");
-  };
-  LineServer server(scfg);
-  server_.store(&server);
-  const int rc = server.serve(listen_fd, stop_);
-  transport_rejected_.fetch_add(server.rejected());
-  server_.store(nullptr);
-  // The serve loop returned == every admitted request was answered; now
-  // drain the workers too (SIGTERM-clean restarts).
-  shutdown_workers();
-  return rc;
-}
-
-int ClusterFront::serve_socket(const std::string& path) {
-  start();
-  std::string err;
-  const int listen_fd = listen_unix(path, err);
-  if (listen_fd < 0) {
-    std::cerr << "epgc_cluster: " << err << '\n';
-    return 1;
-  }
-  const int rc = serve_listener(listen_fd);
-  ::unlink(path.c_str());
-  return rc;
-}
-
-int ClusterFront::serve_tcp(const std::string& host, std::uint16_t port) {
-  start();
-  std::string err;
-  std::uint16_t bound = 0;
-  const int listen_fd = listen_tcp(host, port, bound, err);
-  if (listen_fd < 0) {
-    std::cerr << "epgc_cluster: " << err << '\n';
-    return 1;
-  }
-  tcp_port_.store(bound);
-  std::cerr << "epgc_cluster: listening on " << host << ':' << bound
-            << '\n';
-  return serve_listener(listen_fd);
 }
 
 }  // namespace epg

@@ -37,7 +37,6 @@
 #include <sys/types.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -46,8 +45,7 @@
 #include <vector>
 
 #include "cluster/hash_ring.hpp"
-#include "service/protocol.hpp"
-#include "service/transport.hpp"
+#include "service/service.hpp"
 
 namespace epg {
 
@@ -85,40 +83,28 @@ struct ClusterConfig {
   bool deterministic = false;
 };
 
-class ClusterFront {
+/// Shares ServingCore with epgc_serve: the same listener, admission queue
+/// and request metrics, in a registry the front owns.
+class ClusterFront : public ServingCore {
  public:
   explicit ClusterFront(ClusterConfig cfg);
-  ~ClusterFront();
+  ~ClusterFront() override;
 
   /// Spawn and connect every worker, start the monitor thread. Throws
-  /// std::runtime_error when a worker cannot be brought up.
+  /// std::runtime_error when a worker cannot be brought up. Call before
+  /// serve_socket/serve_tcp; the destructor drains and shuts the workers
+  /// down.
   void start();
 
-  /// Serve the client-facing listener until a shutdown request, then
-  /// drain and shut the workers down. Returns 0 on clean shutdown, 1
-  /// when the listener cannot be created. Both call start() when it has
-  /// not run yet.
-  int serve_socket(const std::string& path);
-  int serve_tcp(const std::string& host, std::uint16_t port);
-  std::uint16_t tcp_port() const { return tcp_port_.load(); }
-
-  /// One request line in, one response line out — the routing core
-  /// (exposed for tests; transport executors call exactly this).
-  std::string handle_line(const std::string& line, double queued_ms = 0.0);
-
-  /// Request a draining shutdown (async-signal-safe).
-  void stop() { stop_.store(true); }
-  bool shutdown_requested() const { return stop_.load(); }
-
   /// Send shutdown to every worker and reap the processes. Idempotent;
-  /// called automatically after the serve loop drains.
+  /// the destructor calls it.
   void shutdown_workers();
 
   std::size_t workers() const { return workers_.size(); }
   /// Current pid of worker `i` (-1 when down); test/CI kill legs use it.
   pid_t worker_pid(std::size_t i) const;
   /// Total respawns across all workers since start().
-  std::size_t respawns() const { return respawns_.load(); }
+  std::size_t respawns() const { return respawns_.value(); }
 
  private:
   struct Worker {
@@ -134,9 +120,13 @@ class ClusterFront {
 
   bool spawn_locked(Worker& w, std::string& err);
   void respawn_locked(Worker& w);
-  /// Forward with queue-full retry + died-mid-flight respawn/retry.
-  std::string forward(std::size_t worker, const std::string& line);
-  std::string route_and_forward(const std::string& line);
+  /// Forward with queue-full retry + died-mid-flight respawn/retry; a
+  /// worker that stays unreachable yields a worker_failed error echoing
+  /// `id_json`.
+  std::string forward(std::size_t worker, const std::string& line,
+                      const std::string& id_json);
+  /// The routing core: answer locally or forward to the owning worker.
+  std::string answer(const std::string& line, double queued_ms) override;
   std::string stats_response_line(const std::string& id_json,
                                   const std::string& trace_id);
   std::string health_response_line(const std::string& id_json,
@@ -144,29 +134,16 @@ class ClusterFront {
   std::string metrics_response_line(const std::string& id_json,
                                     bool want_prometheus,
                                     const std::string& trace_id);
-  int serve_listener(int listen_fd);
   void monitor_loop();
 
   ClusterConfig cfg_;
   HashRing ring_;
+  Counter& respawns_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::thread monitor_;
   std::atomic<bool> started_{false};
-  std::atomic<bool> stop_{false};
   std::atomic<bool> workers_down_{false};
-  std::atomic<std::uint16_t> tcp_port_{0};
-  std::atomic<std::size_t> respawns_{0};
-  // Front-side counters (executors run concurrently, hence atomics).
-  std::atomic<std::size_t> requests_{0};
-  std::atomic<std::size_t> ok_{0};
-  std::atomic<std::size_t> errors_{0};
-  std::atomic<std::size_t> expired_{0};
-  std::atomic<std::size_t> transport_rejected_{0};
   std::atomic<std::uint64_t> trace_seq_{0};  ///< generated trace_id suffix
-  /// Live only while serve_listener runs (health op reads queue depth).
-  std::atomic<LineServer*> server_{nullptr};
-  std::chrono::steady_clock::time_point start_ =
-      std::chrono::steady_clock::now();
 };
 
 }  // namespace epg

@@ -3,9 +3,9 @@
 namespace epg {
 
 const BuildInfo& build_info() {
-  // proto 1.2: `metrics` verb, `trace_id` echo, queued_ms/compute_ms
-  // response timing (all additive — minors are never rejected).
-  static const BuildInfo info{"0.6.0", 1, 1, 2};
+  // proto 1.3: the cluster front's `metrics` response carries its own
+  // registry under "front" (additive — minors are never rejected).
+  static const BuildInfo info{"0.6.0", 1, 1, 3};
   return info;
 }
 

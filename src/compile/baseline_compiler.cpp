@@ -108,7 +108,6 @@ Clifford1 rotate_to_z(PauliOp op) {
 struct ProtocolRun {
   const Graph* g = nullptr;
   std::size_t n = 0, ne = 0;
-  bool thinning = false;
   Tableau t{1};
   std::vector<RevOp> ops;
   std::size_t ee_cnots = 0;
@@ -206,38 +205,21 @@ struct ProtocolRun {
   }
 
   /// Strip removable emitter support from `row` using a *canonical*
-  /// emitter-only basis. In faithful (GraphiQ-like) mode only components on
-  /// already-free wires (pure +Z basis singles) are removed — required so
-  /// contraction never re-entangles a |0> emitter; in thinning mode the
-  /// emitter weight is greedily minimized (repeated improving passes
-  /// terminate because the weight strictly decreases).
+  /// emitter-only basis. As in GraphiQ, only components on already-free
+  /// wires (pure +Z basis singles) are removed — required so contraction
+  /// never re-entangles a |0> emitter.
   void thin_with(PauliString& row,
                  const std::vector<PauliString>& basis) const {
-    if (!thinning) {
-      for (const PauliString& r : basis) {
-        std::size_t weight = 0, wire = 0;
-        for (std::size_t e = 0; e < ne; ++e)
-          if (supported_on(r, emitter_wire(e))) {
-            ++weight;
-            wire = emitter_wire(e);
-          }
-        const bool free_single =
-            weight == 1 && r.op_at(wire) == PauliOp::Z && r.sign() > 0;
-        if (free_single && row.z_bit(wire) && !row.x_bit(wire)) row *= r;
-      }
-      return;
-    }
-    bool improved = true;
-    while (improved) {
-      improved = false;
-      for (const PauliString& r : basis) {
-        PauliString merged = row;
-        merged *= r;
-        if (emitter_weight(merged) < emitter_weight(row)) {
-          row = merged;
-          improved = true;
+    for (const PauliString& r : basis) {
+      std::size_t weight = 0, wire = 0;
+      for (std::size_t e = 0; e < ne; ++e)
+        if (supported_on(r, emitter_wire(e))) {
+          ++weight;
+          wire = emitter_wire(e);
         }
-      }
+      const bool free_single =
+          weight == 1 && r.op_at(wire) == PauliOp::Z && r.sign() > 0;
+      if (free_single && row.z_bit(wire) && !row.x_bit(wire)) row *= r;
     }
   }
 
@@ -388,7 +370,6 @@ std::optional<BaselineResult> compile_for_order(
     run = ProtocolRun{};
     run.g = &g;
     run.n = n;
-    run.thinning = cfg.row_thinning;
     run.ne = std::max(ne_min + slack, std::max<std::size_t>(
                                           cfg.num_emitters, 1));
     run.t = Tableau::graph_state(g, run.ne);

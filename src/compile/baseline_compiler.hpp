@@ -42,11 +42,6 @@ struct BaselineConfig {
   /// not parallelize aggressively — that is the point of the comparison).
   std::size_t num_emitters = 0;
   bool verify = true;
-  /// false (default, GraphiQ-faithful): absorption rows are taken as found,
-  /// only stripped of components on already-free wires. true: greedily
-  /// minimize each row's emitter weight first — an *improved* baseline used
-  /// by the ablation benches.
-  bool row_thinning = false;
 };
 
 struct BaselineResult {

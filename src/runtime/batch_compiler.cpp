@@ -80,7 +80,6 @@ std::uint64_t config_fingerprint(const BaselineConfig& cfg) {
   h.mix(cfg.time_budget_ms);
   h.mix(static_cast<std::uint64_t>(cfg.num_emitters));
   h.mix(static_cast<std::uint64_t>(cfg.verify));
-  h.mix(static_cast<std::uint64_t>(cfg.row_thinning));
   return h.digest();
 }
 

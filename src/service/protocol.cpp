@@ -28,18 +28,6 @@ CompileJob job_from_spec(const JsonValue& spec, std::size_t index) {
       graph_from_json_spec(spec));
 }
 
-/// Every response opens with the echoed id and the server's protocol
-/// revision — one renderer so the two can never drift per-op. A non-empty
-/// trace_id rides in the head so every op echoes it identically.
-std::string response_head(const std::string& id_json,
-                          const std::string& trace_id = {}) {
-  std::string head =
-      "{\"id\":" + id_json + ",\"proto\":\"" + proto_string() + "\"";
-  if (!trace_id.empty())
-    head += ",\"trace_id\":\"" + json_escape(trace_id) + "\"";
-  return head;
-}
-
 void timing_fields(std::ostringstream& os, const ResponseTiming* timing) {
   if (timing == nullptr) return;
   os << ",\"queued_ms\":" << json_number(timing->queued_ms)
@@ -144,6 +132,39 @@ ServiceRequest parse_service_request(const std::string& line) {
   return req;
 }
 
+std::string response_head(const std::string& id_json,
+                          const std::string& trace_id) {
+  std::string head =
+      "{\"id\":" + id_json + ",\"proto\":\"" + proto_string() + "\"";
+  if (!trace_id.empty())
+    head += ",\"trace_id\":\"" + json_escape(trace_id) + "\"";
+  return head;
+}
+
+std::string queue_full_response(const std::string& line,
+                                std::size_t max_queue) {
+  return error_response(extract_request_id(line), kErrQueueFull,
+                        "queue full (" + std::to_string(max_queue) +
+                            " pending); retry later");
+}
+
+std::string oversized_frame_response(const std::string& line,
+                                     std::size_t max_frame_bytes) {
+  return error_response(extract_request_id(line), kErrOversizedFrame,
+                        "request line exceeds " +
+                            std::to_string(max_frame_bytes) + " bytes");
+}
+
+std::string deadline_response(const std::string& id_json, double queued_ms,
+                              double deadline_ms,
+                              const std::string& trace_id) {
+  return error_response(id_json, kErrDeadline,
+                        "deadline exceeded: request queued " +
+                            std::to_string(queued_ms) + " ms, deadline " +
+                            std::to_string(deadline_ms) + " ms",
+                        trace_id);
+}
+
 std::string error_response(const std::string& id_json,
                            const std::string& code,
                            const std::string& message,
@@ -201,22 +222,42 @@ std::string batch_response(const std::string& id_json,
   return os.str();
 }
 
+std::vector<StatsField> request_counter_fields(const ServiceCounters& c) {
+  return {{"requests", c.requests}, {"ok_count", c.ok},
+          {"errors", c.errors},     {"rejected", c.rejected},
+          {"expired", c.expired}};
+}
+
+std::vector<StatsField> stats_counter_fields(const ServiceCounters& c,
+                                             const BatchSummary& totals) {
+  std::vector<StatsField> fields = request_counter_fields(c);
+  fields.insert(fields.end(), {{"jobs", totals.jobs},
+                               {"compiled", totals.compiled},
+                               {"cache_hits", totals.cache_hits},
+                               {"memory_hits", totals.memory_hits},
+                               {"store_hits", totals.store_hits},
+                               {"dedup_hits", totals.dedup_hits},
+                               {"failures", totals.failures}});
+  return fields;
+}
+
+std::string json_fields(const std::vector<StatsField>& fields) {
+  std::string out;
+  for (const auto& [name, value] : fields)
+    out += (out.empty() ? "\"" : ",\"") + std::string(name) + "\":" +
+           std::to_string(value);
+  return out;
+}
+
 std::string stats_response(const std::string& id_json,
                            const ServiceCounters& counters,
                            const BatchSummary& totals,
-                           std::size_t parallelism,
-                           const StoreStats* store) {
+                           std::size_t parallelism, const StoreStats* store,
+                           const std::string& trace_id) {
   std::ostringstream os;
-  os << response_head(id_json) << ",\"op\":\"stats\",\"ok\":true"
-     << ",\"requests\":" << counters.requests << ",\"ok_count\":"
-     << counters.ok << ",\"errors\":" << counters.errors
-     << ",\"rejected\":" << counters.rejected << ",\"expired\":"
-     << counters.expired << ",\"parallelism\":" << parallelism
-     << ",\"jobs\":" << totals.jobs << ",\"compiled\":" << totals.compiled
-     << ",\"cache_hits\":" << totals.cache_hits << ",\"memory_hits\":"
-     << totals.memory_hits << ",\"store_hits\":" << totals.store_hits
-     << ",\"dedup_hits\":" << totals.dedup_hits << ",\"failures\":"
-     << totals.failures;
+  os << response_head(id_json, trace_id)
+     << ",\"op\":\"stats\",\"ok\":true,\"parallelism\":" << parallelism << ','
+     << json_fields(stats_counter_fields(counters, totals));
   if (store != nullptr) {
     os << ",\"store\":{\"hits\":" << store->hits << ",\"misses\":"
        << store->misses << ",\"puts\":" << store->puts << ",\"evictions\":"
@@ -229,9 +270,10 @@ std::string stats_response(const std::string& id_json,
 }
 
 std::string health_response(const std::string& id_json,
-                            const ServiceHealth& health) {
+                            const ServiceHealth& health,
+                            const std::string& trace_id) {
   std::ostringstream os;
-  os << response_head(id_json) << ",\"op\":\"health\",\"ok\":true"
+  os << response_head(id_json, trace_id) << ",\"op\":\"health\",\"ok\":true"
      << ",\"uptime_ms\":" << health.uptime_ms << ",\"queue_depth\":"
      << health.queue_depth << ",\"max_queue\":" << health.max_queue
      << ",\"requests\":" << health.counters.requests << ",\"errors\":"

@@ -39,6 +39,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/batch_compiler.hpp"
@@ -95,6 +96,12 @@ std::string generate_trace_id(std::uint64_t seq);
 
 // ---- response rendering (single line, no trailing newline) ---------------
 
+/// Every response opens with this head: `{"id":<id>,"proto":"<rev>"` and,
+/// when `trace_id` is non-empty, `,"trace_id":"..."` — one renderer so no
+/// op (nor the cluster front's own envelopes) can drift from the others.
+std::string response_head(const std::string& id_json,
+                          const std::string& trace_id = {});
+
 // Stable error codes (the wire contract; the cluster front dispatches on
 // these).
 inline constexpr const char* kErrBadRequest = "bad_request";
@@ -103,6 +110,17 @@ inline constexpr const char* kErrQueueFull = "queue_full";
 inline constexpr const char* kErrDeadline = "deadline";
 inline constexpr const char* kErrWorkerFailed = "worker_failed";
 inline constexpr const char* kErrOversizedFrame = "oversized_frame";
+
+/// The admission errors of both servers' listeners, each echoing the id
+/// read from the request `line` (empty for a lineless over-cap stream).
+std::string queue_full_response(const std::string& line,
+                                std::size_t max_queue);
+std::string oversized_frame_response(const std::string& line,
+                                     std::size_t max_frame_bytes);
+/// A request that waited `queued_ms` for admission, past `deadline_ms`.
+std::string deadline_response(const std::string& id_json, double queued_ms,
+                              double deadline_ms,
+                              const std::string& trace_id);
 
 /// Queue-wait vs compute split for a served request (milliseconds).
 /// Rendered only when the renderer gets a non-null pointer — the service
@@ -155,10 +173,24 @@ struct ServiceCounters {
   std::size_t expired = 0;   ///< deadline exceeded while queued
 };
 
+/// One `"name":value` counter field of a `stats` response.
+using StatsField = std::pair<const char*, std::uint64_t>;
+
+/// The request-counter fields of a `stats` response, in wire order.
+std::vector<StatsField> request_counter_fields(const ServiceCounters& c);
+/// Every summable counter field of a `stats` response, in wire order: the
+/// request counters, then the job counters. The cluster front's `stats`
+/// aggregate sums exactly these over its workers.
+std::vector<StatsField> stats_counter_fields(const ServiceCounters& c,
+                                             const BatchSummary& totals);
+/// `fields` as `"name":value` pairs joined by commas.
+std::string json_fields(const std::vector<StatsField>& fields);
+
 std::string stats_response(const std::string& id_json,
                            const ServiceCounters& counters,
                            const BatchSummary& totals,
-                           std::size_t parallelism, const StoreStats* store);
+                           std::size_t parallelism, const StoreStats* store,
+                           const std::string& trace_id = {});
 
 /// The `health` snapshot: what a load balancer or the cluster front needs
 /// to probe a worker uniformly — liveness, uptime, queue pressure, and
@@ -172,6 +204,7 @@ struct ServiceHealth {
 };
 
 std::string health_response(const std::string& id_json,
-                            const ServiceHealth& health);
+                            const ServiceHealth& health,
+                            const std::string& trace_id = {});
 
 }  // namespace epg

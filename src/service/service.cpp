@@ -51,7 +51,127 @@ std::string sanitize_trace_id(const std::string& id) {
 
 }  // namespace
 
-Service::Service(ServiceConfig cfg) : cfg_(std::move(cfg)) {
+RequestMetrics::RequestMetrics(MetricsRegistry& registry)
+    : requests(registry.counter("epgc_requests_total",
+                                "request lines received (incl. malformed)")),
+      ok(registry.counter("epgc_requests_ok_total", "requests answered ok")),
+      errors(registry.counter("epgc_requests_error_total",
+                              "malformed or failed requests")),
+      rejected(registry.counter("epgc_requests_rejected_total",
+                                "admission-queue overflow rejections")),
+      expired(registry.counter("epgc_requests_expired_total",
+                               "deadline exceeded while queued")),
+      latency_ms(registry.histogram("epgc_request_latency_ms",
+                                    default_latency_buckets_ms(),
+                                    "per-request handling time (ms)")),
+      queue_wait_ms(registry.histogram("epgc_queue_wait_ms",
+                                       default_latency_buckets_ms(),
+                                       "admission-queue wait (ms)")) {}
+
+ServiceCounters RequestMetrics::counters() const {
+  return {requests.value(), ok.value(), errors.value(), rejected.value(),
+          expired.value()};
+}
+
+ServingCore::ServingCore(const char* name,
+                         std::shared_ptr<MetricsRegistry> registry,
+                         std::size_t max_queue, std::size_t max_frame_bytes,
+                         double default_deadline_ms, std::size_t executors)
+    : registry_(registry ? std::move(registry)
+                         : std::make_shared<MetricsRegistry>()),
+      requests_(*registry_),
+      name_(name),
+      max_queue_(max_queue),
+      max_frame_bytes_(max_frame_bytes),
+      default_deadline_ms_(default_deadline_ms),
+      executors_(executors) {}
+
+std::string ServingCore::expire(const std::string& id_json,
+                                double deadline_ms, double queued_ms,
+                                const std::string& trace_id) {
+  const double deadline =
+      deadline_ms > 0.0 ? deadline_ms : default_deadline_ms_;
+  if (deadline <= 0.0 || queued_ms <= deadline) return {};
+  requests_.expired.inc();
+  requests_.errors.inc();
+  return deadline_response(id_json, queued_ms, deadline, trace_id);
+}
+
+std::string ServingCore::handle_line(const std::string& line,
+                                     double queued_ms) {
+  requests_.requests.inc();
+  requests_.queue_wait_ms.observe(queued_ms);
+  const Stopwatch watch;
+  std::string response = answer(line, queued_ms);
+  requests_.latency_ms.observe(watch.elapsed_ms());
+  return response;
+}
+
+std::uint64_t ServingCore::uptime_ms() const {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - start_)
+          .count());
+}
+
+std::size_t ServingCore::queue_depth() const {
+  const LineServer* server = server_.load();
+  return server != nullptr ? server->queue_depth() : 0;
+}
+
+int ServingCore::serve_listener(int listen_fd) {
+  LineServerConfig scfg;
+  scfg.max_queue = max_queue_;
+  scfg.max_frame_bytes = max_frame_bytes_;
+  scfg.executors = executors_;
+  scfg.handler = [this](const std::string& line, double queued_ms) {
+    return handle_line(line, queued_ms);
+  };
+  scfg.reject_response = [this](const std::string& line) {
+    requests_.rejected.inc();  // called once per overflow
+    return queue_full_response(line, max_queue_);
+  };
+  scfg.oversize_response = [this](const std::string& line) {
+    return oversized_frame_response(line, max_frame_bytes_);
+  };
+  LineServer server(scfg);
+  server_.store(&server);
+  const int rc = server.serve(listen_fd, stop_);
+  server_.store(nullptr);
+  return rc;
+}
+
+int ServingCore::serve_socket(const std::string& path) {
+  std::string err;
+  const int listen_fd = listen_unix(path, err);
+  if (listen_fd < 0) {
+    std::cerr << name_ << ": " << err << '\n';
+    return 1;
+  }
+  const int rc = serve_listener(listen_fd);
+  ::unlink(path.c_str());
+  return rc;
+}
+
+int ServingCore::serve_tcp(const std::string& host, std::uint16_t port) {
+  std::string err;
+  std::uint16_t bound = 0;
+  const int listen_fd = listen_tcp(host, port, bound, err);
+  if (listen_fd < 0) {
+    std::cerr << name_ << ": " << err << '\n';
+    return 1;
+  }
+  tcp_port_.store(bound);
+  // Port 0 binds an ephemeral port; this line is how scripts learn it.
+  std::cerr << name_ << ": listening on " << host << ':' << bound << '\n';
+  return serve_listener(listen_fd);
+}
+
+Service::Service(ServiceConfig cfg)
+    : ServingCore("epgc_serve", cfg.metrics, cfg.max_queue,
+                  cfg.max_frame_bytes, cfg.default_deadline_ms,
+                  1),  // one BatchCompiler; ordering = admission order
+      cfg_(std::move(cfg)) {
   // Responses may embed the compiled circuit, so full results must be
   // retained; the cache is the service's reason to exist.
   cfg_.batch.keep_results = true;
@@ -61,26 +181,8 @@ Service::Service(ServiceConfig cfg) : cfg_(std::move(cfg)) {
   cfg_.batch.store = store_;
   // One registry spans the service's request counters and the compiler's
   // job/tier counters — the stats/health/metrics verbs all read from it.
-  metrics_ =
-      cfg_.metrics ? cfg_.metrics : std::make_shared<MetricsRegistry>();
-  cfg_.batch.metrics = metrics_;
+  cfg_.batch.metrics = registry_;
   batch_ = std::make_unique<BatchCompiler>(cfg_.batch);
-  requests_ = &metrics_->counter("epgc_requests_total",
-                                 "request lines received (incl. malformed)");
-  ok_ = &metrics_->counter("epgc_requests_ok_total",
-                           "requests answered ok");
-  errors_ = &metrics_->counter("epgc_requests_error_total",
-                               "malformed or failed requests");
-  rejected_ = &metrics_->counter("epgc_requests_rejected_total",
-                                 "admission-queue overflow rejections");
-  expired_ = &metrics_->counter("epgc_requests_expired_total",
-                                "deadline exceeded while queued");
-  latency_ms_ = &metrics_->histogram("epgc_request_latency_ms",
-                                     default_latency_buckets_ms(),
-                                     "per-request compute time (ms)");
-  queue_wait_ms_ = &metrics_->histogram("epgc_queue_wait_ms",
-                                        default_latency_buckets_ms(),
-                                        "admission-queue wait (ms)");
   if (!cfg_.trace_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(cfg_.trace_dir, ec);
@@ -100,22 +202,7 @@ std::string Service::resolve_trace_id(const ServiceRequest& req) {
   return generate_trace_id(trace_seq_.fetch_add(1));
 }
 
-ServiceHealth Service::health() const {
-  ServiceHealth h;
-  h.uptime_ms = static_cast<std::uint64_t>(
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - start_)
-          .count());
-  h.queue_depth = server_ != nullptr ? server_->queue_depth() : 0;
-  h.max_queue = cfg_.max_queue;
-  h.counters = counters();
-  h.totals = batch_->totals();
-  return h;
-}
-
-std::string Service::handle_line(const std::string& line, double queued_ms) {
-  requests_->inc();
-  queue_wait_ms_->observe(queued_ms);
+std::string Service::answer(const std::string& line, double queued_ms) {
   const Stopwatch compute_watch;
   // Per-request recorder: requests on one executor thread never share
   // span buffers, and an untraced service keeps the null-recorder fast
@@ -129,26 +216,18 @@ std::string Service::handle_line(const std::string& line, double queued_ms) {
   try {
     req = parse_service_request(line);
   } catch (const UnsupportedProtoError& e) {
-    errors_->inc();
+    requests_.errors.inc();
     return error_response(extract_request_id(line), kErrUnsupportedProto,
                           e.what());
   } catch (const std::exception& e) {
-    errors_->inc();
+    requests_.errors.inc();
     return error_response(extract_request_id(line), kErrBadRequest,
                           e.what());
   }
   const std::string trace_id = resolve_trace_id(req);
-  const double deadline =
-      req.deadline_ms > 0.0 ? req.deadline_ms : cfg_.default_deadline_ms;
-  if (deadline > 0.0 && queued_ms > deadline) {
-    expired_->inc();
-    errors_->inc();
-    return error_response(req.id_json, kErrDeadline,
-                          "deadline exceeded: request queued " +
-                              std::to_string(queued_ms) + " ms, deadline " +
-                              std::to_string(deadline) + " ms",
-                          trace_id);
-  }
+  const std::string expired =
+      expire(req.id_json, req.deadline_ms, queued_ms, trace_id);
+  if (!expired.empty()) return expired;
   std::string response;
   {
     Span root("request", "service");
@@ -157,7 +236,6 @@ std::string Service::handle_line(const std::string& line, double queued_ms) {
     response = handle_request(req, trace_id, queued_ms, compute_watch);
   }
   const double compute_ms = compute_watch.elapsed_ms();
-  latency_ms_->observe(compute_ms);
   if (recorder && compute_ms >= cfg_.trace_slow_ms &&
       recorder->event_count() > 0) {
     // Deterministic mode suppresses self-generated trace_ids on the wire,
@@ -188,34 +266,37 @@ std::string Service::handle_request(const ServiceRequest& req,
   timing.queued_ms = queued_ms;
   switch (req.op) {
     case ServiceOp::ping:
-      ok_->inc();
+      requests_.ok.inc();
       return pong_response(req.id_json, trace_id);
     case ServiceOp::shutdown:
-      ok_->inc();
+      requests_.ok.inc();
       stop_.store(true);
       return shutdown_response(req.id_json, trace_id);
     case ServiceOp::stats: {
-      ok_->inc();
+      requests_.ok.inc();
       StoreStats store_stats;
       if (store_) store_stats = store_->stats();
       return stats_response(req.id_json, counters(), batch_->totals(),
                             batch_->parallelism(),
-                            store_ ? &store_stats : nullptr);
+                            store_ ? &store_stats : nullptr, trace_id);
     }
     case ServiceOp::health:
-      ok_->inc();
-      return health_response(req.id_json, health());
+      requests_.ok.inc();
+      return health_response(req.id_json,
+                             {uptime_ms(), queue_depth(), max_queue(),
+                              counters(), batch_->totals()},
+                             trace_id);
     case ServiceOp::metrics:
-      ok_->inc();
+      requests_.ok.inc();
       return metrics_response(
-          req.id_json, metrics_->json(),
-          req.want_prometheus ? metrics_->prometheus_text() : std::string(),
+          req.id_json, registry_->json(),
+          req.want_prometheus ? registry_->prometheus_text() : std::string(),
           trace_id);
     case ServiceOp::compile: {
       const std::vector<JobResult> results = batch_->run(req.jobs);
       const JobResult& r = results.front();
-      if (r.ok) ok_->inc();
-      else errors_->inc();
+      if (r.ok) requests_.ok.inc();
+      else requests_.errors.inc();
       timing.compute_ms = compute_watch.elapsed_ms();
       return compile_response(
           req.id_json, r,
@@ -225,14 +306,14 @@ std::string Service::handle_request(const ServiceRequest& req,
     case ServiceOp::batch: {
       const std::vector<JobResult> results = batch_->run(req.jobs);
       const BatchSummary summary = batch_->summary();
-      if (summary.failures == 0) ok_->inc();
-      else errors_->inc();
+      if (summary.failures == 0) requests_.ok.inc();
+      else requests_.errors.inc();
       timing.compute_ms = compute_watch.elapsed_ms();
       return batch_response(req.id_json, results, summary, include_wall,
                             trace_id, include_wall ? &timing : nullptr);
     }
   }
-  errors_->inc();
+  requests_.errors.inc();
   return error_response(req.id_json, kErrBadRequest, "unhandled op",
                         trace_id);
 }
@@ -245,59 +326,6 @@ int Service::serve_stream(std::istream& in, std::ostream& out) {
     if (cfg_.once) break;
   }
   return 0;
-}
-
-int Service::serve_listener(int listen_fd) {
-  LineServerConfig scfg;
-  scfg.max_queue = cfg_.max_queue;
-  scfg.max_frame_bytes = cfg_.max_frame_bytes;
-  scfg.executors = 1;  // one BatchCompiler; ordering = admission order
-  scfg.handler = [this](const std::string& line, double queued_ms) {
-    return handle_line(line, queued_ms);
-  };
-  scfg.reject_response = [this](const std::string& line) {
-    rejected_->inc();  // called once per overflow, from reader threads
-    return error_response(extract_request_id(line), kErrQueueFull,
-                          "queue full (" + std::to_string(cfg_.max_queue) +
-                              " pending); retry later");
-  };
-  scfg.oversize_response = [this](const std::string& line) {
-    return error_response(extract_request_id(line), kErrOversizedFrame,
-                          "request line exceeds " +
-                              std::to_string(cfg_.max_frame_bytes) +
-                              " bytes");
-  };
-  LineServer server(scfg);
-  server_ = &server;
-  const int rc = server.serve(listen_fd, stop_);
-  server_ = nullptr;
-  return rc;
-}
-
-int Service::serve_socket(const std::string& path) {
-  std::string err;
-  const int listen_fd = listen_unix(path, err);
-  if (listen_fd < 0) {
-    std::cerr << "epgc_serve: " << err << '\n';
-    return 1;
-  }
-  const int rc = serve_listener(listen_fd);
-  ::unlink(path.c_str());
-  return rc;
-}
-
-int Service::serve_tcp(const std::string& host, std::uint16_t port) {
-  std::string err;
-  std::uint16_t bound = 0;
-  const int listen_fd = listen_tcp(host, port, bound, err);
-  if (listen_fd < 0) {
-    std::cerr << "epgc_serve: " << err << '\n';
-    return 1;
-  }
-  tcp_port_.store(bound);
-  // Port 0 binds an ephemeral port; this line is how scripts learn it.
-  std::cerr << "epgc_serve: listening on " << host << ':' << bound << '\n';
-  return serve_listener(listen_fd);
 }
 
 }  // namespace epg

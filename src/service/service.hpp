@@ -21,9 +21,9 @@
 // mode responses carry no wall-clock fields and are bit-identical to what
 // `epgc_compile` prints for the same graph and knobs.
 //
-// `stop()` is async-signal-safe (an atomic store): a SIGTERM handler may
-// call it to request a draining shutdown — the listeners stop accepting,
-// already-admitted requests are answered, then the serve call returns.
+// The listener, the request metrics and the stop flag live in
+// ServingCore, which the epgc_cluster front shares. `stop()` is
+// async-signal-safe (an atomic store), so a SIGTERM handler may call it.
 #pragma once
 
 #include <atomic>
@@ -33,6 +33,7 @@
 #include <string>
 
 #include "common/stopwatch.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/batch_compiler.hpp"
 #include "service/protocol.hpp"
 #include "service/transport.hpp"
@@ -67,14 +68,36 @@ struct ServiceConfig {
   double trace_slow_ms = 0.0;
 };
 
-class Service {
- public:
-  explicit Service(ServiceConfig cfg);
+/// The request counters and histograms of one server, registered in its
+/// registry (catalog in docs/observability.md). Counters are thread-safe.
+struct RequestMetrics {
+  explicit RequestMetrics(MetricsRegistry& registry);
+  ServiceCounters counters() const;
 
-  /// Serve NDJSON until EOF, a shutdown request, or (cfg.once) the first
-  /// answered request. Returns 0 always (malformed requests are answered,
-  /// not fatal).
-  int serve_stream(std::istream& in, std::ostream& out);
+  Counter& requests;
+  Counter& ok;
+  Counter& errors;
+  Counter& rejected;  ///< inc'd live from the listener's reader threads
+  Counter& expired;
+  Histogram& latency_ms;     ///< per-request handling time
+  Histogram& queue_wait_ms;  ///< admission-queue wait
+};
+
+/// The serving core epgc_serve and the epgc_cluster front share: one
+/// registry holding the request metrics, the draining stop flag, and one
+/// listen-and-serve path (Unix socket or TCP) whose bounded admission
+/// queue feeds handle_line. Owners answer requests; the core admits them.
+class ServingCore {
+ public:
+  virtual ~ServingCore() = default;
+  ServingCore(const ServingCore&) = delete;
+  ServingCore& operator=(const ServingCore&) = delete;
+
+  /// One request line in, one response line out (no trailing newline),
+  /// counted in the request metrics. `queued_ms` is how long the request
+  /// waited for admission — the per-request deadline is charged against
+  /// it.
+  std::string handle_line(const std::string& line, double queued_ms = 0.0);
 
   /// Listen on a Unix domain socket until a shutdown request. Returns 0
   /// on clean shutdown, 1 when the socket cannot be created.
@@ -88,60 +111,80 @@ class Service {
   /// The TCP port actually bound by serve_tcp (0 until bound).
   std::uint16_t tcp_port() const { return tcp_port_.load(); }
 
-  /// One request line in, one response line out (no trailing newline).
-  /// `queued_ms` is how long the request waited for admission — the
-  /// per-request deadline is charged against it.
-  std::string handle_line(const std::string& line, double queued_ms = 0.0);
-
-  /// Request a draining shutdown (async-signal-safe).
+  /// Request a draining shutdown (async-signal-safe): the listener stops
+  /// accepting, already-admitted requests are answered, then the serve
+  /// call returns.
   void stop() { stop_.store(true); }
   bool shutdown_requested() const { return stop_.load(); }
 
-  /// Snapshot, assembled from the metrics registry (one source of truth
-  /// for the stats/health/metrics verbs; counters are thread-safe).
-  ServiceCounters counters() const {
-    ServiceCounters c;
-    c.requests = requests_->value();
-    c.ok = ok_->value();
-    c.errors = errors_->value();
-    c.rejected = rejected_->value();
-    c.expired = expired_->value();
-    return c;
-  }
-  /// The `health` verb's payload: uptime, queue pressure, tier hits.
-  ServiceHealth health() const;
-  BatchCompiler& batch() { return *batch_; }
-  CompileResultStore* store() { return store_.get(); }
-  MetricsRegistry& metrics() { return *metrics_; }
+  /// Request counters, read from the registry (one source of truth for
+  /// the stats/health/metrics verbs).
+  ServiceCounters counters() const { return requests_.counters(); }
+
+ protected:
+  /// `name` prefixes listener diagnostics on stderr; a null `registry`
+  /// makes the core own a private one. `executors` threads drain the
+  /// admission queue of `max_queue` lines of at most `max_frame_bytes`.
+  ServingCore(const char* name, std::shared_ptr<MetricsRegistry> registry,
+              std::size_t max_queue, std::size_t max_frame_bytes,
+              double default_deadline_ms, std::size_t executors);
+
+  /// The owner's answer to one request line. It counts the request ok or
+  /// failed; handle_line counts its arrival, queue wait and latency.
+  virtual std::string answer(const std::string& line, double queued_ms) = 0;
+
+  /// A request that waited `queued_ms` past its `deadline_ms` (0 = the
+  /// configured default) is counted expired and failed, and answered with
+  /// the returned deadline error; empty when it is still in time.
+  std::string expire(const std::string& id_json, double deadline_ms,
+                     double queued_ms, const std::string& trace_id);
+  std::uint64_t uptime_ms() const;
+  /// Requests admitted but not yet picked up (0 outside a serve call).
+  std::size_t queue_depth() const;
+  std::size_t max_queue() const { return max_queue_; }
+
+  std::shared_ptr<MetricsRegistry> registry_;
+  RequestMetrics requests_;
+  std::atomic<bool> stop_{false};
 
  private:
+  int serve_listener(int listen_fd);
+
+  const char* name_;
+  std::size_t max_queue_;
+  std::size_t max_frame_bytes_;
+  double default_deadline_ms_;
+  std::size_t executors_;
+  std::atomic<std::uint16_t> tcp_port_{0};
+  /// Live only while serve_listener runs.
+  std::atomic<LineServer*> server_{nullptr};
+  std::chrono::steady_clock::time_point start_ =
+      std::chrono::steady_clock::now();
+};
+
+class Service : public ServingCore {
+ public:
+  explicit Service(ServiceConfig cfg);
+
+  /// Serve NDJSON until EOF, a shutdown request, or (cfg.once) the first
+  /// answered request. Returns 0 always (malformed requests are answered,
+  /// not fatal).
+  int serve_stream(std::istream& in, std::ostream& out);
+
+  BatchCompiler& batch() { return *batch_; }
+
+ private:
+  std::string answer(const std::string& line, double queued_ms) override;
   std::string handle_request(const ServiceRequest& req,
                              const std::string& trace_id, double queued_ms,
                              const Stopwatch& compute_watch);
-  int serve_listener(int listen_fd);
   /// Non-empty only when this request should be traced/correlated.
   std::string resolve_trace_id(const ServiceRequest& req);
 
   ServiceConfig cfg_;
   std::shared_ptr<CompileResultStore> store_;  ///< null when disabled
-  std::shared_ptr<MetricsRegistry> metrics_;
   std::unique_ptr<BatchCompiler> batch_;
-  /// Request counters (registry-owned; catalog in docs/observability.md).
-  Counter* requests_ = nullptr;
-  Counter* ok_ = nullptr;
-  Counter* errors_ = nullptr;
-  Counter* rejected_ = nullptr;  ///< inc'd live from reader threads
-  Counter* expired_ = nullptr;
-  Histogram* latency_ms_ = nullptr;    ///< per-request compute time
-  Histogram* queue_wait_ms_ = nullptr; ///< admission-queue wait
   std::atomic<std::uint64_t> trace_seq_{0};  ///< generated trace_id suffix
-  std::atomic<bool> stop_{false};
-  std::atomic<std::uint16_t> tcp_port_{0};
-  /// Live only while serve_listener runs; read by the health op (the
-  /// single executor thread), so no lifetime race.
-  LineServer* server_ = nullptr;
-  std::chrono::steady_clock::time_point start_ =
-      std::chrono::steady_clock::now();
 };
 
 }  // namespace epg

@@ -264,10 +264,8 @@ int LineServer::serve(int listen_fd, std::atomic<bool>& stop) {
         bool rejected = false;
         {
           std::lock_guard<std::mutex> lock(mutex);
-          if (queue.size() >= cfg_.max_queue) {
-            rejected_.fetch_add(1);
-            rejected = true;
-          } else {
+          rejected = queue.size() >= cfg_.max_queue;
+          if (!rejected) {
             queue.push_back({conn, std::move(line),
                              std::chrono::steady_clock::now()});
             depth_.store(queue.size());

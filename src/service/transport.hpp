@@ -84,7 +84,7 @@ struct LineServerConfig {
   /// Called from executor threads; must be thread-safe when executors>1.
   std::function<std::string(const std::string& line, double queued_ms)>
       handler;
-  /// Render the rejection for an admission-queue overflow.
+  /// Render (and count) the rejection for an admission-queue overflow.
   std::function<std::string(const std::string& line)> reject_response;
   /// Render the error for a frame over max_frame_bytes.
   std::function<std::string(const std::string& line)> oversize_response;
@@ -101,13 +101,10 @@ class LineServer {
 
   /// Requests admitted but not yet picked up by an executor (health).
   std::size_t queue_depth() const { return depth_.load(); }
-  /// Counts rejections from admission-queue overflow.
-  std::size_t rejected() const { return rejected_.load(); }
 
  private:
   LineServerConfig cfg_;
   std::atomic<std::size_t> depth_{0};
-  std::atomic<std::size_t> rejected_{0};
 };
 
 }  // namespace epg

@@ -63,19 +63,6 @@ TEST(Baseline, OrderRestartsNeverHurt) {
   EXPECT_LE(b.stats.ee_cnot_count, a.stats.ee_cnot_count);
 }
 
-TEST(Baseline, RowThinningImprovesDenseGraphs) {
-  const Graph g = make_waxman(18, 5);
-  BaselineConfig faithful;
-  faithful.order_restarts = 0;
-  BaselineConfig improved = faithful;
-  improved.row_thinning = true;
-  const auto a = compile_baseline(g, faithful);
-  const auto b = compile_baseline(g, improved);
-  EXPECT_LE(b.stats.ee_cnot_count, a.stats.ee_cnot_count);
-  // Both remain correct.
-  EXPECT_TRUE(verify_generates(b.circuit, g, 2).ok);
-}
-
 TEST(Baseline, ExtraEmittersAccepted) {
   const Graph g = make_ring(8);
   BaselineConfig cfg;

@@ -45,6 +45,21 @@ TEST(CliArgs, KnownFlagsParse) {
   EXPECT_EQ(args.positional(), std::vector<std::string>{"g.g6"});
 }
 
+TEST(CliArgs, TcpAddressNeedsAnAllDigitPort) {
+  const auto full = epg::cli::parse_tcp_address("0.0.0.0:8080");
+  ASSERT_TRUE(full.has_value());
+  EXPECT_EQ(full->host, "0.0.0.0");
+  EXPECT_EQ(full->port, 8080);
+  const auto bare = epg::cli::parse_tcp_address("0");
+  ASSERT_TRUE(bare.has_value());
+  EXPECT_EQ(bare->host, "127.0.0.1");
+  EXPECT_EQ(bare->port, 0);
+  EXPECT_EQ(epg::cli::parse_tcp_address(":65535")->host, "127.0.0.1");
+  for (const char* bad : {"127.0.0.1:80x", "127.0.0.1:", "80 ", "+80", "-1",
+                          "65536", "99999999999999999999", "host:0x10"})
+    EXPECT_FALSE(epg::cli::parse_tcp_address(bad).has_value()) << bad;
+}
+
 TEST(CliArgs, HelpExitsZero) {
   EXPECT_EXIT(parse({"--help"}), testing::ExitedWithCode(0), "usage: tool");
 }

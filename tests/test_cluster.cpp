@@ -222,6 +222,27 @@ TEST(ClusterFront, FrontAnswersPingStatsHealthLocally) {
   front.shutdown_workers();
 }
 
+TEST(ClusterFront, CountsEachRequestOnceFromItsResponse) {
+  REQUIRE_WORKER_BIN();
+  ClusterConfig cfg = test_cluster_config("count");
+  cfg.delivery_attempts = 0;  // every forward fails with worker_failed
+  ClusterFront front(cfg);
+  front.start();
+  const JsonValue failed = JsonValue::parse(front.handle_line(
+      "{\"op\":\"compile\",\"id\":1,\"graph\":\"" +
+      write_graph6(make_ring(6)) + "\"}"));
+  EXPECT_EQ(failed.get_string("code", ""), "worker_failed");
+  // The stats answer is ok although every per-worker probe inside it
+  // fails; only the client-visible answers count.
+  const JsonValue stats =
+      JsonValue::parse(front.handle_line(R"({"op":"stats","id":2})"));
+  EXPECT_TRUE(stats.get_bool("ok", false));
+  EXPECT_EQ(stats.get_u64("requests", 0),
+            stats.get_u64("ok_count", 0) + stats.get_u64("errors", 0));
+  EXPECT_EQ(stats.get_u64("errors", 0), 1u);
+  front.shutdown_workers();
+}
+
 TEST(ClusterFront, DeadlineIsChargedAgainstFrontQueueWait) {
   REQUIRE_WORKER_BIN();
   ClusterFront front(test_cluster_config("deadline"));

@@ -11,6 +11,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -444,6 +445,41 @@ TEST(ClusterMetrics, FrontAggregatesWorkerRegistries) {
   EXPECT_EQ(agg_counters->get_u64("epgc_requests_total", 0), worker_sum);
   EXPECT_GE(worker_sum, 3u);  // two compiles + at least one metrics probe
   EXPECT_EQ(agg_counters->get_u64("epgc_cache_hits_total", 0), 1u);
+  // The aggregate stays worker-only: every counter is the workers' sum.
+  for (const auto& [name, value] : agg_counters->members()) {
+    std::uint64_t sum = 0;
+    for (const JsonValue& w : workers->items())
+      sum += w.find("metrics")->find("counters")->get_u64(name, 0);
+    EXPECT_EQ(value.as_u64(), sum) << name;
+  }
+
+  // The front's own registry: the lines it answered (two compiles and
+  // this metrics request), its respawns, and its queue wait.
+  const JsonValue* own = resp.find("front");
+  ASSERT_NE(own, nullptr);
+  const JsonValue* own_counters = own->find("counters");
+  ASSERT_NE(own_counters, nullptr);
+  EXPECT_EQ(own_counters->get_u64("epgc_requests_total", 0), 3u);
+  EXPECT_EQ(own_counters->get_u64("epgc_worker_respawns_total", 9),
+            front.respawns());
+  ASSERT_NE(own->find("histograms")->find("epgc_queue_wait_ms"), nullptr);
+
+  // The front's stats aggregate has exactly the service's counter fields.
+  const JsonValue stats =
+      JsonValue::parse(front.handle_line(R"({"op":"stats","id":3})"));
+  const JsonValue* stats_agg = stats.find("aggregate");
+  ASSERT_NE(stats_agg, nullptr);
+  std::set<std::string> agg_fields;
+  for (const auto& member : stats_agg->members())
+    agg_fields.insert(member.first);
+  const JsonValue single = JsonValue::parse(
+      Service(ServiceConfig{}).handle_line(R"({"op":"stats","id":4})"));
+  std::set<std::string> service_fields;
+  for (const auto& [name, value] : single.members())
+    if (value.type() == JsonValue::Type::number && name != "id" &&
+        name != "parallelism")
+      service_fields.insert(name);
+  EXPECT_EQ(agg_fields, service_fields);
   front.shutdown_workers();
 }
 

@@ -341,6 +341,22 @@ TEST(Service, RejectsUnknownProtoMajorStructurally) {
   EXPECT_EQ(frac.get_string("code", ""), kErrBadRequest);
 }
 
+TEST(Service, EveryVerbEchoesTheRequestTraceId) {
+  Service service(test_config());
+  const std::string g6 = write_graph6(make_ring(6));
+  for (const std::string& body :
+       {std::string(R"("op":"ping")"), std::string(R"("op":"stats")"),
+        std::string(R"("op":"health")"), std::string(R"("op":"metrics")"),
+        "\"op\":\"compile\",\"graph\":\"" + g6 + "\"",
+        "\"op\":\"batch\",\"jobs\":[{\"graph\":\"" + g6 + "\"}]",
+        std::string(R"("op":"shutdown")")}) {
+    const std::string line = "{" + body + R"(,"id":1,"trace_id":"t-42"})";
+    const JsonValue v = JsonValue::parse(service.handle_line(line));
+    EXPECT_TRUE(v.get_bool("ok", false)) << line;
+    EXPECT_EQ(v.get_string("trace_id", ""), "t-42") << line;
+  }
+}
+
 // ---- health verb ----------------------------------------------------------
 
 TEST(Service, HealthReportsUptimeQueueAndTierHits) {
