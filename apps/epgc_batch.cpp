@@ -42,7 +42,7 @@ manifest: one job per line ('-' reads stdin); '#' starts a comment.
     seed=N      search seed                gmax=N      subgraph size cap
     lc=N        max local complementations ne-factor=X emitter budget factor
     ne=N        absolute emitter cap       verify=0|1  end-to-end check
-    budget-ms=X partition search budget    shuffle=S   relabel with seed S
+    shuffle=S   relabel with seed S
     strategy=S  partition strategy (sweepable):
                 beam|anneal|portfolio|multilevel
     coarsen-floor=N    multilevel: flat search at/below N vertices (192)
@@ -58,15 +58,14 @@ options:
   --inner-threads N intra-compile lanes per job, drawn from the shared
                     batch pool so nesting never oversubscribes (default
                     0 = serial inner pipeline; metrics are identical at
-                    any count when wall-clock budgets don't bind — pair
-                    with --deterministic for a hard guarantee)
+                    any count: every search stops on work, never on
+                    time)
   --no-cache        disable the repeated-instance result cache
   --store-dir DIR   persistent result store: jobs compiled by a previous
                     run (or by epgc_compile/epgc_serve) with identical
                     graph+options replay from disk; fresh compiles are
                     written back
   --store-cap-mb N  LRU-evict the store beyond N MiB (0 = no cap)
-  --deterministic   lift wall-clock search budgets (load-independent output)
   --csv FILE        write per-job metrics as CSV
   --json FILE       write per-job metrics + summary as JSON
   --trace-out FILE  record per-job compile spans across all worker
@@ -265,8 +264,7 @@ std::vector<epg::CompileJob> parse_manifest(
 
 int main(int argc, char** argv) {
   using namespace epg;
-  cli::Args args(
-      argc, argv, {"serial", "no-cache", "deterministic", "quiet"}, kUsage);
+  cli::Args args(argc, argv, {"serial", "no-cache", "quiet"}, kUsage);
   if (args.positional().size() != 1) args.fail("exactly one manifest file");
 
   std::vector<CompileJob> jobs;
@@ -290,7 +288,6 @@ int main(int argc, char** argv) {
   cfg.threads = args.has("serial") ? 1 : args.get_u64("jobs", 0);
   cfg.inner_threads = args.get_u64("inner-threads", 0);
   cfg.use_cache = !args.has("no-cache");
-  cfg.deterministic = args.has("deterministic");
   cfg.keep_results = false;  // metrics only: don't hold 100 circuits alive
   if (args.has("store-dir")) {
     StoreConfig scfg;

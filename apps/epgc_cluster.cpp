@@ -44,8 +44,8 @@ options:
   --jobs N          batch worker threads per worker process
   --inner-threads N intra-compile lanes per job (default: each worker's
                     --jobs; 0 = serial)
-  --deterministic   lift wall-clock budgets in every worker; responses are
-                    then bit-stable and identical to epgc_compile output
+  --deterministic   leave wall-clock fields and generated trace ids out of
+                    responses (front and workers), so they are bit-stable
   --trace-dir DIR   workers record per-request span trees and dump Chrome
                     trace JSON (trace-<trace_id>.json) into DIR
   --trace-slow-ms X only dump requests whose compute time is >= X ms

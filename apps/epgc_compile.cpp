@@ -37,15 +37,14 @@ options:
   --ne-factor X           Ne_limit = ceil(X * Ne_min)   (default 1.5)
   --ne N                  override Ne_limit with an absolute count
   --seed N                search seed (default 1)
-  --budget-ms X           partition search budget (default 800)
   --partition-strategy S  beam (default) | anneal | portfolio | multilevel
   --coarsen-floor N       multilevel: run the flat inner search directly at
                           or below N vertices, coarsen above it (default 192)
   --multilevel-inner S    multilevel: flat strategy delegated to below the
                           floor and raced on small graphs (default beam)
   --inner-threads N       intra-compile worker threads (default 0 = serial;
-                          identical metrics at any count unless the wall-
-                          clock --budget-ms truncates the search earlier)
+                          identical output at any count: every search
+                          stops on work, never on time)
   --no-verify             skip the stabilizer end-to-end verification
   --store-dir DIR         persistent result store: replay a previous run of
                           the same (graph, options) from disk, and persist
@@ -71,7 +70,6 @@ epg::CompileSpec spec_from_args(const epg::cli::Args& args) {
       {"hw", "hw"},
       {"gmax", "gmax"},
       {"lc", "lc"},
-      {"budget-ms", "budget_ms"},
       {"partition-strategy", "strategy"},
       {"coarsen-floor", "coarsen_floor"},
       {"multilevel-inner", "multilevel_inner"},

@@ -31,8 +31,8 @@ Requests arrive one JSON object per line on stdin (or the socket):
   {"op":"metrics","id":5,"prometheus":true}
   {"op":"ping","id":6}    {"op":"shutdown","id":7}
 Compile specs take the epgc_compile knobs (same defaults): compiler, hw,
-gmax, lc, ne_factor, ne, seed, budget_ms, strategy, coarsen_floor,
-multilevel_inner, verify, label, and deadline_ms (max admission wait).
+gmax, lc, ne_factor, ne, seed, strategy, coarsen_floor, multilevel_inner,
+verify, label, and deadline_ms (max admission wait).
 Responses echo "id", carry "ok" and the protocol revision "proto";
 requests may pin "proto" and unknown majors are rejected structurally.
 
@@ -48,8 +48,8 @@ options:
                     lane; 0 = serial)
   --max-queue N     admission-queue capacity in socket mode (default 64)
   --deadline-ms X   default per-request deadline when the request has none
-  --deterministic   lift wall-clock budgets; responses are then bit-stable
-                    across runs and identical to epgc_compile output
+  --deterministic   leave wall-clock fields and generated trace ids out of
+                    responses, so they are bit-stable across runs
   --once            stream mode: answer one request, then exit
   --trace-dir DIR   record per-request span trees and dump Chrome trace
                     JSON (trace-<trace_id>.json) into DIR

@@ -8,7 +8,6 @@
 // budget Ne_limit = factor * Ne_min.
 #pragma once
 
-#include <cstdlib>
 #include <iostream>
 #include <stdexcept>
 #include <string>
@@ -43,9 +42,7 @@ inline FrameworkConfig framework_config(double ne_factor, std::uint64_t seed) {
   FrameworkConfig cfg;
   cfg.partition.g_max = 7;        // paper: g_max = 7
   cfg.partition.max_lc_ops = 15;  // paper: l = 15
-  cfg.partition.time_budget_ms = 800;
   cfg.subgraph.node_budget = 20000;
-  cfg.subgraph.time_budget_ms = 120;
   cfg.ne_limit_factor = ne_factor;
   cfg.verify_seeds = 1;  // every instance is still checked end-to-end
   cfg.seed = seed;
@@ -80,16 +77,11 @@ struct ThreeWayRow {
 };
 
 /// Batch runtime shared by the figure benches: all cores, metrics only by
-/// default. The anytime searches keep their wall-clock budgets, exactly as
-/// the former serial loops did, so figures can shift slightly with machine
-/// load; set EPGC_BENCH_DETERMINISTIC=1 to lift the budgets and make every
-/// figure a pure function of (instance, seed) — at a large single-core
-/// cost on the biggest instances.
+/// default. Every figure is a pure function of (instance, seed): the
+/// anytime searches stop on work budgets, not on machine load.
 inline BatchCompiler make_bench_batch(bool keep_results = false) {
   BatchConfig cfg;
   cfg.keep_results = keep_results;
-  const char* det = std::getenv("EPGC_BENCH_DETERMINISTIC");
-  cfg.deterministic = det != nullptr && det[0] != '\0' && det[0] != '0';
   return BatchCompiler(cfg);
 }
 
@@ -109,9 +101,7 @@ struct ThreeWayInstance {
 /// Framework vs both baseline strengths under a shared emitter budget,
 /// fanned across the batch runtime: one framework phase for every
 /// instance, then both baseline strengths under the emitter budgets the
-/// first phase produced. The anytime searches' wall-clock budgets can bind
-/// differently under load unless the batch runs in deterministic mode (see
-/// make_bench_batch).
+/// first phase produced.
 inline std::vector<ThreeWayRow> compare_three_way_batch(
     const std::vector<ThreeWayInstance>& instances, BatchCompiler& batch) {
   std::vector<CompileJob> fw_jobs;

@@ -18,8 +18,8 @@
 //   * subgraph_level— compile_subgraph_level (paper Sec. IV.B branch-and-
 //                     bound + synthesis) for every beam part of the same
 //                     Waxman graph at ne_min..ne_min+2, under free-form and
-//                     anchors-only, with the time budget lifted; the
-//                     checksum pins the search's node counts and circuits
+//                     anchors-only; the checksum pins the search's node
+//                     counts and circuits
 //   * span_off      — obs::Span with no recorder installed: the disabled
 //                     tracing hot path, which must stay a pointer test
 //   * span_on       — obs::Span against a live TraceRecorder (records +
@@ -192,12 +192,10 @@ std::uint64_t kernel_partition_refine(const Graph& g, int inner) {
   return h;
 }
 
-/// The beam strategy's parts of `g` (default config, budget lifted).
+/// The beam strategy's parts of `g` (default config).
 std::vector<SubgraphSpec> beam_parts(const Graph& g) {
-  LcPartitionConfig cfg;
-  cfg.time_budget_ms = kUnboundedBudgetMs;
   const PartitionOutcome outcome =
-      find_partition_strategy("beam")->run(g, cfg, Executor::serial());
+      find_partition_strategy("beam")->run(g, {}, Executor::serial());
   std::vector<SubgraphSpec> parts;
   for (PartPlan& part : plan_stems(outcome).parts)
     parts.push_back(std::move(part.spec));
@@ -208,7 +206,6 @@ std::uint64_t kernel_subgraph_level(const Graph& g, int inner) {
   // The partition is setup, not kernel: built once per process.
   static const std::vector<SubgraphSpec> parts = beam_parts(g);
   SubgraphCompileConfig cfg;
-  cfg.time_budget_ms = kUnboundedBudgetMs;
   std::uint64_t h = parts.size();
   for (int i = 0; i < inner; ++i) {
     for (const SubgraphSpec& spec : parts) {

@@ -49,11 +49,9 @@ struct Cell {
 FrameworkConfig bench_config(std::uint64_t seed) {
   FrameworkConfig cfg = framework_config(1.5, seed);
   // Structural budgets only (beam width, LC depth, node budget, restart
-  // and iteration counts): wall-clock budgets are lifted so metrics are a
-  // pure function of (instance, strategy, seed) and the cross-thread-count
-  // determinism check below cannot be tripped by machine load.
-  cfg.partition.time_budget_ms = 1e15;
-  cfg.subgraph.time_budget_ms = 1e15;
+  // and iteration counts), so metrics are a pure function of (instance,
+  // strategy, seed) and the cross-thread-count determinism check below
+  // cannot be tripped by machine load.
   cfg.partition.max_lc_ops = 8;
   cfg.verify_seeds = 1;
   return cfg;

@@ -23,15 +23,16 @@
 // hash of the serialized circuit and its explicit gate times, and since
 // each cell is its own process the check also gates cross-process
 // reproducibility of the full compile. Flat-strategy cells (default mode
-// only) run with a binding wall budget (half the timeout), so their
-// quality is load-dependent and they are benched at a single thread
-// count.
+// only) stop on their work budget or on a wall deadline (half the
+// timeout), whichever comes first; the deadline makes their quality
+// load-dependent, so they are benched at a single thread count. They are
+// the only cells, anywhere, that set a finite wall budget.
 //
-// Full-pipeline child config, chosen so no anytime budget can bind (the
-// determinism contract requires it): partition/subgraph wall budgets
-// lifted, flexible_ne_max_trials=64 (the uncapped improvement pass is
-// quadratic in parts), verify_seeds=1 up to 1k vertices and 0 above
-// (tableau verification is O(n^2) memory — ~1.25 GB at 50k).
+// Full-pipeline child config: no wall budget anywhere (the determinism
+// contract requires it), flexible_ne_max_trials=64 (the uncapped
+// improvement pass is quadratic in parts), verify_seeds=1 up to 1k
+// vertices and 0 above (tableau verification is O(n^2) memory — ~1.25 GB
+// at 50k).
 //
 // usage: bench_scale [--json FILE] [--timeout-s N] [--quick] [--huge]
 //                    [--strategies a,b,c] [--full-pipeline]
@@ -111,11 +112,10 @@ LcPartitionConfig scale_config(const std::string& strategy,
 
 FrameworkConfig pipeline_config(std::size_t n, std::size_t threads) {
   FrameworkConfig cfg;
-  // Lifted budgets everywhere: a binding anytime deadline truncates the
-  // searches at a load-dependent point and would break the bit-identity
-  // this bench gates across thread counts and processes.
-  cfg.partition = scale_config("multilevel", 1e15);
-  cfg.subgraph.time_budget_ms = 1e15;
+  // No wall deadline: a binding one truncates the searches at a
+  // load-dependent point and would break the bit-identity this bench
+  // gates across thread counts and processes.
+  cfg.partition = scale_config("multilevel", kUnboundedBudgetMs);
   // compile_framework xors the framework seed into the partition seed;
   // zero keeps the effective partition seed at 7, matching the
   // partition-only cells so the two modes compile the same partitions.

@@ -93,7 +93,6 @@ int main(int argc, char** argv) {
 
   // Cold: empty store, every job compiles and writes back.
   BatchConfig cold_cfg;
-  cold_cfg.deterministic = true;
   cold_cfg.keep_results = false;
   cold_cfg.store = std::make_shared<CompileResultStore>(scfg);
   BatchCompiler cold_batch(cold_cfg);
@@ -120,12 +119,7 @@ int main(int argc, char** argv) {
   Stopwatch get_watch;
   std::size_t probe_hits = 0;
   for (const CompileJob& job : jobs) {
-    // Reproduce the batch key: deterministic mode fingerprints the
-    // lifted-budget config, which is what the runs above stored under.
-    FrameworkConfig cfg = job.framework;
-    cfg.partition.time_budget_ms = kUnboundedBudgetMs;
-    cfg.subgraph.time_budget_ms = kUnboundedBudgetMs;
-    if (probe_store->get(job.graph, config_fingerprint(cfg),
+    if (probe_store->get(job.graph, config_fingerprint(job.framework),
                          CompilerKind::framework))
       ++probe_hits;
   }

@@ -17,7 +17,6 @@ int main() {
       LcPartitionConfig lc;
       lc.g_max = 7;
       lc.max_lc_ops = 15;
-      lc.time_budget_ms = 800;
       lc.seed = n + i;
       LcPartitionConfig no_lc = lc;
       no_lc.max_lc_ops = 0;

@@ -2,17 +2,20 @@
 # Differential end-to-end check: epgc_serve must never drift from
 # epgc_compile.
 #
-# Six legs over every corpus entry (.epgc) in CORPUS_DIR:
+# Seven legs over every corpus entry (.epgc) in CORPUS_DIR:
 #   * drift: each graph is compiled by epgc_compile (reference metrics +
-#     --epgc circuit) and through the service with DEFAULT budgets — the
-#     two run the exact same effective configuration, so metrics must
-#     match field-for-field and the embedded circuit byte-for-byte. The
+#     --epgc circuit) and through the service at the default spec — the
+#     two run the exact same configuration, so metrics must match
+#     field-for-field and the embedded circuit byte-for-byte. The
 #     service fans each compile across its pool lanes (--inner-threads
 #     defaults to --jobs) while epgc_compile runs serially, so this leg is
 #     also a cross-lane check;
 #   * bit-stability: two deterministic-mode service runs over the same
 #     requests must produce byte-identical NDJSON (deterministic
 #     responses carry no timings);
+#   * one mode: the default-mode responses, with their wall-clock fields
+#     and generated trace_id removed, must equal the deterministic ones
+#     line for line (the flag shapes responses, never compiles);
 #   * --once: the one-shot service path the nightly fuzz oracle uses must
 #     answer exactly like the long-lived loop;
 #   * cluster: the same requests through a 3-worker epgc_cluster must be
@@ -68,9 +71,8 @@ with open(work / "requests.ndjson", "w") as out:
                               "circuit": True}) + "\n")
 EOF
 
-# Leg 1 (drift): default budgets on both sides — identical effective
-# configuration, so a mismatch is a real service/CLI divergence, not a
-# deterministic-vs-budget-bound artifact.
+# Leg 1 (drift): the default spec on both sides — identical
+# configuration, so a mismatch is a real service/CLI divergence.
 "$BUILD/epgc_serve" \
   < "$WORK/requests.ndjson" > "$WORK/responses.ndjson"
 
@@ -81,6 +83,32 @@ EOF
   < "$WORK/requests.ndjson" > "$WORK/det2.ndjson"
 diff "$WORK/det1.ndjson" "$WORK/det2.ndjson" \
   || { echo "serve-e2e: responses not bit-stable across runs" >&2; exit 1; }
+
+# Leg 2b (one mode): --deterministic only drops wall-clock fields and the
+# generated trace_id; everything else, in order, equals a default run.
+python3 - "$WORK" <<'EOF'
+import json
+import pathlib
+import sys
+
+work = pathlib.Path(sys.argv[1])
+live = (work / "responses.ndjson").read_text().splitlines()
+det = (work / "det1.ndjson").read_text().splitlines()
+if len(live) != len(det):
+    sys.exit(f"serve-e2e: {len(live)} default vs {len(det)} deterministic lines")
+for i, (a, b) in enumerate(zip(live, det)):
+    obj = json.loads(a)
+    if "trace_id" not in obj:
+        sys.exit(f"serve-e2e: default-mode line {i + 1} lacks a generated "
+                 "trace_id")
+    for key in ("wall_ms", "queued_ms", "compute_ms", "trace_id"):
+        obj.pop(key, None)
+    if list(obj.items()) != list(json.loads(b).items()):
+        sys.exit(f"serve-e2e: line {i + 1} differs between default and "
+                 "deterministic mode beyond timings and trace_id")
+print(f"serve-e2e: {len(det)} default-mode responses equal the "
+      "deterministic ones minus timings and trace_id")
+EOF
 
 # Leg 3 (--once): the one-shot path must answer like the serving loop.
 head -1 "$WORK/requests.ndjson" | "$BUILD/epgc_serve" --deterministic --once \

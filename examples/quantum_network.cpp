@@ -8,7 +8,6 @@
 #include <iostream>
 
 #include "compile/framework.hpp"
-#include "graph/dot.hpp"
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
 

@@ -8,8 +8,8 @@
 #include "circuit/render.hpp"
 #include "compile/framework.hpp"
 #include "compile/verify.hpp"
-#include "graph/dot.hpp"
 #include "graph/generators.hpp"
+#include "io/graph_io.hpp"
 
 int main() {
   using namespace epg;
@@ -21,7 +21,8 @@ int main() {
   target.add_edge(3, tail1);
   target.add_edge(tail1, tail2);
 
-  std::cout << "Target graph state:\n" << to_dot(target) << '\n';
+  std::cout << "Target graph state (edge list):\n"
+            << write_edge_list(target) << '\n';
 
   FrameworkConfig config;  // quantum-dot hardware, g_max=7, l=15 defaults
   const FrameworkResult result = compile_framework(target, config);

@@ -65,6 +65,9 @@ std::optional<std::uint64_t> graph_route_key(const JsonValue& request) {
 
 }  // namespace
 
+/// Virtual nodes per worker on the consistent-hash ring.
+constexpr std::size_t kRingReplicas = 64;
+
 ClusterFront::ClusterFront(ClusterConfig cfg)
     // One executor per worker: independent workers make progress in
     // parallel, while the per-worker mutex keeps each worker serving one
@@ -72,7 +75,7 @@ ClusterFront::ClusterFront(ClusterConfig cfg)
     : ServingCore("epgc_cluster", nullptr, cfg.max_queue, cfg.max_frame_bytes,
                   cfg.default_deadline_ms, cfg.workers),
       cfg_(std::move(cfg)),
-      ring_(cfg_.workers, cfg_.ring_replicas),
+      ring_(cfg_.workers, kRingReplicas),
       respawns_(registry_->counter("epgc_worker_respawns_total",
                                    "worker processes respawned")) {
   EPG_REQUIRE(cfg_.workers > 0, "cluster needs at least one worker");
@@ -85,6 +88,9 @@ ClusterFront::~ClusterFront() {
 }
 
 // ---- worker lifecycle ------------------------------------------------------
+
+/// How long to wait for a freshly spawned worker's socket.
+constexpr long kSpawnWaitMs = 10000;
 
 bool ClusterFront::spawn_locked(Worker& w, std::string& err) {
   ::unlink(w.socket_path.c_str());
@@ -116,9 +122,8 @@ bool ClusterFront::spawn_locked(Worker& w, std::string& err) {
   }
 
   // Parent: the worker is up once its socket accepts a connection.
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(static_cast<long>(cfg_.spawn_wait_ms));
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(kSpawnWaitMs);
   while (std::chrono::steady_clock::now() < deadline) {
     int status = 0;
     if (::waitpid(pid, &status, WNOHANG) == pid) {
@@ -137,8 +142,7 @@ bool ClusterFront::spawn_locked(Worker& w, std::string& err) {
   ::kill(pid, SIGKILL);
   ::waitpid(pid, nullptr, 0);
   err = "worker " + std::to_string(w.index) + " did not bind " +
-        w.socket_path + " within " + std::to_string(cfg_.spawn_wait_ms) +
-        " ms";
+        w.socket_path + " within " + std::to_string(kSpawnWaitMs) + " ms";
   return false;
 }
 
@@ -177,13 +181,17 @@ void ClusterFront::start() {
   monitor_ = std::thread([this] { monitor_loop(); });
 }
 
+/// Monitor cadence and per-probe response timeout.
+constexpr double kProbeIntervalMs = 250.0;
+constexpr int kProbeTimeoutMs = 5000;
+
 void ClusterFront::monitor_loop() {
   // Liveness supervision: reap + respawn dead workers, and ride the same
   // `health` verb external load balancers use. try_lock everywhere — a
   // worker whose mutex is held is mid-request, which is proof of life,
   // and probing must never stall the request path.
   while (!workers_down_.load()) {
-    sleep_ms(cfg_.probe_interval_ms);
+    sleep_ms(kProbeIntervalMs);
     if (workers_down_.load()) break;
     for (auto& wp : workers_) {
       Worker& w = *wp;
@@ -205,8 +213,7 @@ void ClusterFront::monitor_loop() {
         continue;
       }
       std::string resp;
-      if (!w.conn.read_line(
-              resp, static_cast<int>(cfg_.probe_timeout_ms))) {
+      if (!w.conn.read_line(resp, kProbeTimeoutMs)) {
         respawn_locked(w);
         continue;
       }
@@ -258,6 +265,11 @@ pid_t ClusterFront::worker_pid(std::size_t i) const {
 
 // ---- request path ----------------------------------------------------------
 
+/// Worker said queue_full: retry up to this many times, backing off
+/// between tries, then pass the rejection through to the client.
+constexpr std::size_t kQueueFullRetries = 3;
+constexpr double kRetryBackoffMs = 25.0;
+
 std::string ClusterFront::forward(std::size_t worker,
                                   const std::string& line,
                                   const std::string& id_json) {
@@ -265,7 +277,7 @@ std::string ClusterFront::forward(std::size_t worker,
   std::lock_guard<std::mutex> lock(w.mutex);
   for (std::size_t attempt = 0; attempt < cfg_.delivery_attempts;
        ++attempt) {
-    if (attempt > 0) sleep_ms(cfg_.retry_backoff_ms);
+    if (attempt > 0) sleep_ms(kRetryBackoffMs);
     if (w.pid < 0 || !w.conn.valid()) {
       respawn_locked(w);
       if (w.pid < 0) continue;
@@ -286,9 +298,9 @@ std::string ClusterFront::forward(std::size_t worker,
     // rejection through so the client sees the pressure.
     bool broken = false;
     for (std::size_t retry = 0;
-         retry < cfg_.queue_full_retries && is_queue_full_response(resp);
+         retry < kQueueFullRetries && is_queue_full_response(resp);
          ++retry) {
-      sleep_ms(cfg_.retry_backoff_ms * static_cast<double>(retry + 1));
+      sleep_ms(kRetryBackoffMs * static_cast<double>(retry + 1));
       if (!w.conn.write_line(line) || !w.conn.read_line(resp)) {
         broken = true;
         break;

@@ -58,24 +58,14 @@ struct ClusterConfig {
   /// Extra epgc_serve flags appended to every worker's command line
   /// (--deterministic, --store-dir, --inner-threads, ...).
   std::vector<std::string> worker_args;
-  std::size_t ring_replicas = 64;
   /// Front admission queue + frame cap (same discipline as epgc_serve).
   std::size_t max_queue = 256;
   std::size_t max_frame_bytes = std::size_t{64} << 20;
   /// Applied to requests that carry no deadline_ms (0 = none).
   double default_deadline_ms = 0.0;
-  /// Worker said queue_full: retry up to N times, backoff between tries,
-  /// then pass the rejection through to the client.
-  std::size_t queue_full_retries = 3;
-  double retry_backoff_ms = 25.0;
   /// Worker connection died mid-request: respawn and retry, up to N total
   /// delivery attempts, then answer worker_failed.
   std::size_t delivery_attempts = 3;
-  /// Monitor cadence and per-probe response timeout.
-  double probe_interval_ms = 250.0;
-  double probe_timeout_ms = 5000.0;
-  /// How long to wait for a freshly spawned worker's socket.
-  double spawn_wait_ms = 10000.0;
   /// Mirrors the workers' --deterministic flag. The front never injects a
   /// generated trace_id in deterministic mode (responses must stay
   /// byte-identical to a single-process run); client-supplied trace_ids

@@ -3,9 +3,11 @@
 namespace epg {
 
 const BuildInfo& build_info() {
-  // proto 1.3: the cluster front's `metrics` response carries its own
-  // registry under "front" (additive — minors are never rejected).
-  static const BuildInfo info{"0.6.0", 1, 1, 3};
+  // result-schema 2: compiles stop on work budgets instead of wall
+  // budgets, so entries of the budget-lifting mode must not be replayed.
+  // proto 1.4: the compile spec lost "budget_ms" (a request carrying it is
+  // still accepted; the member is ignored like any unknown one).
+  static const BuildInfo info{"0.6.0", 2, 1, 4};
   return info;
 }
 

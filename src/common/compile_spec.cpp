@@ -54,9 +54,8 @@ bool parse_bool_value(const std::string& key, const std::string& value) {
 
 const std::vector<std::string>& compile_spec_keys() {
   static const std::vector<std::string> keys = {
-      "compiler",      "hw",        "gmax",     "lc",
-      "budget_ms",     "strategy",  "coarsen_floor",
-      "multilevel_inner", "ne_factor", "ne",    "seed",
+      "compiler",      "hw",        "gmax", "lc",   "strategy",
+      "coarsen_floor", "multilevel_inner", "ne_factor", "ne", "seed",
       "verify"};
   return keys;
 }
@@ -75,7 +74,6 @@ void apply_compile_spec_key(CompileSpec& spec, const std::string& key,
   else if (k == "hw") spec.hw = value;
   else if (k == "gmax") spec.gmax = parse_u64_value(k, value);
   else if (k == "lc") spec.lc = parse_u64_value(k, value);
-  else if (k == "budget_ms") spec.budget_ms = parse_double_value(k, value);
   else if (k == "strategy") spec.strategy = value;
   else if (k == "coarsen_floor")
     spec.coarsen_floor = parse_u64_value(k, value);
@@ -93,7 +91,6 @@ void apply_compile_spec_json(CompileSpec& spec, const JsonValue& obj) {
   spec.hw = obj.get_string("hw", spec.hw);
   spec.gmax = obj.get_u64("gmax", spec.gmax);
   spec.lc = obj.get_u64("lc", spec.lc);
-  spec.budget_ms = obj.get_number("budget_ms", spec.budget_ms);
   spec.strategy = obj.get_string("strategy", spec.strategy);
   spec.coarsen_floor = obj.get_u64("coarsen_floor", spec.coarsen_floor);
   spec.multilevel_inner =
@@ -126,7 +123,6 @@ CompileJob make_compile_job(const CompileSpec& spec, std::string label,
     job.framework.partition.g_max = static_cast<std::uint32_t>(spec.gmax);
     job.framework.partition.max_lc_ops =
         static_cast<std::uint32_t>(spec.lc);
-    job.framework.partition.time_budget_ms = spec.budget_ms;
     job.framework.partition.strategy = spec.strategy;
     job.framework.partition.coarsen_floor = spec.coarsen_floor;
     job.framework.partition.multilevel_inner = spec.multilevel_inner;

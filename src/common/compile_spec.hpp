@@ -2,7 +2,7 @@
 // with these knobs", shared by every surface that accepts compile options:
 //
 //   * epgc_compile flags        (--gmax 7 --partition-strategy beam ...)
-//   * epgc_batch manifest keys  (gmax=7 strategy=beam budget-ms=800 ...)
+//   * epgc_batch manifest keys  (gmax=7 strategy=beam lc=4 ...)
 //   * the service JSON specs    ({"gmax":7,"strategy":"beam",...})
 //
 // All three used to triplicate the knob list, the defaults and the
@@ -35,7 +35,6 @@ struct CompileSpec {
   std::string hw = "quantum_dot";      ///< quantum_dot|qd|nv|siv|rydberg
   std::uint64_t gmax = 7;              ///< max subgraph size (paper V.A)
   std::uint64_t lc = 15;               ///< max local complementations
-  double budget_ms = 800.0;            ///< partition search wall budget
   std::string strategy = "beam";       ///< partition strategy name
   std::uint64_t coarsen_floor = 192;   ///< multilevel: flat search <= N
   std::string multilevel_inner = "beam";  ///< multilevel: inner strategy

@@ -6,7 +6,6 @@
 #include "circuit/simulate.hpp"
 #include "common/assert.hpp"
 #include "common/rng.hpp"
-#include "common/stopwatch.hpp"
 #include "graph/metrics.hpp"
 #include "stab/tableau.hpp"
 
@@ -408,7 +407,6 @@ std::optional<BaselineResult> compile_for_order(
 BaselineResult compile_baseline(const Graph& target,
                                 const BaselineConfig& cfg) {
   EPG_REQUIRE(target.vertex_count() > 0, "empty target graph");
-  Stopwatch clock;
   Rng rng(cfg.seed);
 
   std::vector<Vertex> natural(target.vertex_count());
@@ -426,7 +424,6 @@ BaselineResult compile_baseline(const Graph& target,
   };
   consider(natural);
   for (int i = 0; i < cfg.order_restarts; ++i) {
-    if (clock.expired(cfg.time_budget_ms)) break;
     std::vector<Vertex> order = natural;
     rng.shuffle(order);
     consider(order);

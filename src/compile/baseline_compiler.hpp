@@ -16,8 +16,8 @@
 // counting its CNOTs. The emitter count is the height-function maximum
 // (entanglement entropy), which is provably sufficient.
 //
-// `emission order restarts` mimic GraphiQ's AlternateTargetSolver: several
-// candidate orders are compiled under a budget and the cheapest circuit is
+// `emission order restarts` mimic GraphiQ's AlternateTargetSolver: a fixed
+// number of candidate orders are compiled and the cheapest circuit is
 // kept.
 #pragma once
 
@@ -36,7 +36,6 @@ struct BaselineConfig {
   /// Extra random emission orders to try besides the natural order.
   int order_restarts = 3;
   std::uint64_t seed = 11;
-  double time_budget_ms = 2000.0;
   /// Emitters available; 0 = exactly the height-function minimum. Extra
   /// emitters only widen the choice of transfer targets (the protocol does
   /// not parallelize aggressively — that is the point of the comparison).

@@ -50,10 +50,9 @@ struct FrameworkConfig {
   std::uint64_t seed = 1;
   /// Worker threads for the intra-compile executor when compile_framework
   /// builds its own (0 = serial inner pipeline). Ignored by the overload
-  /// that takes an Executor. Never changes the compiled result as long as
-  /// the wall-clock search budgets don't bind (a binding anytime deadline
-  /// truncates at a lane-speed-dependent point, exactly as machine load
-  /// already does; lift the budgets for a hard guarantee).
+  /// that takes an Executor. Never changes the compiled result: the
+  /// searches stop on work budgets, which lanes cannot shift (only an
+  /// explicitly set wall deadline could).
   std::size_t inner_threads = 0;
 };
 

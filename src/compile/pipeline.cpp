@@ -5,12 +5,10 @@
 //
 // Every stage obeys one contract. It consumes only what earlier stages
 // produced and writes only the outputs its comment names. It is
-// deterministic in (target, cfg): executor lane count and task scheduling
-// never change its output, except through a *binding* wall-clock budget,
-// whose cooperative deadline truncates the anytime searches at a
-// lane-speed-dependent point (machine load already has the same effect;
-// lifted budgets give a hard guarantee). It reports failure by throwing
-// (EPG_REQUIRE/EPG_CHECK), which aborts the compile.
+// deterministic in (target, cfg): executor lane count, task scheduling and
+// machine load never change its output, because the anytime searches stop
+// on work budgets (only an explicitly set wall deadline could). It reports
+// failure by throwing (EPG_REQUIRE/EPG_CHECK), which aborts the compile.
 #include "compile/framework.hpp"
 
 #include <algorithm>

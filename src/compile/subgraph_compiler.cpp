@@ -186,6 +186,9 @@ struct SearchContext {
   }
 };
 
+/// Cheapest reduction sequences a search keeps for the T_loss selection.
+constexpr std::size_t kKeepCandidates = 6;
+
 /// Finalizes `state` (a scratch copy of the reduced node) and keeps its
 /// ops when it ties or beats the incumbent.
 void record_solution(SearchContext& ctx, ReductionState& state) {
@@ -196,8 +199,7 @@ void record_solution(SearchContext& ctx, ReductionState& state) {
     ctx.best_cost = cost;
     ctx.candidates.clear();
   }
-  if (cost == ctx.best_cost &&
-      ctx.candidates.size() < ctx.cfg->keep_candidates)
+  if (cost == ctx.best_cost && ctx.candidates.size() < kKeepCandidates)
     ctx.candidates.push_back(state.ops_copy());
   if (ctx.stop_at_first) ctx.out_of_budget = true;
 }

@@ -3,10 +3,10 @@
 // A branch-and-bound DFS over time-reversed reduction sequences minimizes,
 // lexicographically, (#disconnects  ==  emitter-emitter CZs, #swaps  ==
 // measured transfers); the paper's degree heuristic orders the moves (absorb
-// low-degree photons first, swap high-degree hubs into emitters). Up to
-// `keep_candidates` cheapest sequences are kept, each synthesized into a
-// forward circuit, and the one with the smallest average photon-loss
-// duration (T_loss) wins — the paper's two-stage selection.
+// low-degree photons first, swap high-degree hubs into emitters). Up to six
+// cheapest sequences are kept, each synthesized into a forward circuit,
+// and the one with the smallest average photon-loss duration (T_loss)
+// wins — the paper's two-stage selection.
 //
 // Synthesis replays the reverse sequence on a tableau and *calibrates* the
 // residual local Cliffords of each absorption against the expected reduced
@@ -21,6 +21,7 @@
 
 #include "circuit/circuit.hpp"
 #include "circuit/stats.hpp"
+#include "common/stopwatch.hpp"
 #include "compile/reduction.hpp"
 #include "hardware/hardware_model.hpp"
 
@@ -30,8 +31,9 @@ struct SubgraphCompileConfig {
   std::uint32_t ne_limit = 2;
   std::size_t node_budget = 40000;
   std::size_t max_lc_ops = 3;      ///< LC moves allowed inside the search
-  std::size_t keep_candidates = 6;
-  double time_budget_ms = 200.0;
+  /// Optional wall deadline per level; `node_budget` is what bounds a
+  /// search by default (about 5 ms at 100-120 ns per node).
+  double time_budget_ms = kUnboundedBudgetMs;
   /// Hard cap on memoization-table entries (12 bytes each). The table grows
   /// on demand and stops admitting new states at the cap, so a pathological
   /// part cannot blow memory; pruning via already-stored states keeps

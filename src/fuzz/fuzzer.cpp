@@ -107,8 +107,7 @@ FuzzOutcome run_fuzzer(const FuzzConfig& cfg, std::ostream* log) {
   out.stats.seeds = pool.size();
 
   BatchConfig bcfg = cfg.batch;
-  bcfg.deterministic = true;  // wall budgets must never shape results
-  bcfg.keep_results = true;   // the oracle inspects full compiler outputs
+  bcfg.keep_results = true;  // the oracle inspects full compiler outputs
   BatchCompiler batch(bcfg);
   const std::size_t round_size =
       cfg.round_size > 0 ? cfg.round_size : 2 * batch.parallelism();

@@ -43,8 +43,7 @@ struct FuzzConfig {
   std::string corpus_dir;
   /// Directory for JSON crash reports. Empty = not written.
   std::string report_dir;
-  /// Batch runtime knobs (threads / inner_threads); deterministic mode is
-  /// forced on so wall budgets never shape results.
+  /// Batch runtime knobs (threads / inner_threads).
   BatchConfig batch;
 };
 

@@ -247,10 +247,7 @@ OracleConfig default_oracle_config() {
   // refinement and LC-move machinery under the oracle.
   cfg.base.partition.coarsen_floor = 24;
   cfg.base.partition.multilevel_race_limit = 192;
-  cfg.base.partition.time_budget_ms = 1e15;
-  cfg.base.subgraph.time_budget_ms = 1e15;
   cfg.base.verify_seeds = 1;
-  cfg.baseline.time_budget_ms = 1e15;
   cfg.verify_seeds = 1;
   cfg.include_baseline = true;
   return cfg;

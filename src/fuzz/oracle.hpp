@@ -90,9 +90,8 @@ struct OracleSubject {
 /// suite, so a persisted violation always reproduces under the config it
 /// was found with: small structural budgets (g_max 6, LC depth 6, beam 4,
 /// anneal 400, portfolio 3, multilevel coarsen floor 24 so fuzz-sized
-/// mutants exercise the coarsening path), wall-clock budgets lifted for
-/// determinism, one internal + one independent verification seed,
-/// baseline included.
+/// mutants exercise the coarsening path), one internal + one independent
+/// verification seed, baseline included.
 OracleConfig default_oracle_config();
 
 /// Strategy list after defaulting (cfg.strategies or the registry).

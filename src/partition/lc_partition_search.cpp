@@ -11,6 +11,9 @@ std::size_t parts_needed(std::size_t n, std::size_t g_max) {
   return (n + g_max - 1) / g_max;
 }
 
+/// Graphs up to this size are partitioned by exact branch-and-bound.
+constexpr std::size_t kExactVertexLimit = 13;
+
 }  // namespace
 
 PartitionLabels lc_partition_solve(const Graph& g,
@@ -18,7 +21,7 @@ PartitionLabels lc_partition_solve(const Graph& g,
                                    int restarts, std::uint64_t seed) {
   const std::size_t k = parts_needed(g.vertex_count(), cfg.g_max);
   if (k <= 1) return PartitionLabels(g.vertex_count(), 0);
-  if (cfg.exact_small && g.vertex_count() <= cfg.exact_vertex_limit) {
+  if (g.vertex_count() <= kExactVertexLimit) {
     if (auto exact = partition_exact(g, cfg.g_max, k)) return *exact;
   }
   PartitionConfig pc;

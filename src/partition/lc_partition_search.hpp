@@ -7,6 +7,11 @@
 // max_lc_ops = 0 disables the LC transformation, which is the paper's
 // Fig. 11b ablation baseline.
 //
+// The beam and anneal searches stop on work, not on time: every scored
+// candidate charges its vertex plus edge count against
+// kPartitionWorkBudget, so where a search stops is a pure function of
+// (graph, config).
+//
 // Which *engine* explores the LC space is pluggable (see
 // partition/partition_strategy.hpp): a beam search, a simulated-annealing
 // chain (solver/anneal.hpp), or a seed portfolio that races restarts of
@@ -18,23 +23,32 @@
 #include <cstdint>
 #include <string>
 
+#include "common/stopwatch.hpp"
 #include "partition/partition_problem.hpp"
 #include "solver/partition_refine.hpp"
 
 namespace epg {
 
+/// Work budget of one beam or anneal search, in candidate (n + m) units,
+/// checked where the beam finishes a scoring chunk and before each anneal
+/// move, so truncation never depends on the lane count. Calibrated so
+/// that no paper-scale compile reaches it: a 24-vertex graph at lc 4 can
+/// charge at most 4 * 6 * 24 * (24 + 276) = 172 800, and the largest
+/// golden-corpus entry (66 vertices) charges 465 692 at lc 15. Graphs of
+/// about 100 vertices at lc 15 reach it, which bounds their search to
+/// about a second of serial work.
+inline constexpr std::uint64_t kPartitionWorkBudget = 600000;
+
 struct LcPartitionConfig {
   std::size_t g_max = 7;        ///< paper's subgraph size cap
   std::size_t max_lc_ops = 15;  ///< paper's l
   std::size_t beam_width = 6;
-  double time_budget_ms = 2000.0;
+  /// Optional wall deadline; the default never binds.
+  double time_budget_ms = kUnboundedBudgetMs;
   std::uint64_t seed = 7;
   /// Restart counts for the quick (scoring) and final (polish) partitions.
   int quick_restarts = 2;
   int final_restarts = 12;
-  /// Use exact branch-and-bound when the graph is small enough.
-  bool exact_small = true;
-  std::size_t exact_vertex_limit = 13;
   /// Registered PartitionStrategy name: "beam" | "anneal" | "portfolio" |
   /// "multilevel" (see partition/partition_strategy.hpp).
   std::string strategy = "beam";
@@ -55,12 +69,6 @@ struct LcPartitionConfig {
   /// "multilevel never loses to the flat search" guarantee, affordable
   /// exactly while the flat search still is.
   std::size_t multilevel_race_limit = 192;
-  /// Boundary-refinement sweeps per uncoarsening level.
-  int multilevel_refine_passes = 6;
-  /// Skip LC-aware local moves at vertices above this degree (an LC try
-  /// costs O(degree^2) edge probes — the cap only exists to keep hub
-  /// vertices of huge graphs from dominating a refinement sweep).
-  std::size_t multilevel_lc_degree_cap = 64;
 };
 
 PartitionOutcome search_lc_partition(const Graph& g,
@@ -69,7 +77,8 @@ PartitionOutcome search_lc_partition(const Graph& g,
 // ---- shared building blocks of every strategy ------------------------------
 
 /// Balanced min-cut partition with the search's solver stack: exact
-/// branch-and-bound on small graphs, multi-restart refinement otherwise.
+/// branch-and-bound on graphs of at most 13 vertices, multi-restart
+/// refinement otherwise.
 PartitionLabels lc_partition_solve(const Graph& g,
                                    const LcPartitionConfig& cfg,
                                    int restarts, std::uint64_t seed);

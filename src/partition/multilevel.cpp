@@ -146,6 +146,11 @@ void merge_parts(const CoarseGraph& g, PartitionLabels& labels,
   }
 }
 
+/// LC-aware moves skip vertices above this degree: an LC try costs
+/// O(degree^2) edge probes, and the cap keeps hub vertices of huge graphs
+/// from dominating a refinement sweep.
+constexpr std::size_t kLcDegreeCap = 64;
+
 /// LC-aware sweep at the finest level: a local complementation at v
 /// toggles every edge among N(v); with the labelling held fixed the cut
 /// delta is the signed count of toggled cut edges, computable in
@@ -163,7 +168,7 @@ bool lc_refine_pass(Graph& t, const PartitionLabels& labels,
   for (Vertex v = 0; v < t.vertex_count(); ++v) {
     if (lc_sequence.size() >= cfg.max_lc_ops) break;
     const std::size_t d = t.degree(v);
-    if (d < 2 || d > cfg.multilevel_lc_degree_cap) continue;
+    if (d < 2 || d > kLcDegreeCap) continue;
     nb.clear();
     t.for_each_neighbor(v, [&](Vertex u) { nb.push_back(u); });
     long delta = 0;
@@ -180,6 +185,10 @@ bool lc_refine_pass(Graph& t, const PartitionLabels& labels,
   }
   return improved;
 }
+
+/// Boundary-refinement sweeps per uncoarsening level, and the cap on LC
+/// move rounds at the finest level.
+constexpr int kRefinePasses = 6;
 
 class MultilevelStrategy final : public PartitionStrategy {
  public:
@@ -211,11 +220,9 @@ class MultilevelStrategy final : public PartitionStrategy {
     // the merged boundaries.
     const auto polish = [&](const CoarseGraph& level,
                             PartitionLabels& labels) {
-      refine_level(level, labels, cfg.g_max, cfg.multilevel_refine_passes,
-                   arena);
+      refine_level(level, labels, cfg.g_max, kRefinePasses, arena);
       merge_parts(level, labels, cfg.g_max, cfg.seed);
-      refine_level(level, labels, cfg.g_max, cfg.multilevel_refine_passes,
-                   arena);
+      refine_level(level, labels, cfg.g_max, kRefinePasses, arena);
     };
 
     // 2. Initial packing + polish on the coarsest graph.
@@ -235,7 +242,7 @@ class MultilevelStrategy final : public PartitionStrategy {
     Graph t = g;
     std::vector<Vertex> lc_sequence;
     if (cfg.max_lc_ops > 0) {
-      for (int round = 0; round < cfg.multilevel_refine_passes; ++round) {
+      for (int round = 0; round < kRefinePasses; ++round) {
         const bool lc = lc_refine_pass(t, labels, lc_sequence, cfg, arena);
         if (lc) refine_level(coarse_from_graph(t, exec), labels,
                              cfg.g_max, 1, arena);

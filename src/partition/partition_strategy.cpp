@@ -37,6 +37,11 @@ class BeamStrategy final : public PartitionStrategy {
                        const Executor& exec) const override {
     EPG_REQUIRE(cfg.g_max >= 1, "g_max must be positive");
     Stopwatch clock;
+    std::uint64_t work = g.vertex_count() + g.edge_count();
+    const auto out_of_budget = [&] {
+      return work >= kPartitionWorkBudget ||
+             clock.expired(cfg.time_budget_ms);
+    };
 
     struct Entry {
       Graph graph;
@@ -56,20 +61,21 @@ class BeamStrategy final : public PartitionStrategy {
     seen.insert(g);
 
     for (std::size_t step = 0; step < cfg.max_lc_ops; ++step) {
-      // Cooperative deadlines: checked between steps, between beam
-      // entries while expanding, and between scoring chunks — the anytime
-      // property survives, overshoot is bounded by one chunk, and at any
-      // truncation point the work done is still a pure function of
-      // (g, cfg): lane count only changes how fast a chunk finishes,
-      // never what it computes.
-      if (clock.expired(cfg.time_budget_ms)) break;
+      // Budget checks between steps, between beam entries while
+      // expanding, and between scoring chunks: overshoot is bounded by one
+      // chunk, and the work budget is charged per finished chunk, so it
+      // truncates at a point that is a pure function of (g, cfg) — lane
+      // count only changes how fast a chunk finishes, never what it
+      // computes. An optional wall deadline is checked at the same
+      // points.
+      if (out_of_budget()) break;
 
       // 1. Expand serially in fixed (entry, vertex) order — graph copies
       //    are cheap next to scoring, and determinism needs a fixed
       //    candidate list before the parallel phase.
       std::vector<Entry> candidates;
       for (const Entry& entry : beam) {
-        if (clock.expired(cfg.time_budget_ms)) break;
+        if (out_of_budget()) break;
         for (Vertex v = 0; v < entry.graph.vertex_count(); ++v) {
           // LC at a vertex of degree < 2 is the identity on edges.
           if (entry.graph.degree(v) < 2) continue;
@@ -90,8 +96,8 @@ class BeamStrategy final : public PartitionStrategy {
 
       // 2. Quick-score in parallel, a fixed-size chunk per barrier: every
       //    index owns its slot and its derived seed, so scores are
-      //    lane-count independent; an expired deadline drops the unscored
-      //    tail (anytime truncation at a chunk boundary).
+      //    lane-count independent; a spent budget drops the unscored tail
+      //    (anytime truncation at a chunk boundary).
       constexpr std::size_t kScoreChunk = 16;
       std::size_t scored = 0;
       while (scored < candidates.size()) {
@@ -101,9 +107,10 @@ class BeamStrategy final : public PartitionStrategy {
           Entry& cand = candidates[scored + i];
           cand.score = lc_partition_quick_cut(cand.graph, cfg, cand.seed);
         });
-        scored = chunk_end;
-        if (scored < candidates.size() &&
-            clock.expired(cfg.time_budget_ms)) {
+        for (; scored < chunk_end; ++scored)
+          work += candidates[scored].graph.vertex_count() +
+                  candidates[scored].graph.edge_count();
+        if (scored < candidates.size() && out_of_budget()) {
           candidates.resize(scored);
           break;
         }

@@ -27,9 +27,10 @@
 // is reachable from `g` via `lc_sequence` with at most cfg.max_lc_ops
 // moves, labels respect g_max, and the result depends only on
 // (g, cfg) — never on the executor's lane count or on scheduling order.
-// Wall-clock budgets (cfg.time_budget_ms) are honored at cooperative
-// checkpoints (search-step granularity); with non-binding budgets the
-// output is a pure function of (g, cfg).
+// The flat searches stop on kPartitionWorkBudget; an optional wall
+// deadline (cfg.time_budget_ms, unbounded by default) is honored at the
+// same cooperative checkpoints and is the only way load can shape a
+// result.
 #pragma once
 
 #include <string>

@@ -40,22 +40,17 @@ std::uint64_t config_fingerprint(const FrameworkConfig& cfg) {
   h.mix(cfg.partition.seed);
   h.mix(static_cast<std::uint64_t>(cfg.partition.quick_restarts));
   h.mix(static_cast<std::uint64_t>(cfg.partition.final_restarts));
-  h.mix(static_cast<std::uint64_t>(cfg.partition.exact_small));
-  h.mix(static_cast<std::uint64_t>(cfg.partition.exact_vertex_limit));
   h.mix(cfg.partition.strategy);
   h.mix(static_cast<std::uint64_t>(cfg.partition.anneal_iterations));
   h.mix(static_cast<std::uint64_t>(cfg.partition.portfolio_width));
   h.mix(static_cast<std::uint64_t>(cfg.partition.coarsen_floor));
   h.mix(cfg.partition.multilevel_inner);
   h.mix(static_cast<std::uint64_t>(cfg.partition.multilevel_race_limit));
-  h.mix(static_cast<std::uint64_t>(cfg.partition.multilevel_refine_passes));
-  h.mix(static_cast<std::uint64_t>(cfg.partition.multilevel_lc_degree_cap));
   // cfg.inner_threads is deliberately NOT mixed: inner lane count never
   // changes the compiled result, so it must not split the cache.
   h.mix(static_cast<std::uint64_t>(cfg.subgraph.ne_limit));
   h.mix(static_cast<std::uint64_t>(cfg.subgraph.node_budget));
   h.mix(static_cast<std::uint64_t>(cfg.subgraph.max_lc_ops));
-  h.mix(static_cast<std::uint64_t>(cfg.subgraph.keep_candidates));
   h.mix(cfg.subgraph.time_budget_ms);
   mix_hardware(h, cfg.subgraph.hw);
   h.mix(static_cast<std::uint64_t>(cfg.subgraph.verify));
@@ -77,7 +72,6 @@ std::uint64_t config_fingerprint(const BaselineConfig& cfg) {
   mix_hardware(h, cfg.hw);
   h.mix(static_cast<std::uint64_t>(cfg.order_restarts));
   h.mix(cfg.seed);
-  h.mix(cfg.time_budget_ms);
   h.mix(static_cast<std::uint64_t>(cfg.num_emitters));
   h.mix(static_cast<std::uint64_t>(cfg.verify));
   return h.digest();
@@ -173,23 +167,6 @@ const char* tier_name(ResultTier tier) {
   return "compiled";
 }
 
-FrameworkConfig BatchCompiler::effective_framework(
-    const CompileJob& job) const {
-  FrameworkConfig cfg = job.framework;
-  if (cfg_.deterministic) {
-    cfg.partition.time_budget_ms = kUnboundedBudgetMs;
-    cfg.subgraph.time_budget_ms = kUnboundedBudgetMs;
-  }
-  return cfg;
-}
-
-BaselineConfig BatchCompiler::effective_baseline(
-    const CompileJob& job) const {
-  BaselineConfig cfg = job.baseline;
-  if (cfg_.deterministic) cfg.time_budget_ms = kUnboundedBudgetMs;
-  return cfg;
-}
-
 JobResult BatchCompiler::compile_one(const CompileJob& job,
                                      std::uint64_t config_hash) {
   JobResult r;
@@ -202,7 +179,6 @@ JobResult BatchCompiler::compile_one(const CompileJob& job,
   Stopwatch watch;
   try {
     if (job.kind == CompilerKind::framework) {
-      const FrameworkConfig cfg = effective_framework(job);
       // Inner pipeline stages fan out on the batch's own pool (capped at
       // inner_threads extra lanes), so outer and inner parallelism share
       // one set of workers and never oversubscribe. Inner lanes never
@@ -211,7 +187,7 @@ JobResult BatchCompiler::compile_one(const CompileJob& job,
       const Executor& inner =
           cfg_.inner_threads == 0 ? Executor::serial() : shared_pool;
       auto result = std::make_shared<FrameworkResult>(
-          compile_framework(job.graph, cfg, inner));
+          compile_framework(job.graph, job.framework, inner));
       level_searches_total_->inc(result->level_searches);
       exhausted_searches_total_->inc(result->exhausted_searches);
       r.stats = result->stats();
@@ -223,7 +199,7 @@ JobResult BatchCompiler::compile_one(const CompileJob& job,
       r.verified = result->verified;
       r.framework_result = std::move(result);
     } else {
-      const BaselineConfig cfg = effective_baseline(job);
+      const BaselineConfig& cfg = job.baseline;
       auto result = std::make_shared<BaselineResult>(
           compile_baseline(job.graph, cfg));
       if (!result->success)
@@ -354,13 +330,9 @@ std::vector<JobResult> BatchCompiler::run(
     Keyed& k = keyed[i];
     k.graph_hash = labelled_graph_hash(jobs[i].graph);
     k.canonical_hash = canonical_graph_hash(jobs[i].graph);
-    // Fingerprint the configuration as it will actually compile
-    // (deterministic mode lifts the budgets), so persisted entries are
-    // never shared across modes that produce different results.
-    k.config_hash =
-        jobs[i].kind == CompilerKind::framework
-            ? config_fingerprint(effective_framework(jobs[i]))
-            : config_fingerprint(effective_baseline(jobs[i]));
+    k.config_hash = jobs[i].kind == CompilerKind::framework
+                        ? config_fingerprint(jobs[i].framework)
+                        : config_fingerprint(jobs[i].baseline);
     k.cache_key = HashStream()
                       .mix(k.graph_hash)
                       .mix(k.config_hash)

@@ -10,11 +10,9 @@
 //     jobs whose labelled graph AND configuration fingerprint match (the
 //     compilers are deterministic per (graph, config, seed), so members of
 //     such a group are interchangeable). A parallel run therefore
-//     reproduces a serial run bit-for-bit. With `deterministic = true`
-//     the wall-clock search budgets are additionally lifted to
-//     effectively-infinite values, so the anytime searches always run to
-//     their structural budgets (beam width, node budget, restarts) and
-//     results are independent of machine load as well.
+//     reproduces a serial run bit-for-bit, and since the anytime searches
+//     stop on work budgets (beam work, node budget, restarts), results
+//     are independent of machine load as well.
 //   * Isolation. A job that throws is recorded as a failed JobResult with
 //     the exception text; it never takes down the batch.
 //
@@ -42,13 +40,6 @@ class CompileResultStore;  // store/result_store.hpp
 struct StoredResult;
 
 enum class CompilerKind { framework, baseline };
-
-/// The wall-clock budget deterministic mode substitutes for the
-/// configured ones: large enough that no anytime search ever hits it,
-/// small enough that the double arithmetic in the budget checks stays
-/// exact. Exported so tooling that reproduces deterministic-mode
-/// fingerprints (bench_store's probe) shares the exact value.
-inline constexpr double kUnboundedBudgetMs = 1e15;
 
 /// Where a job's result came from. `memory` = this BatchCompiler's cache,
 /// `store` = the persistent on-disk tier, `dedup` = an identical job
@@ -102,18 +93,16 @@ struct BatchConfig {
   /// batch pool — sharing one pool is what keeps nested parallelism free
   /// of oversubscription. 0 = each job runs its inner pipeline serially
   /// (a batch wider than the pool saturates it anyway); N caps a job's
-  /// inner fan-out at N extra lanes. Never changes compiled results when
-  /// wall-clock budgets don't bind (lane count can only shift where a
-  /// binding anytime deadline truncates — `deterministic` removes that
-  /// too, as it already does for machine load).
+  /// inner fan-out at N extra lanes. Never changes compiled results.
   std::size_t inner_threads = 0;
   bool use_cache = true;
   /// Retain the full FrameworkResult/BaselineResult per job (needed by
   /// consumers that sample the circuits, e.g. the noise benches).
   bool keep_results = true;
-  /// Lift per-job wall-clock budgets so results are load-independent.
-  /// The lifted budgets are what gets fingerprinted, so deterministic and
-  /// budget-bound runs never share cache or store entries.
+  /// Response shaping for the serving front ends: leave wall-clock fields
+  /// and generated trace ids out of `epgc_serve`/`epgc_cluster` answers.
+  /// Never read by the compiler and never fingerprinted — every compile
+  /// is already a pure function of (graph, config).
   bool deterministic = false;
   /// Optional persistent tier (store/result_store.hpp). Read-through on a
   /// memory-cache miss, write-back after every successful compile; active
@@ -190,10 +179,6 @@ class BatchCompiler {
   JobResult compile_one(const CompileJob& job, std::uint64_t config_hash);
   const CacheEntry* find_cached(std::uint64_t key, const CompileJob& job,
                                 std::uint64_t config_hash) const;
-  /// The configuration as actually compiled (deterministic mode lifts the
-  /// wall-clock budgets); this is what gets fingerprinted and stored.
-  FrameworkConfig effective_framework(const CompileJob& job) const;
-  BaselineConfig effective_baseline(const CompileJob& job) const;
   /// Materialize a JobResult from a persistent-store hit.
   JobResult rehydrate(const CompileJob& job, const StoredResult& stored);
 

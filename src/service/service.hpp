@@ -17,9 +17,10 @@
 //
 // All compiles go through one BatchCompiler, so the service accumulates a
 // warm in-memory cache across requests, and — when a store directory is
-// configured — a persistent tier shared with the CLIs. In deterministic
-// mode responses carry no wall-clock fields and are bit-identical to what
-// `epgc_compile` prints for the same graph and knobs.
+// configured — a persistent tier shared with the CLIs. Compiled results
+// are the same in either mode and match what `epgc_compile` prints for the
+// same graph and knobs; deterministic mode only leaves out wall-clock
+// fields and generated trace ids, so its responses are bit-stable.
 //
 // The listener, the request metrics and the stop flag live in
 // ServingCore, which the epgc_cluster front shares. `stop()` is
@@ -42,8 +43,8 @@
 namespace epg {
 
 struct ServiceConfig {
-  /// Threads / inner lanes / deterministic mode for the shared
-  /// BatchCompiler. keep_results is forced on (responses may embed the
+  /// Threads / inner lanes for the shared BatchCompiler, and the
+  /// deterministic response mode (`batch.deterministic`). keep_results is forced on (responses may embed the
   /// compiled circuit); use_cache stays on — the warm cache is the point.
   BatchConfig batch;
   /// Persistent tier; an empty dir disables it.

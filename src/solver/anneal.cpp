@@ -67,6 +67,7 @@ PartitionOutcome search_lc_partition_anneal(const Graph& g,
     return lc_partition_finalize(g, g, {}, cfg);
 
   Stopwatch clock;
+  std::uint64_t work = g.vertex_count() + g.edge_count();
   Rng rng(mix_seed(cfg.seed, 0xA22EA7));
 
   Chain current{g, {}};
@@ -84,10 +85,10 @@ PartitionOutcome search_lc_partition_anneal(const Graph& g,
   schedule.temp_end = 0.05;
 
   for (int it = 0; it < schedule.iterations; ++it) {
-    // Cooperative deadline: one move per check, so truncation happens at
-    // a move boundary and a completed prefix is a pure function of
-    // (g, cfg).
-    if (clock.expired(cfg.time_budget_ms)) break;
+    // Budget check before every move: the work budget truncates at a
+    // move boundary, so a completed prefix is a pure function of (g, cfg).
+    if (work >= kPartitionWorkBudget || clock.expired(cfg.time_budget_ms))
+      break;
     const double frac =
         schedule.iterations <= 1
             ? 1.0
@@ -134,6 +135,7 @@ PartitionOutcome search_lc_partition_anneal(const Graph& g,
     }
     if (!did_pop && !did_append) continue;
 
+    work += current.graph.vertex_count() + current.graph.edge_count();
     const double cand_e = static_cast<double>(lc_partition_quick_cut(
         current.graph, cfg, mix_seed(cfg.seed, static_cast<std::uint64_t>(it) + 1)));
     if (rng.chance(anneal_acceptance(cand_e - current_e, temp))) {

@@ -30,14 +30,14 @@ struct AnnealSchedule {
 double anneal_acceptance(double delta, double temperature);
 
 /// LC + partition co-search by simulated annealing: a single deterministic
-/// chain of cfg.anneal_iterations moves seeded by cfg.seed, truncated at
-/// cooperative per-iteration deadline checks when cfg.time_budget_ms
-/// binds. The winner is polished and compared against the untransformed
-/// graph exactly like the beam search (lc_partition_finalize), so the
-/// anneal engine also never loses to not using LC. The chain itself is
-/// inherently sequential; `exec` is accepted for interface symmetry and
-/// future multi-chain variants (the portfolio strategy races whole chains
-/// instead).
+/// chain of cfg.anneal_iterations moves seeded by cfg.seed, truncated
+/// before the move at which kPartitionWorkBudget (or an optional
+/// cfg.time_budget_ms deadline) is spent. The winner is polished and
+/// compared against the untransformed graph exactly like the beam search
+/// (lc_partition_finalize), so the anneal engine also never loses to not
+/// using LC. The chain itself is inherently sequential; `exec` is accepted
+/// for interface symmetry and future multi-chain variants (the portfolio
+/// strategy races whole chains instead).
 PartitionOutcome search_lc_partition_anneal(const Graph& g,
                                             const LcPartitionConfig& cfg,
                                             const Executor& exec);

@@ -100,9 +100,7 @@ TEST(GraphHash, CanonicalHashSeparatesShapes) {
 
 FrameworkConfig quick_framework(std::uint64_t seed) {
   FrameworkConfig cfg;
-  cfg.partition.time_budget_ms = 500;
   cfg.subgraph.node_budget = 8000;
-  cfg.subgraph.time_budget_ms = 80;
   cfg.verify_seeds = 1;
   cfg.seed = seed;
   return cfg;
@@ -149,10 +147,8 @@ void expect_same_metrics(const JobResult& a, const JobResult& b) {
 TEST(BatchCompiler, ParallelMatchesSerialBitForBit) {
   BatchConfig serial_cfg;
   serial_cfg.threads = 1;
-  serial_cfg.deterministic = true;
   BatchConfig parallel_cfg;
   parallel_cfg.threads = 4;
-  parallel_cfg.deterministic = true;
 
   BatchCompiler serial(serial_cfg);
   BatchCompiler parallel(parallel_cfg);
@@ -173,7 +169,7 @@ TEST(BatchCompiler, MatchesDirectSerialCompile) {
   // with the same configuration produces (the epgc_compile path).
   const Graph g = shuffle_labels(make_lattice(3, 4), 2);
   BatchConfig cfg;
-  cfg.threads = 3;  // deterministic defaults to false: configs untouched
+  cfg.threads = 3;
   BatchCompiler batch(cfg);
   const std::vector<JobResult> res =
       batch.run({framework_job("direct", g, 7)});
@@ -217,7 +213,6 @@ TEST(BatchCompiler, WorkCountersCountEachCompiledJobOnce) {
   auto registry = std::make_shared<MetricsRegistry>();
   BatchConfig cfg;
   cfg.threads = 2;
-  cfg.deterministic = true;
   cfg.metrics = registry;
   BatchCompiler batch(cfg);
   const Graph g = make_waxman(10, 6);

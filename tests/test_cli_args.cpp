@@ -12,7 +12,7 @@ constexpr const char* kUsage = R"(usage: tool [options] <file>
 
 options:
   --gmax N       max subgraph size
-  --budget-ms X  search budget
+  --ne-factor X  emitter cap factor
   --quiet        metrics only
 )";
 
@@ -27,8 +27,8 @@ epg::cli::Args parse(std::vector<std::string> tokens) {
 TEST(CliArgs, UnknownValueFlagExitsTwo) {
   EXPECT_EXIT(parse({"--gmx", "3", "g.g6"}), testing::ExitedWithCode(2),
               "unknown flag --gmx");
-  EXPECT_EXIT(parse({"--budgetms", "5", "g.g6"}), testing::ExitedWithCode(2),
-              "unknown flag --budgetms");
+  EXPECT_EXIT(parse({"--nefactor", "5", "g.g6"}), testing::ExitedWithCode(2),
+              "unknown flag --nefactor");
 }
 
 TEST(CliArgs, UnknownBoolFlagExitsTwo) {
@@ -38,9 +38,9 @@ TEST(CliArgs, UnknownBoolFlagExitsTwo) {
 
 TEST(CliArgs, KnownFlagsParse) {
   const epg::cli::Args args =
-      parse({"--gmax", "3", "--quiet", "g.g6", "--budget-ms", "2.5"});
+      parse({"--gmax", "3", "--quiet", "g.g6", "--ne-factor", "2.5"});
   EXPECT_EQ(args.get_u64("gmax", 7), 3u);
-  EXPECT_DOUBLE_EQ(args.get_double("budget-ms", 800), 2.5);
+  EXPECT_DOUBLE_EQ(args.get_double("ne-factor", 1.5), 2.5);
   EXPECT_TRUE(args.has("quiet"));
   EXPECT_EQ(args.positional(), std::vector<std::string>{"g.g6"});
 }

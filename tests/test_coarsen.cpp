@@ -41,7 +41,6 @@ LcPartitionConfig small_cfg() {
   cfg.final_restarts = 4;
   cfg.anneal_iterations = 200;
   cfg.portfolio_width = 2;
-  cfg.time_budget_ms = 1e15;  // pure function of (g, cfg)
   cfg.seed = 5;
   return cfg;
 }

@@ -19,7 +19,6 @@ TEST(CompileSpec, DefaultsMatchEpgcCompile) {
   EXPECT_EQ(spec.hw, "quantum_dot");
   EXPECT_EQ(spec.gmax, 7u);
   EXPECT_EQ(spec.lc, 15u);
-  EXPECT_EQ(spec.budget_ms, 800.0);
   EXPECT_EQ(spec.strategy, "beam");
   EXPECT_EQ(spec.coarsen_floor, 192u);
   EXPECT_EQ(spec.multilevel_inner, "beam");
@@ -31,10 +30,10 @@ TEST(CompileSpec, DefaultsMatchEpgcCompile) {
 
 TEST(CompileSpec, AcceptsBothKeySpellings) {
   CompileSpec a, b;
-  apply_compile_spec_key(a, "budget_ms", "50");
-  apply_compile_spec_key(b, "budget-ms", "50");
-  EXPECT_EQ(a.budget_ms, 50.0);
-  EXPECT_EQ(b.budget_ms, 50.0);
+  apply_compile_spec_key(a, "coarsen_floor", "50");
+  apply_compile_spec_key(b, "coarsen-floor", "50");
+  EXPECT_EQ(a.coarsen_floor, 50u);
+  EXPECT_EQ(b.coarsen_floor, 50u);
   EXPECT_TRUE(is_compile_spec_key("ne_factor"));
   EXPECT_TRUE(is_compile_spec_key("ne-factor"));
   EXPECT_FALSE(is_compile_spec_key("gseed"));  // generator key, not a knob
@@ -45,9 +44,9 @@ TEST(CompileSpec, KeyListCoversEveryKnob) {
   // Declaration-order canonical names; a knob added to the struct must be
   // added to the table (and to the fingerprint test below).
   const std::vector<std::string> expected = {
-      "compiler",     "hw", "gmax",      "lc",   "budget_ms",
-      "strategy",     "coarsen_floor",   "multilevel_inner",
-      "ne_factor",    "ne", "seed",      "verify"};
+      "compiler",      "hw",        "gmax", "lc",   "strategy",
+      "coarsen_floor", "multilevel_inner", "ne_factor", "ne", "seed",
+      "verify"};
   EXPECT_EQ(compile_spec_keys(), expected);
   for (const std::string& key : compile_spec_keys())
     EXPECT_TRUE(is_compile_spec_key(key)) << key;
@@ -59,7 +58,7 @@ TEST(CompileSpec, RejectsUnknownKeysAndBadValues) {
                std::invalid_argument);
   EXPECT_THROW(apply_compile_spec_key(spec, "gmax", "seven"),
                std::invalid_argument);
-  EXPECT_THROW(apply_compile_spec_key(spec, "budget_ms", ""),
+  EXPECT_THROW(apply_compile_spec_key(spec, "ne_factor", ""),
                std::invalid_argument);
   EXPECT_THROW(apply_compile_spec_key(spec, "verify", "maybe"),
                std::invalid_argument);
@@ -81,6 +80,20 @@ TEST(CompileSpec, JsonOverlayKeepsDefaultsForAbsentKeys) {
   EXPECT_THROW(
       apply_compile_spec_json(spec, JsonValue::parse(R"({"gmax":"x"})")),
       std::invalid_argument);
+}
+
+TEST(CompileSpec, RetiredBudgetKeyIsIgnoredInJsonAndUnknownAsAKey) {
+  // Compiles stop on work, so the spec has no wall budget: a JSON request
+  // may still carry "budget_ms" and compiles exactly like one without it,
+  // while the manifest/CLI key surface rejects it like any unknown key.
+  CompileSpec with_budget;
+  apply_compile_spec_json(with_budget,
+                          JsonValue::parse(R"({"budget_ms":50})"));
+  const Graph g = make_ring(6);
+  EXPECT_EQ(
+      config_fingerprint(make_compile_job(with_budget, "a", g).framework),
+      config_fingerprint(make_compile_job(CompileSpec{}, "b", g).framework));
+  EXPECT_FALSE(is_compile_spec_key("budget-ms"));
 }
 
 TEST(CompileSpec, MakeCompileJobValidates) {
@@ -124,8 +137,8 @@ TEST(CompileSpec, EveryKnobMovesTheConfigFingerprint) {
 
   const std::vector<std::pair<std::string, std::string>> perturbations = {
       {"hw", "nv"},          {"gmax", "5"},
-      {"lc", "3"},           {"budget_ms", "100"},
-      {"strategy", "greedy"},{"coarsen_floor", "64"},
+      {"lc", "3"},           {"strategy", "greedy"},
+      {"coarsen_floor", "64"},
       {"multilevel_inner", "greedy"}, {"ne_factor", "2.0"},
       {"ne", "4"},           {"seed", "2"},
       {"verify", "false"},

@@ -12,9 +12,7 @@ namespace {
 
 FrameworkConfig quick_config() {
   FrameworkConfig cfg;
-  cfg.partition.time_budget_ms = 200;
   cfg.subgraph.node_budget = 10000;
-  cfg.subgraph.time_budget_ms = 80;
   cfg.verify_seeds = 2;
   return cfg;
 }
@@ -79,11 +77,8 @@ TEST(Framework, TetrisNotWorseThanSequential) {
 
 TEST(Framework, DeterministicForSeed) {
   const Graph g = make_waxman(12, 8);
-  FrameworkConfig cfg = quick_config();
-  cfg.partition.time_budget_ms = 1e9;
-  cfg.subgraph.time_budget_ms = 1e9;
-  const auto a = compile_framework(g, cfg);
-  const auto b = compile_framework(g, cfg);
+  const auto a = compile_framework(g, quick_config());
+  const auto b = compile_framework(g, quick_config());
   EXPECT_EQ(a.stats().ee_cnot_count, b.stats().ee_cnot_count);
   EXPECT_EQ(a.stats().makespan_ticks, b.stats().makespan_ticks);
   EXPECT_EQ(a.stem_count, b.stem_count);

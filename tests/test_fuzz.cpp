@@ -19,18 +19,14 @@
 namespace epg::fuzz {
 namespace {
 
-/// Cheap oracle: one strategy, small structural budgets, lifted wall
-/// budgets (determinism), one replay seed.
+/// Cheap oracle: one strategy, small structural budgets, one replay seed.
 OracleConfig tiny_oracle(std::vector<std::string> strategies = {"beam"},
                          bool baseline = true) {
   OracleConfig cfg;
   cfg.base.partition.g_max = 5;
   cfg.base.partition.max_lc_ops = 4;
   cfg.base.partition.beam_width = 3;
-  cfg.base.partition.time_budget_ms = 1e15;
-  cfg.base.subgraph.time_budget_ms = 1e15;
   cfg.base.verify_seeds = 1;
-  cfg.baseline.time_budget_ms = 1e15;
   cfg.strategies = std::move(strategies);
   cfg.include_baseline = baseline;
   cfg.verify_seeds = 1;
@@ -110,7 +106,6 @@ TEST(Oracle, JobsAndBatchEvaluationMatchSerial) {
   const OracleConfig cfg = tiny_oracle({"beam"}, true);
   BatchConfig bcfg;
   bcfg.threads = 2;
-  bcfg.deterministic = true;
   BatchCompiler batch(bcfg);
   const std::vector<JobResult> results =
       batch.run(oracle_jobs(g, cfg, "t"));

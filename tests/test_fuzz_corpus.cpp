@@ -78,7 +78,6 @@ TEST_P(FuzzCorpusReplay, OracleCleanOnEveryStrategyAndBaseline) {
   const OracleConfig cfg = default_oracle_config();
   BatchConfig bcfg;
   bcfg.threads = 2;
-  bcfg.deterministic = true;
   BatchCompiler batch(bcfg);
   const OracleReport report = evaluate_oracle(
       entry.graph, cfg, batch.run(oracle_jobs(entry.graph, cfg, entry.name)));

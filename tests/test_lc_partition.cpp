@@ -11,7 +11,6 @@ namespace {
 TEST(LcPartition, OutcomeConsistency) {
   const Graph g = make_waxman(20, 3);
   LcPartitionConfig cfg;
-  cfg.time_budget_ms = 300;
   const PartitionOutcome out = search_lc_partition(g, cfg);
   // Labels cover every vertex; parts non-empty and within g_max.
   EXPECT_EQ(out.labels.size(), g.vertex_count());
@@ -49,7 +48,6 @@ TEST(LcPartition, LcReducesCutOnCompleteBipartiteCore) {
   LcPartitionConfig with_lc;
   with_lc.g_max = 4;
   with_lc.max_lc_ops = 15;
-  with_lc.time_budget_ms = 800;
   LcPartitionConfig no_lc = with_lc;
   no_lc.max_lc_ops = 0;
   const auto k_with = search_lc_partition(g, with_lc).stem_edge_count;
@@ -64,7 +62,6 @@ TEST(LcPartition, LcNeverHurtsOnAverage) {
   for (std::uint64_t seed : {11u, 12u, 13u}) {
     const Graph g = make_waxman(18, seed);
     LcPartitionConfig with_lc;
-    with_lc.time_budget_ms = 400;
     LcPartitionConfig no_lc = with_lc;
     no_lc.max_lc_ops = 0;
     EXPECT_LE(search_lc_partition(g, with_lc).stem_edge_count,
@@ -75,7 +72,6 @@ TEST(LcPartition, LcNeverHurtsOnAverage) {
 TEST(LcPartition, DeterministicForSeed) {
   const Graph g = make_waxman(16, 4);
   LcPartitionConfig cfg;
-  cfg.time_budget_ms = 1e9;  // no wall-clock dependence
   cfg.max_lc_ops = 4;
   const PartitionOutcome a = search_lc_partition(g, cfg);
   const PartitionOutcome b = search_lc_partition(g, cfg);

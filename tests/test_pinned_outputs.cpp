@@ -1,8 +1,8 @@
 // Pinned compile outputs: every golden-corpus graph plus shuffled lattice,
 // tree and Waxman graphs of 12-24 vertices, compiled with the paper-scale
-// settings the serving benchmark uses (lc 4, wall-clock budgets lifted,
-// serial), must reproduce a fixed result_fingerprint — circuit bytes,
-// gate/photon times, every stat, stem count and subgraph_nodes.
+// settings the serving benchmark uses (lc 4, serial), must reproduce a
+// fixed result_fingerprint — circuit bytes, gate/photon times, every stat,
+// stem count and subgraph_nodes.
 //
 // The expected strings were recorded once from the compiler before its
 // cold-path speed-ups and are never regenerated: a performance change that
@@ -80,8 +80,6 @@ FrameworkConfig pinned_config(const std::string& strategy) {
   cfg.partition.strategy = strategy;
   // Forces the coarsen-refine path on a 20-vertex graph.
   cfg.partition.coarsen_floor = 8;
-  cfg.partition.time_budget_ms = kUnboundedBudgetMs;
-  cfg.subgraph.time_budget_ms = kUnboundedBudgetMs;
   cfg.inner_threads = 0;
   return cfg;
 }

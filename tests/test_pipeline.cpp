@@ -1,8 +1,8 @@
 // The staged-pipeline contract: the five stages run in order, each timed
 // and traced, compile_framework metrics are bit-identical at any inner
-// thread count, every registered partition strategy yields a verified
-// circuit, and the Executor abstraction runs each index exactly once
-// whether serial, pooled, or lane-capped.
+// thread count and under machine load, every registered partition
+// strategy yields a verified circuit, and the Executor abstraction runs
+// each index exactly once whether serial, pooled, or lane-capped.
 #include "compile/framework.hpp"
 
 #include <gtest/gtest.h>
@@ -10,7 +10,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/compile_spec.hpp"
 #include "graph/generators.hpp"
@@ -18,24 +20,23 @@
 #include "io/graph_io.hpp"
 #include "obs/trace.hpp"
 #include "partition/partition_strategy.hpp"
+#include "result_fingerprint.hpp"
 #include "runtime/batch_compiler.hpp"
 #include "solver/anneal.hpp"
 
 namespace epg {
 namespace {
 
-/// Wall-clock budgets lifted: results must be a pure function of
+/// Small structural budgets; results are a pure function of
 /// (graph, config), so thread-count sweeps compare bit-identical work.
 FrameworkConfig pipeline_config(const std::string& strategy = "beam") {
   FrameworkConfig cfg;
-  cfg.partition.time_budget_ms = 1e15;
   cfg.partition.max_lc_ops = 6;
   cfg.partition.beam_width = 4;
   cfg.partition.anneal_iterations = 400;
   cfg.partition.portfolio_width = 3;
   cfg.partition.strategy = strategy;
   cfg.subgraph.node_budget = 10000;
-  cfg.subgraph.time_budget_ms = 1e15;
   cfg.verify_seeds = 2;
   return cfg;
 }
@@ -121,18 +122,16 @@ TEST(Pipeline, WorkCountersEqualAcrossInnerThreadCounts) {
   }
   EXPECT_GT(exhausted, 0u);
 
-  // A cold_paper graph (servebench seed 101) at its spec, lc 4 with lifted
-  // budgets. Its partition has a 1-vertex part, whose variant walks end at
-  // level 2 although ne_min + 2 = 3 is within the cap, and its schedule
-  // takes the dangler ladder. The counts were recorded before the subgraph
+  // A cold_paper graph (servebench seed 101) at its spec, lc 4. Its
+  // partition has a 1-vertex part, whose variant walks end at level 2
+  // although ne_min + 2 = 3 is within the cap, and its schedule takes the
+  // dangler ladder. The counts were recorded before the subgraph
   // stage searched its levels as one flat fan-out; they pin that fan-out to
   // exactly the levels the walks search, at any lane count.
   CompileSpec spec;
   spec.lc = 4;
   const Graph g = read_graph6("N_@@OC@?@OmCOC?Oo`O");
   FrameworkConfig cfg = make_compile_job(spec, "cold", g).framework;
-  cfg.partition.time_budget_ms = kUnboundedBudgetMs;
-  cfg.subgraph.time_budget_ms = kUnboundedBudgetMs;
   cfg.inner_threads = 0;
   const FrameworkResult serial = compile_framework(g, cfg);
   EXPECT_TRUE(std::any_of(
@@ -162,6 +161,41 @@ TEST(Pipeline, StrategiesBitIdenticalAcrossInnerThreadCounts) {
           << strategy << " differs at inner_threads=" << threads;
     }
   }
+}
+
+// A default compile stops on work, never on time: lane count, machine
+// load and an explicit unbounded deadline all give the same bytes. The
+// shuffled 10x10 lattice (epgc_graphgen --seed 3 --shuffle) at lc 15 is
+// large enough that its partition search ends on its budget; under a wall
+// budget the same graph compiled to 137 or 152 ee-CNOTs depending on the
+// moment.
+TEST(Pipeline, DefaultCompileDoesNotDependOnMachineLoad) {
+  const Graph g = shuffle_labels(make_lattice(10, 10), 3 * 977 + 3);
+  FrameworkConfig cfg = make_compile_job(CompileSpec{}, "lattice", g).framework;
+  EXPECT_EQ(config_fingerprint(cfg), config_fingerprint(FrameworkConfig{}))
+      << "the default spec compiles the default FrameworkConfig";
+  const std::string serial = result_fingerprint(compile_framework(g, cfg));
+
+  cfg.inner_threads = 3;
+  EXPECT_EQ(result_fingerprint(compile_framework(g, cfg)), serial)
+      << "inner 3";
+  cfg.inner_threads = 0;
+
+  std::vector<std::jthread> hogs;  // busy-spin until stopped and joined
+  const unsigned cores = std::thread::hardware_concurrency();
+  for (unsigned i = 0; i < std::clamp(cores, 1u, 3u); ++i)
+    hogs.emplace_back([](std::stop_token stop) {
+      while (!stop.stop_requested()) {
+      }
+    });
+  const std::string loaded = result_fingerprint(compile_framework(g, cfg));
+  hogs.clear();
+  EXPECT_EQ(loaded, serial) << "under load";
+
+  cfg.partition.time_budget_ms = kUnboundedBudgetMs;
+  cfg.subgraph.time_budget_ms = kUnboundedBudgetMs;
+  EXPECT_EQ(result_fingerprint(compile_framework(g, cfg)), serial)
+      << "unbounded deadlines";
 }
 
 TEST(Pipeline, EveryRegisteredStrategyProducesVerifiedCircuit) {
@@ -239,7 +273,6 @@ TEST(Pipeline, StagesRunInOrderAndAreTimed) {
 TEST(Pipeline, AnnealSearchOutcomeIsConsistentAndNeverWorseThanNoLc) {
   const Graph g = make_waxman(18, 7);
   LcPartitionConfig cfg;
-  cfg.time_budget_ms = 1e15;
   cfg.anneal_iterations = 400;
   const PartitionOutcome out =
       search_lc_partition_anneal(g, cfg, Executor::serial());
@@ -264,7 +297,6 @@ TEST(Pipeline, PortfolioDeterministicAndNeverWorseThanBeam) {
   const Graph g = make_complete(8);
   LcPartitionConfig cfg;
   cfg.g_max = 4;
-  cfg.time_budget_ms = 1e15;
   cfg.max_lc_ops = 6;
   cfg.anneal_iterations = 300;
   cfg.portfolio_width = 3;

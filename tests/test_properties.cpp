@@ -64,9 +64,7 @@ TEST_P(FrameworkFuzz, RandomDensityGraphsCompileVerified) {
   const Graph g = make_erdos_renyi(n, p, seed * 37 + 2);
   FrameworkConfig cfg;
   cfg.partition.g_max = 5;  // force several parts even on small graphs
-  cfg.partition.time_budget_ms = 150;
   cfg.subgraph.node_budget = 8000;
-  cfg.subgraph.time_budget_ms = 60;
   cfg.seed = seed;
   const FrameworkResult r = compile_framework(g, cfg);
   EXPECT_TRUE(r.verified);
@@ -108,7 +106,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LcSequenceIdentity,
 TEST(Pipelines, BothCompilersAgreeOnTheState) {
   const Graph g = shuffle_labels(make_lattice(3, 4), 9);
   FrameworkConfig fcfg;
-  fcfg.partition.time_budget_ms = 200;
   fcfg.subgraph.node_budget = 8000;
   const FrameworkResult ours = compile_framework(g, fcfg);
   BaselineConfig bcfg;
@@ -184,8 +181,6 @@ TEST(Pipelines, FullPipelineIdenticalAcrossProcesses) {
   cfg.partition.g_max = 7;
   cfg.partition.max_lc_ops = 15;
   cfg.partition.seed = 7;
-  cfg.partition.time_budget_ms = 1e15;
-  cfg.subgraph.time_budget_ms = 1e15;
   cfg.seed = 0;
   cfg.verify_seeds = 0;
   cfg.flexible_ne_max_trials = 16;

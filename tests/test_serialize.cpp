@@ -53,7 +53,6 @@ TEST(Serialize, RejectsMalformedInput) {
 TEST(Serialize, CompiledCircuitSurvivesRoundTrip) {
   const Graph g = make_ring(6);
   FrameworkConfig cfg;
-  cfg.partition.time_budget_ms = 150;
   cfg.subgraph.node_budget = 8000;
   const FrameworkResult r = compile_framework(g, cfg);
   const Circuit back =

@@ -49,9 +49,7 @@ TEST(Stem, BoundaryFlagsMatchStemEndpoints) {
 
 TEST(Stem, GlobalLocalMapsAreConsistent) {
   const Graph g = make_waxman(14, 6);
-  LcPartitionConfig cfg;
-  cfg.time_budget_ms = 200;
-  const StemPlan plan = plan_stems(search_lc_partition(g, cfg));
+  const StemPlan plan = plan_stems(search_lc_partition(g, {}));
   for (Vertex v = 0; v < g.vertex_count(); ++v) {
     const std::uint32_t p = plan.part_of[v];
     const Vertex local = plan.local_of[v];

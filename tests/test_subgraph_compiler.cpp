@@ -17,7 +17,6 @@ SubgraphCompileConfig quick_config(std::uint32_t ne) {
   SubgraphCompileConfig cfg;
   cfg.ne_limit = ne;
   cfg.node_budget = 15000;
-  cfg.time_budget_ms = 200;
   return cfg;
 }
 

@@ -55,10 +55,6 @@ FrameworkConfig scale_cfg(std::size_t inner_threads) {
   cfg.partition.g_max = 7;
   cfg.partition.max_lc_ops = 15;
   cfg.partition.seed = 7;
-  // Lifted budgets: a binding anytime deadline truncates the searches at a
-  // load-dependent point and would break the bit-identity asserted here.
-  cfg.partition.time_budget_ms = 1e15;
-  cfg.subgraph.time_budget_ms = 1e15;
   cfg.seed = 0;
   cfg.verify_seeds = 0;  // tableau check is quadratic in n; not the point
   cfg.flexible_ne_max_trials = 16;
