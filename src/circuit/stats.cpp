@@ -5,7 +5,8 @@
 
 namespace epg {
 
-CircuitStats compute_stats(const Circuit& c, const HardwareModel& hw) {
+CircuitStats compute_stats(const Circuit& c, const CircuitTiming& t,
+                           const HardwareModel& hw) {
   CircuitStats s;
   for (const Gate& g : c.gates()) {
     switch (g.kind) {
@@ -16,7 +17,6 @@ CircuitStats compute_stats(const Circuit& c, const HardwareModel& hw) {
       case GateKind::measure_reset: ++s.measure_count; break;
     }
   }
-  const CircuitTiming t = analyze_timing(c, hw);
   s.makespan_ticks = t.makespan;
   s.duration_tau = hw.ticks_to_tau(t.makespan);
   for (const auto& iv : t.emitter_busy)
@@ -27,6 +27,10 @@ CircuitStats compute_stats(const Circuit& c, const HardwareModel& hw) {
   s.ee_fidelity_estimate =
       std::pow(hw.ee_cnot_fidelity, static_cast<double>(s.ee_cnot_count));
   return s;
+}
+
+CircuitStats compute_stats(const Circuit& c, const HardwareModel& hw) {
+  return compute_stats(c, analyze_timing(c, hw), hw);
 }
 
 std::string CircuitStats::str() const {

@@ -26,6 +26,9 @@ struct CircuitStats {
   std::string str() const;
 };
 
+/// `t` is the circuit's timing; the two-argument form analyzes it first.
+CircuitStats compute_stats(const Circuit& c, const CircuitTiming& t,
+                           const HardwareModel& hw);
 CircuitStats compute_stats(const Circuit& c, const HardwareModel& hw);
 
 }  // namespace epg

@@ -32,7 +32,10 @@ std::uint32_t CircuitTiming::peak_usage() const {
   return peak;
 }
 
-CircuitTiming analyze_timing(const Circuit& c, const HardwareModel& hw) {
+CircuitTiming analyze_timing(const Circuit& c, const HardwareModel& hw,
+                             std::span<const Tick> release) {
+  EPG_REQUIRE(release.empty() || release.size() == c.size(),
+              "one release per gate");
   CircuitTiming t;
   t.gate_start.resize(c.size());
   t.gate_end.resize(c.size());
@@ -49,7 +52,7 @@ CircuitTiming analyze_timing(const Circuit& c, const HardwareModel& hw) {
 
   for (std::size_t i = 0; i < c.size(); ++i) {
     const Gate& g = c.gates()[i];
-    Tick start = free_time(g.a);
+    Tick start = std::max(release.empty() ? Tick{0} : release[i], free_time(g.a));
     if (g.is_two_qubit()) start = std::max(start, free_time(g.b));
     const Tick end = start + g.duration(hw);
     t.gate_start[i] = start;

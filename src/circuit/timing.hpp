@@ -1,14 +1,17 @@
 // Dependency-aware timing analysis (ASAP list scheduling).
 //
 // Gates appear in the circuit in logical order; two gates may overlap in
-// time when they touch disjoint qubits. Classical feed-forward corrections
-// are Pauli-frame updates: they order after the measurement but add no
-// duration. The analysis yields gate start/end ticks, the makespan, each
-// photon's emission time (for the loss model) and per-emitter busy
+// time when they touch disjoint qubits. An optional per-gate release time
+// is a floor on the gate's start; the scheduler legalizes its planned
+// global timeline this way (compile/scheduler.hpp). Classical feed-forward
+// corrections are Pauli-frame updates: they order after the measurement but
+// add no duration. The analysis yields gate start/end ticks, the makespan,
+// each photon's emission time (for the loss model) and per-emitter busy
 // intervals, from which the emitter-usage curve of the paper's Fig. 5 /
 // Fig. 8 Tetris blocks is derived.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -40,6 +43,8 @@ struct CircuitTiming {
   std::uint32_t peak_usage() const;
 };
 
-CircuitTiming analyze_timing(const Circuit& c, const HardwareModel& hw);
+/// `release` is empty or holds one start floor per gate.
+CircuitTiming analyze_timing(const Circuit& c, const HardwareModel& hw,
+                             std::span<const Tick> release = {});
 
 }  // namespace epg

@@ -392,6 +392,9 @@ StemPlan partition_stage(const Graph& target, const FrameworkConfig& cfg,
     Span span("partition_strategy", "pipeline");
     span.arg("strategy", result.strategy);
     result.partition = strategy->run(target, pcfg, exec);
+    span.arg("work", result.partition.work);
+    span.arg("work_exhausted",
+             std::uint64_t{result.partition.work_exhausted ? 1u : 0u});
   }
   StemPlan plan = plan_stems(result.partition);
   result.stem_count = plan.stem_edges.size();

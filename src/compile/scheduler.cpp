@@ -1,8 +1,8 @@
 #include "compile/scheduler.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <queue>
 #include <tuple>
 #include <utility>
@@ -24,16 +24,10 @@ struct PartLayout {
   std::vector<std::uint32_t> pmin;
 };
 
-/// Key for an emitter slot owned by one part.
-struct SlotKey {
-  std::uint32_t part;
-  std::uint32_t slot;
-};
-
 struct MergedGate {
   Tick release = 0;
   std::uint32_t part = 0;      ///< parts.size() marks a stem CZ
-  std::uint32_t index = 0;     ///< local gate index / stem index
+  std::uint32_t index = 0;     ///< local gate index / serialization rank
 };
 
 /// Host lookup: global boundary vertex -> (part, AnchorInfo) plus the slot
@@ -42,6 +36,31 @@ struct HostRef {
   std::uint32_t part = 0;
   const AnchorInfo* info = nullptr;
   std::vector<std::size_t> prev_gates;  ///< slot gates before tail_begin
+};
+
+/// Whether `g` operates on emitter `slot`.
+bool touches_slot(const Gate& g, std::uint32_t slot) {
+  return (g.a.kind == QubitKind::emitter && g.a.index == slot) ||
+         (g.is_two_qubit() && g.b.kind == QubitKind::emitter &&
+          g.b.index == slot);
+}
+
+using DagEdge = std::pair<std::uint32_t, std::uint32_t>;  ///< (from, to)
+
+/// Compressed adjacency over nodes [0, n): the successors of node v are
+/// adj[head[v], head[v + 1]), in the order their edges were listed.
+struct Csr {
+  std::vector<std::uint32_t> head;
+  std::vector<std::uint32_t> adj;
+
+  Csr() = default;
+  Csr(std::size_t n, const std::vector<DagEdge>& edges) : head(n + 1, 0) {
+    for (const auto& [from, to] : edges) ++head[from + 1];
+    for (std::size_t v = 0; v < n; ++v) head[v + 1] += head[v];
+    adj.resize(edges.size());
+    std::vector<std::uint32_t> cursor(head.begin(), head.end() - 1);
+    for (const auto& [from, to] : edges) adj[cursor[from]++] = to;
+  }
 };
 
 /// Everything about one scheduling instance that does not depend on the
@@ -68,8 +87,7 @@ struct SchedulePrepass {
   std::size_t stem_node = 0;
   std::size_t coll_node = 0;
   std::size_t n_nodes = 0;
-  std::vector<std::uint32_t> head;
-  std::vector<std::uint32_t> adj;
+  Csr dag;
   std::vector<std::uint32_t> indeg;
 
   std::vector<std::uint32_t> slot_base;  ///< prefix sums of num_emitters
@@ -92,15 +110,9 @@ SchedulePrepass build_prepass(const std::vector<CompiledPart>& parts,
     for (const AnchorInfo& a : parts[p].circuit.anchors) {
       if (!a.via_swap) continue;  // dangler hosts have no idle init to push
       Tick next = timing.makespan;
-      for (std::size_t i = 0; i < c.size(); ++i) {
-        if (i == a.init_gate) continue;
-        const Gate& g = c.gates()[i];
-        const bool touches =
-            (g.a.kind == QubitKind::emitter && g.a.index == a.slot) ||
-            (g.is_two_qubit() && g.b.kind == QubitKind::emitter &&
-             g.b.index == a.slot);
-        if (touches) next = std::min(next, timing.gate_start[i]);
-      }
+      for (std::size_t i = 0; i < c.size(); ++i)
+        if (i != a.init_gate && touches_slot(c.gates()[i], a.slot))
+          next = std::min(next, timing.gate_start[i]);
       const Tick dur =
           timing.gate_end[a.init_gate] - timing.gate_start[a.init_gate];
       if (next >= dur && timing.gate_end[a.init_gate] < next) {
@@ -137,25 +149,17 @@ SchedulePrepass build_prepass(const std::vector<CompiledPart>& parts,
     }
   }
 
+  // Tetris: highest priority first = placed latest (smallest reversed
+  // offset). Sequential ablation: lowest priority earliest.
   pre.order.resize(parts.size());
-  for (std::uint32_t p = 0; p < parts.size(); ++p) pre.order[p] = p;
-  if (cfg.alap_tetris) {
-    // Highest priority first = placed latest (smallest reversed offset).
-    std::sort(pre.order.begin(), pre.order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                if (pre.layout[a].priority != pre.layout[b].priority)
-                  return pre.layout[a].priority > pre.layout[b].priority;
-                return a < b;
-              });
-  } else {
-    // Sequential ablation: lowest priority earliest.
-    std::sort(pre.order.begin(), pre.order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                if (pre.layout[a].priority != pre.layout[b].priority)
-                  return pre.layout[a].priority < pre.layout[b].priority;
-                return a < b;
-              });
-  }
+  std::iota(pre.order.begin(), pre.order.end(), 0u);
+  std::sort(pre.order.begin(), pre.order.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              const double pa = pre.layout[a].priority;
+              const double pb = pre.layout[b].priority;
+              if (pa != pb) return cfg.alap_tetris ? pa > pb : pa < pb;
+              return a < b;
+            });
 
   // ---- hosts -------------------------------------------------------------
   pre.gate_base.assign(parts.size() + 1, 0);
@@ -172,14 +176,8 @@ SchedulePrepass build_prepass(const std::vector<CompiledPart>& parts,
       HostRef ref;
       ref.part = p;
       ref.info = &a;
-      for (std::size_t i = 0; i < a.tail_begin; ++i) {
-        const Gate& g = c.gates()[i];
-        const bool touches =
-            (g.a.kind == QubitKind::emitter && g.a.index == a.slot) ||
-            (g.is_two_qubit() && g.b.kind == QubitKind::emitter &&
-             g.b.index == a.slot);
-        if (touches) ref.prev_gates.push_back(i);
-      }
+      for (std::size_t i = 0; i < a.tail_begin; ++i)
+        if (touches_slot(c.gates()[i], a.slot)) ref.prev_gates.push_back(i);
       const Vertex gv = parts[p].to_global[a.vertex];
       if (pre.host_at[gv] >= 0) {
         pre.hosts[pre.host_at[gv]] = std::move(ref);
@@ -195,7 +193,7 @@ SchedulePrepass build_prepass(const std::vector<CompiledPart>& parts,
   pre.coll_node = pre.total_gates + stem_edges.size();
   pre.n_nodes = pre.coll_node + pre.hosts.size();
 
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> dag_edges;
+  std::vector<DagEdge> dag_edges;
   dag_edges.reserve(2 * pre.total_gates + 4 * stem_edges.size());
   {
     // Wire-chain edges inside each part, mirroring a release cascade: a
@@ -261,21 +259,12 @@ SchedulePrepass build_prepass(const std::vector<CompiledPart>& parts,
     }
   }
 
-  pre.head.assign(pre.n_nodes + 1, 0);
+  pre.dag = Csr(pre.n_nodes, dag_edges);
   pre.indeg.assign(pre.n_nodes, 0);
-  for (const auto& [from, to] : dag_edges) {
-    ++pre.head[from + 1];
-    ++pre.indeg[to];
-  }
-  for (std::size_t n = 0; n < pre.n_nodes; ++n) pre.head[n + 1] += pre.head[n];
-  pre.adj.resize(dag_edges.size());
-  {
-    std::vector<std::uint32_t> cursor(pre.head.begin(), pre.head.end() - 1);
-    for (const auto& [from, to] : dag_edges) pre.adj[cursor[from]++] = to;
-  }
+  for (const auto& [from, to] : dag_edges) ++pre.indeg[to];
 
-  // Emitter slots flatten to sid = slot_base[part] + slot, preserving the
-  // (part, slot) lexicographic order of the former SlotKey maps.
+  // Emitter slots flatten to slot ids sid = slot_base[part] + slot, in
+  // (part, slot) order; the colouring breaks interval ties by slot id.
   pre.slot_base.assign(parts.size() + 1, 0);
   for (std::size_t p = 0; p < parts.size(); ++p)
     pre.slot_base[p + 1] =
@@ -401,44 +390,30 @@ GlobalSchedule schedule_once(const std::vector<CompiledPart>& parts,
     host_ready[h] = ready;
   }
 
-  struct StemCz {
-    SlotKey a, b;
-    Vertex u = 0, v = 0;  ///< global boundary endpoints (hosts)
-    Tick release = 0;
-    std::uint32_t orig = 0;  ///< index into stem_edges (= DAG node offset)
+  auto host_idx = [&](Vertex v) {
+    return static_cast<std::size_t>(pre.host_at[v]);
   };
-  std::vector<StemCz> stems;
-  stems.reserve(stem_edges.size());
-  {
-    // Process stem edges by the earliest feasible time for fairness.
-    std::vector<std::size_t> stem_order(stem_edges.size());
-    for (std::size_t i = 0; i < stem_order.size(); ++i) stem_order[i] = i;
-    auto host_idx = [&](Vertex v) {
-      return static_cast<std::size_t>(pre.host_at[v]);
-    };
-    auto ready_of = [&](std::size_t i) {
-      const auto& [u, v] = stem_edges[i];
-      return std::max(host_ready[host_idx(u)], host_ready[host_idx(v)]);
-    };
-    std::sort(stem_order.begin(), stem_order.end(),
-              [&](std::size_t a, std::size_t b) {
-                return ready_of(a) < ready_of(b);
-              });
-    for (std::size_t i : stem_order) {
-      const auto& [u, v] = stem_edges[i];
-      const std::size_t hu = host_idx(u);
-      const std::size_t hv = host_idx(v);
-      const HostRef& ra = pre.hosts[hu];
-      const HostRef& rb = pre.hosts[hv];
-      const Tick t = std::max(host_ready[hu], host_ready[hv]);
-      stems.push_back({{ra.part, ra.info->slot},
-                       {rb.part, rb.info->slot},
-                       u,
-                       v,
-                       t,
-                       static_cast<std::uint32_t>(i)});
-      host_ready[hu] = host_ready[hv] = t + ee_dur;
-    }
+  // Process stem edges by the earliest feasible time for fairness; the
+  // sorted order is the serialization order, and each CZ's greedy time is
+  // its release floor (val, indexed like the precedence DAG's nodes).
+  std::vector<std::size_t> stem_order(stem_edges.size());
+  std::iota(stem_order.begin(), stem_order.end(), std::size_t{0});
+  auto ready_of = [&](std::size_t i) {
+    const auto& [u, v] = stem_edges[i];
+    return std::max(host_ready[host_idx(u)], host_ready[host_idx(v)]);
+  };
+  std::sort(stem_order.begin(), stem_order.end(),
+            [&](std::size_t a, std::size_t b) {
+              return ready_of(a) < ready_of(b);
+            });
+  std::vector<Tick> val(pre.n_nodes, 0);
+  for (std::size_t i : stem_order) {
+    const auto& [u, v] = stem_edges[i];
+    const std::size_t hu = host_idx(u);
+    const std::size_t hv = host_idx(v);
+    const Tick t = std::max(host_ready[hu], host_ready[hv]);
+    val[pre.stem_node + i] = t;
+    host_ready[hu] = host_ready[hv] = t + ee_dur;
   }
 
   // ---- 3. releases: longest path over the precedence DAG ------------------
@@ -452,12 +427,11 @@ GlobalSchedule schedule_once(const std::vector<CompiledPart>& parts,
   // leaves nodes unprocessed: deadlock.
   //
   // Floors: placed local starts for gates, the greedy serialization times
-  // for stems, and the post-serialization host readiness for window tails.
-  std::vector<Tick> val(pre.n_nodes, 0);
+  // for stems (set above), and the post-serialization host readiness for
+  // window tails.
   for (std::size_t p = 0; p < parts.size(); ++p)
     for (std::size_t i = 0; i < parts[p].circuit.circuit.size(); ++i)
       val[pre.gate_base[p] + i] = offset[p] + layout[p].timing.gate_start[i];
-  for (const StemCz& s : stems) val[pre.stem_node + s.orig] = s.release;
   for (std::size_t h = 0; h < pre.hosts.size(); ++h) {
     Tick& tail =
         val[pre.gate_base[pre.hosts[h].part] + pre.hosts[h].info->tail_begin];
@@ -466,6 +440,7 @@ GlobalSchedule schedule_once(const std::vector<CompiledPart>& parts,
 
   // Kahn longest path. Stem nodes are the only weighted sources: their
   // (tail) successors start ee_dur after the CZ release.
+  const Csr& dag = pre.dag;
   std::vector<std::uint32_t> indeg = pre.indeg;
   std::vector<std::uint32_t> topo;
   topo.reserve(pre.n_nodes);
@@ -478,8 +453,8 @@ GlobalSchedule schedule_once(const std::vector<CompiledPart>& parts,
     const Tick w = (n >= pre.stem_node && n < pre.coll_node)
                        ? ee_dur
                        : static_cast<Tick>(0);
-    for (std::uint32_t k = pre.head[n]; k < pre.head[n + 1]; ++k) {
-      const std::uint32_t m = pre.adj[k];
+    for (std::uint32_t k = dag.head[n]; k < dag.head[n + 1]; ++k) {
+      const std::uint32_t m = dag.adj[k];
       val[m] = std::max(val[m], val[n] + w);
       if (--indeg[m] == 0) topo.push_back(m);
     }
@@ -495,167 +470,87 @@ GlobalSchedule schedule_once(const std::vector<CompiledPart>& parts,
   // subgraph from its sinks: a reverse Kahn pass over residual out-degrees
   // leaves exactly the nodes with a forward path into a cycle.
   if (processed < pre.n_nodes) {
+    std::vector<DagEdge> residual;  // reversed: (to, from)
     std::vector<std::uint32_t> outdeg(pre.n_nodes, 0);
     for (std::size_t n = 0; n < pre.n_nodes; ++n) {
       if (indeg[n] == 0) continue;  // processed
-      for (std::uint32_t k = pre.head[n]; k < pre.head[n + 1]; ++k)
-        if (indeg[pre.adj[k]] != 0)
+      for (std::uint32_t k = dag.head[n]; k < dag.head[n + 1]; ++k)
+        if (indeg[dag.adj[k]] != 0) {
+          residual.push_back({dag.adj[k], static_cast<std::uint32_t>(n)});
           ++outdeg[n];
+        }
     }
-    // Residual predecessor CSR (counts, prefix, fill), then strip sinks.
-    std::vector<std::uint32_t> rhead(pre.n_nodes + 1, 0);
-    for (std::size_t n = 0; n < pre.n_nodes; ++n) {
-      if (indeg[n] == 0) continue;
-      for (std::uint32_t k = pre.head[n]; k < pre.head[n + 1]; ++k)
-        if (indeg[pre.adj[k]] != 0) ++rhead[pre.adj[k] + 1];
-    }
-    for (std::size_t n = 0; n < pre.n_nodes; ++n) rhead[n + 1] += rhead[n];
-    std::vector<std::uint32_t> radj(rhead.back());
-    {
-      std::vector<std::uint32_t> cursor(rhead.begin(), rhead.end() - 1);
-      for (std::size_t n = 0; n < pre.n_nodes; ++n) {
-        if (indeg[n] == 0) continue;
-        for (std::uint32_t k = pre.head[n]; k < pre.head[n + 1]; ++k)
-          if (indeg[pre.adj[k]] != 0)
-            radj[cursor[pre.adj[k]]++] = static_cast<std::uint32_t>(n);
-      }
-    }
+    const Csr preds(pre.n_nodes, residual);
     std::vector<std::uint32_t> strip;
     for (std::size_t n = 0; n < pre.n_nodes; ++n)
       if (indeg[n] != 0 && outdeg[n] == 0)
         strip.push_back(static_cast<std::uint32_t>(n));
     for (std::size_t qi = 0; qi < strip.size(); ++qi) {
       const std::uint32_t n = strip[qi];
-      for (std::uint32_t k = rhead[n]; k < rhead[n + 1]; ++k) {
-        const std::uint32_t m = radj[k];
+      for (std::uint32_t k = preds.head[n]; k < preds.head[n + 1]; ++k) {
+        const std::uint32_t m = preds.adj[k];
         if (--outdeg[m] == 0) strip.push_back(m);
       }
     }
     GlobalSchedule out;
     out.deadlocked = true;
-    for (const StemCz& s : stems) {
-      const std::size_t node = pre.stem_node + s.orig;
+    for (std::size_t s : stem_order) {
+      const std::size_t node = pre.stem_node + s;
       if (indeg[node] == 0 || outdeg[node] == 0) continue;
-      out.deadlock_parts.push_back(s.a.part);
-      out.deadlock_parts.push_back(s.b.part);
+      const auto& [u, v] = stem_edges[s];
+      out.deadlock_parts.push_back(pre.hosts[host_idx(u)].part);
+      out.deadlock_parts.push_back(pre.hosts[host_idx(v)].part);
     }
     out.limit_respected = false;
     out.peak_usage = ~0u;
     return out;
   }
-  for (StemCz& s : stems) s.release = val[pre.stem_node + s.orig];
 
   // ---- 4. merge and legalize ---------------------------------------------
+  // One circuit over emitter slots and global photons, in release order;
+  // analyze_timing with the releases as start floors is the legalizer, and
+  // its per-emitter busy intervals are the slot intervals to colour.
   std::vector<MergedGate> merged;
-  merged.reserve(pre.total_gates + stems.size());
+  merged.reserve(pre.total_gates + stem_order.size());
   for (std::uint32_t p = 0; p < parts.size(); ++p)
     for (std::uint32_t i = 0; i < parts[p].circuit.circuit.size(); ++i)
       merged.push_back({val[pre.gate_base[p] + i], p, i});
-  for (std::uint32_t s = 0; s < stems.size(); ++s)
-    merged.push_back(
-        {stems[s].release, static_cast<std::uint32_t>(parts.size()), s});
+  for (std::uint32_t k = 0; k < stem_order.size(); ++k)
+    merged.push_back({val[pre.stem_node + stem_order[k]],
+                      static_cast<std::uint32_t>(parts.size()), k});
   std::sort(merged.begin(), merged.end(),
             [](const MergedGate& a, const MergedGate& b) {
               return std::tie(a.release, a.part, a.index) <
                      std::tie(b.release, b.part, b.index);
             });
 
-  // Emitter slot entities get legalized busy windows; photons are global.
   const std::uint32_t total_slots = pre.slot_base.back();
-  constexpr std::uint32_t no_slot = ~0u;
-  auto sid_of = [&](const SlotKey& k) {
-    return pre.slot_base[k.part] + k.slot;
+  auto slot_of = [&](Vertex host) {
+    const HostRef& ref = pre.hosts[host_idx(host)];
+    return pre.slot_base[ref.part] + ref.info->slot;
   };
-  std::vector<Tick> slot_free(total_slots, 0);
-  std::vector<std::pair<Tick, Tick>> slot_iv(total_slots);
-  std::vector<char> slot_used(total_slots, 0);
-  std::vector<Tick> photon_free(num_global_photons, 0);
-
-  auto touch_slot = [&](std::uint32_t sid, Tick begin, Tick end) {
-    if (!slot_used[sid]) {
-      slot_used[sid] = 1;
-      slot_iv[sid] = {begin, end};
-    } else {
-      slot_iv[sid].first = std::min(slot_iv[sid].first, begin);
-      slot_iv[sid].second = std::max(slot_iv[sid].second, end);
-    }
-  };
-
-  GlobalSchedule out;
-  out.photon_emit.assign(num_global_photons, 0);
-  struct PlacedGate {
-    Gate gate;  // with *global photon* ids; emitter ids patched later
-    Tick start, end;
-    std::uint32_t sid_a = no_slot, sid_b = no_slot;  // emitter operands
-  };
-  std::vector<PlacedGate> placed;
-  placed.reserve(merged.size());
-
+  Circuit slots(num_global_photons, total_slots);
+  std::vector<Tick> release;
+  release.reserve(merged.size());
   for (const MergedGate& m : merged) {
+    release.push_back(m.release);
     if (m.part == parts.size()) {
-      const StemCz& s = stems[m.index];
-      const std::uint32_t sa = sid_of(s.a);
-      const std::uint32_t sb = sid_of(s.b);
-      Tick start = std::max({m.release, slot_free[sa], slot_free[sb]});
-      const Tick end = start + ee_dur;
-      slot_free[sa] = slot_free[sb] = end;
-      touch_slot(sa, start, end);
-      touch_slot(sb, start, end);
-      PlacedGate pg;
-      pg.gate = Gate::make_ee_cz(0, 1);  // emitter ids patched during emit
-      pg.start = start;
-      pg.end = end;
-      pg.sid_a = sa;
-      pg.sid_b = sb;
-      placed.push_back(std::move(pg));
+      const auto& [u, v] = stem_edges[stem_order[m.index]];
+      slots.ee_cz(slot_of(u), slot_of(v));
       continue;
     }
     const CompiledPart& part = parts[m.part];
-    Gate g = part.circuit.circuit.gates()[m.index];
-    Tick start = m.release;
-    std::uint32_t sa = no_slot, sb = no_slot;
-    auto resolve = [&](QubitId& q, std::uint32_t& sk) {
-      if (q.kind == QubitKind::photon) {
-        q.index = part.to_global[q.index];
-        start = std::max(start, photon_free[q.index]);
-      } else {
-        sk = pre.slot_base[m.part] + q.index;
-        start = std::max(start, slot_free[sk]);
-      }
+    auto relabel = [&](QubitId& q) {
+      q.index = q.kind == QubitKind::photon ? part.to_global[q.index]
+                                            : pre.slot_base[m.part] + q.index;
     };
-    resolve(g.a, sa);
-    if (g.is_two_qubit()) resolve(g.b, sb);
-    for (auto& corr : g.if_one)
-      if (corr.target.kind == QubitKind::photon)
-        corr.target.index = part.to_global[corr.target.index];
-    const Tick end = start + g.duration(cfg.hw);
-    if (g.a.kind == QubitKind::photon)
-      photon_free[g.a.index] = end;
-    else {
-      slot_free[sa] = end;
-      touch_slot(sa, start, end);
-    }
-    if (g.is_two_qubit()) {
-      if (g.b.kind == QubitKind::photon)
-        photon_free[g.b.index] = end;
-      else {
-        slot_free[sb] = end;
-        touch_slot(sb, start, end);
-      }
-    }
-    for (const auto& corr : g.if_one)
-      if (corr.target.kind == QubitKind::photon)
-        photon_free[corr.target.index] =
-            std::max(photon_free[corr.target.index], end);
-    if (g.kind == GateKind::emission) out.photon_emit[g.b.index] = end;
-    PlacedGate pg;
-    pg.gate = std::move(g);
-    pg.start = start;
-    pg.end = end;
-    pg.sid_a = sa;
-    pg.sid_b = sb;
-    placed.push_back(std::move(pg));
+    Gate g = part.circuit.circuit.gates()[m.index];
+    relabel(g.a);
+    if (g.is_two_qubit()) relabel(g.b);
+    for (auto& corr : g.if_one) relabel(corr.target);
+    slots.append(std::move(g));
   }
+  const CircuitTiming timing = analyze_timing(slots, cfg.hw, release);
 
   // ---- 5. physical emitter assignment (interval coloring) ----------------
   // Greedy lowest-free-index coloring, heap-backed: `busy` orders active
@@ -663,8 +558,10 @@ GlobalSchedule schedule_once(const std::vector<CompiledPart>& parts,
   // released index — the same color the former linear scan picked.
   std::vector<std::pair<std::pair<Tick, Tick>, std::uint32_t>> intervals;
   intervals.reserve(total_slots);
-  for (std::uint32_t sid = 0; sid < total_slots; ++sid)
-    if (slot_used[sid]) intervals.push_back({slot_iv[sid], sid});
+  for (std::uint32_t sid = 0; sid < total_slots; ++sid) {
+    const EmitterInterval& iv = timing.emitter_busy[sid];
+    if (iv.used) intervals.push_back({{iv.begin, iv.end}, sid});
+  }
   std::sort(intervals.begin(), intervals.end());
   std::vector<std::uint32_t> color_of(total_slots, 0);
   using BusyColor = std::pair<Tick, std::uint32_t>;  // (interval end, color)
@@ -690,50 +587,37 @@ GlobalSchedule schedule_once(const std::vector<CompiledPart>& parts,
     color_of[sid] = c;
     busy.push({iv.second, c});
   }
+  GlobalSchedule out;
   out.peak_usage = num_colors;
   out.limit_respected = out.peak_usage <= cfg.ne_limit;
 
   // ---- 6. emit the global circuit ----------------------------------------
   // stable: equal-start gates keep their dependency (merged) order.
-  std::stable_sort(placed.begin(), placed.end(),
-                   [](const PlacedGate& a, const PlacedGate& b) {
-                     return a.start < b.start;
+  std::vector<std::uint32_t> by_start(slots.size());
+  std::iota(by_start.begin(), by_start.end(), 0u);
+  std::stable_sort(by_start.begin(), by_start.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return timing.gate_start[a] < timing.gate_start[b];
                    });
+  auto recolor = [&](QubitId& q) {
+    if (q.kind == QubitKind::emitter) q.index = color_of[q.index];
+  };
   out.circuit = Circuit(num_global_photons, num_colors);
-  out.gate_start.reserve(placed.size());
-  out.gate_end.reserve(placed.size());
-  for (PlacedGate& pg : placed) {
-    if (pg.gate.a.kind == QubitKind::emitter)
-      pg.gate.a.index = color_of[pg.sid_a];
-    if (pg.gate.is_two_qubit() && pg.gate.b.kind == QubitKind::emitter)
-      pg.gate.b.index = color_of[pg.sid_b];
-    out.circuit.append(pg.gate);
-    out.gate_start.push_back(pg.start);
-    out.gate_end.push_back(pg.end);
-    out.makespan = std::max(out.makespan, pg.end);
+  out.gate_start.reserve(by_start.size());
+  out.gate_end.reserve(by_start.size());
+  for (std::uint32_t i : by_start) {
+    Gate g = slots.gates()[i];
+    recolor(g.a);
+    if (g.is_two_qubit()) recolor(g.b);
+    for (auto& corr : g.if_one) recolor(corr.target);
+    out.circuit.append(std::move(g));
+    out.gate_start.push_back(timing.gate_start[i]);
+    out.gate_end.push_back(timing.gate_end[i]);
   }
-
-  // ---- 7. metrics ---------------------------------------------------------
-  CircuitStats& s = out.stats;
-  for (const Gate& g : out.circuit.gates()) {
-    switch (g.kind) {
-      case GateKind::ee_cz:
-      case GateKind::ee_cnot: ++s.ee_cnot_count; break;
-      case GateKind::emission: ++s.emission_count; break;
-      case GateKind::local: ++s.local_count; break;
-      case GateKind::measure_reset: ++s.measure_count; break;
-    }
-  }
-  s.emitters_used = out.peak_usage;
-  s.makespan_ticks = out.makespan;
-  s.duration_tau = cfg.hw.ticks_to_tau(out.makespan);
-  std::vector<Tick> alive;
-  alive.reserve(num_global_photons);
-  for (Tick e : out.photon_emit) alive.push_back(out.makespan - e);
-  s.loss = evaluate_loss(cfg.hw, alive);
-  s.t_loss_tau = s.loss.mean_alive_tau;
-  s.ee_fidelity_estimate = std::pow(cfg.hw.ee_cnot_fidelity,
-                                    static_cast<double>(s.ee_cnot_count));
+  out.makespan = timing.makespan;
+  out.photon_emit = timing.photon_emit_time;
+  out.stats = compute_stats(slots, timing, cfg.hw);
+  out.stats.emitters_used = out.peak_usage;
   return out;
 }
 
@@ -753,22 +637,18 @@ GlobalSchedule schedule_parts(const std::vector<CompiledPart>& parts,
   // usage curves the packer sees, so the legalized peak can overshoot the
   // cap. Retry the packing with growing headroom until the realized peak
   // fits; keep the lowest-peak plan otherwise.
-  std::uint32_t max_part = 1;
+  // The tightest cap worth packing under: the widest part's own emitters.
+  std::uint32_t floor_limit = 1;
   for (const CompiledPart& p : parts)
-    max_part = std::max(max_part, std::max<std::uint32_t>(
-                                      p.circuit.ne_used, 1));
+    floor_limit = std::max<std::uint32_t>(floor_limit, p.circuit.ne_used);
   auto attempt = [&](std::uint32_t limit) {
-    GlobalSchedule trial = schedule_once(parts, stem_edges,
-                                         num_global_photons, cfg, limit, pre);
-    trial.limit_respected =
-        !trial.deadlocked && trial.peak_usage <= cfg.ne_limit;
-    return trial;
+    return schedule_once(parts, stem_edges, num_global_photons, cfg, limit,
+                         pre);
   };
   GlobalSchedule best = attempt(cfg.ne_limit);
   // A window-precedence cycle is independent of the packing headroom — no
   // retry can fix it; the caller must recompile anchor-only.
   if (best.deadlocked) return best;
-  const std::uint32_t floor_limit = std::max<std::uint32_t>(max_part, 1);
   if (!best.limit_respected && cfg.ne_limit > floor_limit) {
     // The realized peak shrinks as the packing cap tightens (parts overlap
     // less, so fewer slot intervals cross). Bisect for the loosest cap

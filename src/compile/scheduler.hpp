@@ -11,9 +11,12 @@
 // born.
 //
 // The plan is then *legalized*: every gate gets a release time (its planned
-// start) and a final dependency-respecting list schedule computes exact
-// times; emitter slots from different parts are mapped onto physical
-// emitters by greedy interval coloring.
+// start, raised by a longest path over the stem precedence DAG) and
+// analyze_timing (circuit/timing.hpp), run with those releases as start
+// floors over one circuit of emitter slots and global photons, computes the
+// exact times; emitter slots from different parts are then mapped onto
+// physical emitters by greedy interval coloring of its busy intervals, and
+// compute_stats derives the metrics from the same timing.
 #pragma once
 
 #include <vector>

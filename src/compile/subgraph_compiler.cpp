@@ -581,7 +581,7 @@ SubgraphCircuit synthesize_forward(const SubgraphSpec& spec,
   c.check_well_formed();
   const CircuitTiming timing = analyze_timing(c, hw);
   out.ne_used = timing.peak_usage();
-  out.stats = compute_stats(c, hw);
+  out.stats = compute_stats(c, timing, hw);
   return out;
 }
 

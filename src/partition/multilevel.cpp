@@ -263,6 +263,8 @@ class MultilevelStrategy final : public PartitionStrategy {
                                rank);
       };
       if (key(flat, 0) <= key(out, 1)) return flat;
+      out.work = flat.work;
+      out.work_exhausted = flat.work_exhausted;
     }
     return out;
   }

@@ -8,6 +8,7 @@
 // partition's entanglement overhead.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -21,6 +22,11 @@ struct PartitionOutcome {
   PartitionLabels labels;           ///< part id per vertex (contiguous)
   std::vector<std::vector<Vertex>> parts;  ///< vertex lists, non-empty
   std::size_t stem_edge_count = 0;  ///< the MIP objective K
+  /// Candidate (n + m) units charged by every beam/anneal search the
+  /// strategy ran, summed over portfolio members and multilevel inner runs.
+  std::uint64_t work = 0;
+  /// Some search stopped on kPartitionWorkBudget or on its deadline.
+  bool work_exhausted = false;
 
   /// The stem edges of the transformed graph.
   std::vector<Edge> stem_edges() const;

@@ -38,9 +38,13 @@ class BeamStrategy final : public PartitionStrategy {
     EPG_REQUIRE(cfg.g_max >= 1, "g_max must be positive");
     Stopwatch clock;
     std::uint64_t work = g.vertex_count() + g.edge_count();
+    // Both conditions only ever turn true, and every true check truncates
+    // the search, so the last answer says whether the budget cut it.
+    bool exhausted = false;
     const auto out_of_budget = [&] {
-      return work >= kPartitionWorkBudget ||
-             clock.expired(cfg.time_budget_ms);
+      exhausted = work >= kPartitionWorkBudget ||
+                  clock.expired(cfg.time_budget_ms);
+      return exhausted;
     };
 
     struct Entry {
@@ -139,8 +143,11 @@ class BeamStrategy final : public PartitionStrategy {
       beam = std::move(next_beam);
     }
 
-    return lc_partition_finalize(g, std::move(best.graph),
-                                 std::move(best.lc_sequence), cfg);
+    PartitionOutcome out = lc_partition_finalize(
+        g, std::move(best.graph), std::move(best.lc_sequence), cfg);
+    out.work = work;
+    out.work_exhausted = exhausted;
+    return out;
   }
 };
 
@@ -200,7 +207,16 @@ class PortfolioStrategy final : public PartitionStrategy {
       };
       if (key(slot) < key(winner)) winner = slot;
     }
-    return std::move(outcomes[winner]);
+    std::uint64_t work = 0;
+    bool exhausted = false;
+    for (const PartitionOutcome& o : outcomes) {
+      work += o.work;
+      exhausted = exhausted || o.work_exhausted;
+    }
+    PartitionOutcome out = std::move(outcomes[winner]);
+    out.work = work;
+    out.work_exhausted = exhausted;
+    return out;
   }
 };
 

@@ -130,6 +130,10 @@ BatchCompiler::BatchCompiler(BatchConfig cfg)
   exhausted_searches_total_ = &metrics_->counter(
       "epgc_exhausted_searches_total",
       "level searches that hit their node or time budget");
+  partition_exhausted_total_ = &metrics_->counter(
+      "epgc_partition_exhausted_total",
+      "compiled framework jobs whose partition search hit its work budget "
+      "or deadline");
   job_wall_ms_ = &metrics_->histogram("epgc_job_wall_ms",
                                       default_latency_buckets_ms(),
                                       "per-job compile wall time (ms)");
@@ -190,6 +194,7 @@ JobResult BatchCompiler::compile_one(const CompileJob& job,
           compile_framework(job.graph, job.framework, inner));
       level_searches_total_->inc(result->level_searches);
       exhausted_searches_total_->inc(result->exhausted_searches);
+      if (result->partition.work_exhausted) partition_exhausted_total_->inc();
       r.stats = result->stats();
       r.ne_min = result->ne_min;
       r.ne_limit = result->ne_limit;

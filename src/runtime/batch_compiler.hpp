@@ -196,6 +196,7 @@ class BatchCompiler {
   Counter* failures_total_ = nullptr;
   Counter* level_searches_total_ = nullptr;
   Counter* exhausted_searches_total_ = nullptr;
+  Counter* partition_exhausted_total_ = nullptr;
   Histogram* job_wall_ms_ = nullptr;
   /// Millisecond aggregates stay local doubles (counters are integral).
   double totals_wall_ms_ = 0.0;

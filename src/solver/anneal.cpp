@@ -84,11 +84,14 @@ PartitionOutcome search_lc_partition_anneal(const Graph& g,
   schedule.temp_start = std::max(2.0, 0.25 * current_e);
   schedule.temp_end = 0.05;
 
+  bool exhausted = false;
   for (int it = 0; it < schedule.iterations; ++it) {
     // Budget check before every move: the work budget truncates at a
     // move boundary, so a completed prefix is a pure function of (g, cfg).
-    if (work >= kPartitionWorkBudget || clock.expired(cfg.time_budget_ms))
+    if (work >= kPartitionWorkBudget || clock.expired(cfg.time_budget_ms)) {
+      exhausted = true;
       break;
+    }
     const double frac =
         schedule.iterations <= 1
             ? 1.0
@@ -152,8 +155,11 @@ PartitionOutcome search_lc_partition_anneal(const Graph& g,
     }
   }
 
-  return lc_partition_finalize(g, std::move(best_graph),
-                               std::move(best_seq), cfg);
+  PartitionOutcome out = lc_partition_finalize(g, std::move(best_graph),
+                                               std::move(best_seq), cfg);
+  out.work = work;
+  out.work_exhausted = exhausted;
+  return out;
 }
 
 }  // namespace epg

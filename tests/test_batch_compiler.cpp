@@ -224,7 +224,12 @@ TEST(BatchCompiler, WorkCountersCountEachCompiledJobOnce) {
   const FrameworkResult& compiled = *first[0].framework_result;
   Counter& searches = registry->counter("epgc_level_searches_total");
   Counter& exhausted = registry->counter("epgc_exhausted_searches_total");
+  Counter& partition_cut =
+      registry->counter("epgc_partition_exhausted_total");
   EXPECT_GT(compiled.level_searches, 0u);
+  EXPECT_GT(compiled.partition.work, 0u);
+  EXPECT_FALSE(compiled.partition.work_exhausted);
+  EXPECT_EQ(partition_cut.value(), 0u);
   EXPECT_EQ(searches.value(), compiled.level_searches);
   EXPECT_EQ(exhausted.value(), compiled.exhausted_searches);
   batch.run({framework_job("again", g, 5)});

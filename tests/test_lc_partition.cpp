@@ -80,6 +80,30 @@ TEST(LcPartition, DeterministicForSeed) {
   EXPECT_EQ(a.stem_edge_count, b.stem_edge_count);
 }
 
+TEST(LcPartition, WorkLedgerReportsBudgetCut) {
+  // The shuffled 10x10 lattice at lc 15 is the size where the beam's
+  // search outgrows kPartitionWorkBudget; a 12-vertex graph at lc 4 is not.
+  LcPartitionConfig cfg;
+  cfg.max_lc_ops = 15;
+  const PartitionOutcome cut =
+      search_lc_partition(shuffle_labels(make_lattice(10, 10), 3 * 977 + 3),
+                          cfg);
+  EXPECT_TRUE(cut.work_exhausted);
+  EXPECT_GE(cut.work, kPartitionWorkBudget);
+
+  const Graph small = make_waxman(12, 3);
+  cfg.max_lc_ops = 4;
+  const PartitionOutcome beam = search_lc_partition(small, cfg);
+  EXPECT_FALSE(beam.work_exhausted);
+  EXPECT_GT(beam.work, 0u);
+  EXPECT_LT(beam.work, kPartitionWorkBudget);
+  // The portfolio's slot 0 is this same beam run; the ledger sums members.
+  cfg.strategy = "portfolio";
+  const PartitionOutcome portfolio = search_lc_partition(small, cfg);
+  EXPECT_FALSE(portfolio.work_exhausted);
+  EXPECT_GT(portfolio.work, beam.work);
+}
+
 TEST(LcPartition, SmallGraphSinglePart) {
   const Graph g = make_ring(6);
   LcPartitionConfig cfg;

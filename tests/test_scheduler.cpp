@@ -7,21 +7,28 @@
 #include "compile/stem.hpp"
 #include "compile/verify.hpp"
 #include "graph/generators.hpp"
+#include "partition/lc_partition_search.hpp"
 
 namespace epg {
 namespace {
 
 const HardwareModel kHw = HardwareModel::quantum_dot();
 
-CompiledPart make_part(const Graph& g, const std::vector<bool>& boundary,
+CompiledPart make_part(const SubgraphSpec& spec,
                        const std::vector<Vertex>& to_global,
                        std::uint32_t ne) {
   SubgraphCompileConfig cfg;
   cfg.ne_limit = ne;
   cfg.node_budget = 15000;
-  const auto r = compile_subgraph(SubgraphSpec(g, boundary), cfg);
+  const auto r = compile_subgraph(spec, cfg);
   EXPECT_TRUE(r.success);
   return {r.best, to_global};
+}
+
+CompiledPart make_part(const Graph& g, const std::vector<bool>& boundary,
+                       const std::vector<Vertex>& to_global,
+                       std::uint32_t ne) {
+  return make_part(SubgraphSpec(g, boundary), to_global, ne);
 }
 
 TEST(Scheduler, SinglePartPassThrough) {
@@ -182,6 +189,32 @@ TEST(Scheduler, MultiStemAnchorSharedAcrossPartners) {
   target.add_edge(3, 4);
   const VerifyReport report = verify_generates(s.circuit, target, 3, 41);
   EXPECT_TRUE(report.ok) << report.message;
+}
+
+TEST(Scheduler, DeadlockReportsOnlyStemsThatReachACycle) {
+  // `epgc_graphgen waxman --n 20 --seed 1 --shuffle`, partitioned at lc 4
+  // into 3 parts joined by 9 stems, every part compiled at ne 2 under the
+  // default dangler policy: crossing dangler-host windows deadlock. All 9
+  // stem nodes are left unprocessed, but 3 of them only sit downstream of
+  // the cycle, so the report names the hosts of the other 6 stems, in
+  // serialization order.
+  const Graph g = shuffle_labels(make_waxman(20, 1), 1 * 977 + 3);
+  LcPartitionConfig pcfg;
+  pcfg.max_lc_ops = 4;
+  const StemPlan plan = plan_stems(search_lc_partition(g, pcfg));
+  ASSERT_EQ(plan.parts.size(), 3u);
+  ASSERT_EQ(plan.stem_edges.size(), 9u);
+  std::vector<CompiledPart> parts;
+  for (const PartPlan& part : plan.parts)
+    parts.push_back(make_part(part.spec, part.to_global, 2));
+  ScheduleConfig cfg;
+  cfg.ne_limit = 8;
+  const GlobalSchedule s =
+      schedule_parts(parts, plan.stem_edges, {}, {}, g.vertex_count(), cfg);
+  EXPECT_TRUE(s.deadlocked);
+  EXPECT_FALSE(s.limit_respected);
+  EXPECT_EQ(s.deadlock_parts, (std::vector<std::uint32_t>{
+                                  0, 2, 2, 0, 0, 1, 2, 1, 0, 2, 2, 0}));
 }
 
 TEST(Scheduler, PeakUsageHonest) {

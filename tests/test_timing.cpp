@@ -76,6 +76,75 @@ TEST(Timing, UsageCurveAndPeak) {
   EXPECT_EQ(t.peak_usage(), 2u);
 }
 
+/// Emitters 0-1 entangle and emit photons 0-1; emitter 2 works alone.
+Circuit release_fixture() {
+  Circuit c(3, 3);
+  c.local(QubitId::emitter(0), Clifford1::h());  // 0
+  c.emission(2, 2);                              // 1: disjoint wires
+  c.ee_cz(0, 1);                                 // 2
+  c.emission(0, 0);                              // 3
+  c.emission(1, 1);                              // 4
+  c.local(QubitId::emitter(2), Clifford1::h());  // 5: disjoint wires
+  c.measure_reset(0, {{QubitId::photon(1), PauliOp::Z}});  // 6
+  return c;
+}
+
+TEST(Timing, EveryGateStartsAtOrAfterItsRelease) {
+  const Circuit c = release_fixture();
+  const std::vector<Tick> release = {0, 7, 3, 50, 0, 2, 41};
+  const CircuitTiming t = analyze_timing(c, kHw, release);
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    EXPECT_GE(t.gate_start[i], release[i]) << "gate " << i;
+    EXPECT_EQ(t.gate_end[i] - t.gate_start[i], c.gates()[i].duration(kHw));
+  }
+  // A release is a floor, not a slot: an unconstrained gate starts on it.
+  EXPECT_EQ(t.gate_start[1], 7u);
+  EXPECT_EQ(t.gate_start[3], 50u);
+}
+
+TEST(Timing, ReleaseDelaysItsWiresOnly) {
+  const Circuit c = release_fixture();
+  const CircuitTiming asap = analyze_timing(c, kHw);
+  std::vector<Tick> release(c.size(), 0);
+  release[0] = 100;  // hold the first gate on emitter 0
+  const CircuitTiming t = analyze_timing(c, kHw, release);
+  const Tick shift = 100 - asap.gate_start[0];
+  // Gates downstream on emitters 0/1 and photons 0/1 move by the shift...
+  for (std::size_t i : {0u, 2u, 3u, 4u, 6u}) {
+    EXPECT_EQ(t.gate_start[i], asap.gate_start[i] + shift) << "gate " << i;
+  }
+  EXPECT_EQ(t.photon_emit_time[0], asap.photon_emit_time[0] + shift);
+  // ...while emitter 2 and photon 2 keep their ASAP times.
+  EXPECT_EQ(t.gate_start[1], asap.gate_start[1]);
+  EXPECT_EQ(t.gate_start[5], asap.gate_start[5]);
+  EXPECT_EQ(t.photon_emit_time[2], asap.photon_emit_time[2]);
+}
+
+TEST(Timing, EmptyOrZeroReleasesAreAsap) {
+  const Circuit c = release_fixture();
+  const CircuitTiming asap = analyze_timing(c, kHw);
+  const CircuitTiming empty = analyze_timing(c, kHw, {});
+  const std::vector<Tick> zeros(c.size(), 0);
+  const CircuitTiming zero = analyze_timing(c, kHw, zeros);
+  for (const CircuitTiming* t : {&empty, &zero}) {
+    EXPECT_EQ(t->gate_start, asap.gate_start);
+    EXPECT_EQ(t->gate_end, asap.gate_end);
+    EXPECT_EQ(t->makespan, asap.makespan);
+    EXPECT_EQ(t->photon_emit_time, asap.photon_emit_time);
+  }
+  EXPECT_EQ(asap.gate_start[1], 0u);
+  EXPECT_EQ(asap.gate_start[2], asap.gate_end[0]);
+}
+
+TEST(Stats, TimedOverloadMatchesUntimed) {
+  const Circuit c = release_fixture();
+  const CircuitStats a = compute_stats(c, kHw);
+  const CircuitStats b = compute_stats(c, analyze_timing(c, kHw), kHw);
+  EXPECT_EQ(a.str(), b.str());
+  EXPECT_EQ(a.makespan_ticks, b.makespan_ticks);
+  EXPECT_EQ(a.emitters_used, 3u);
+}
+
 TEST(Stats, CountsAndDerived) {
   Circuit c(2, 2);
   c.local(QubitId::emitter(0), Clifford1::h());
