@@ -81,8 +81,9 @@ TEST(LcPartition, DeterministicForSeed) {
 }
 
 TEST(LcPartition, WorkLedgerReportsBudgetCut) {
-  // The shuffled 10x10 lattice at lc 15 is the size where the beam's
-  // search outgrows kPartitionWorkBudget; a 12-vertex graph at lc 4 is not.
+  // The shuffled 10x10 lattice (`epgc_graphgen lattice --rows 10 --cols 10
+  // --seed 3 --shuffle`) at lc 15 is the size where the beam's search
+  // outgrows kPartitionWorkBudget; a 12-vertex graph at lc 4 is not.
   LcPartitionConfig cfg;
   cfg.max_lc_ops = 15;
   const PartitionOutcome cut =
