@@ -4,7 +4,7 @@
 // dedicated anchor emitter; on lattices partitioned at g_max = 7 every
 // block vertex is boundary, so block-internal edges degenerate to one ee-CZ
 // each. This repo's extension lets boundary photons ride their stem CZs on
-// absorb_dangler host windows (DESIGN.md Section 2). The ablation measures
+// absorb_dangler host windows (docs/architecture.md). The ablation measures
 // what that buys on the lattice family — ee-CZs, emitter peak — and what it
 // costs (the scheduler's deadlock ladder occasionally falls back).
 #include "bench_common.hpp"
@@ -20,7 +20,7 @@ int main() {
     const Graph g = lattice_instance(n, n);
     FrameworkConfig dangler_cfg = framework_config(1.5, n);
     FrameworkConfig anchor_cfg = framework_config(1.5, n);
-    anchor_cfg.subgraph.dangler = DanglerPolicy::anchors_only();
+    anchor_cfg.subgraph.dangler = DanglerPolicy::anchors_only;
     const FrameworkResult with = compile_framework(g, dangler_cfg);
     const FrameworkResult without = compile_framework(g, anchor_cfg);
     const double saved =

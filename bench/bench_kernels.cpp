@@ -211,7 +211,7 @@ std::uint64_t kernel_subgraph_level(const Graph& g, int inner) {
     for (const SubgraphSpec& spec : parts) {
       const std::uint32_t ne_min = subgraph_ne_min(spec.graph);
       for (const DanglerPolicy policy :
-           {DanglerPolicy::free_form(), DanglerPolicy::anchors_only()}) {
+           {DanglerPolicy::free_form, DanglerPolicy::anchors_only}) {
         cfg.dangler = policy;
         for (std::uint32_t ne = ne_min; ne <= ne_min + 2; ++ne) {
           const SubgraphLevelResult r = compile_subgraph_level(spec, cfg, ne);

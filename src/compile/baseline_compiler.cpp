@@ -158,9 +158,11 @@ struct ProtocolRun {
     return std::nullopt;
   }
 
-  /// Reduce a +Z_v (x) Z_E' row to +Z_v Z_e and absorb photon v into e.
-  void contract_and_absorb(PauliString row, std::uint32_t v) {
-    // Rotate every non-Z emitter component to Z.
+  /// Contract `row`'s emitter support onto one wire: rotate every emitter
+  /// component to Z, CNOT every other support wire onto the target (the
+  /// first support wire, or the last when `onto_last`), then fix the sign
+  /// with X, leaving +Z on the target. Returns the target emitter.
+  std::uint32_t contract(PauliString& row, bool onto_last) {
     for (std::size_t e = 0; e < ne; ++e) {
       const PauliOp op = row.op_at(emitter_wire(e));
       if (op == PauliOp::I || op == PauliOp::Z) continue;
@@ -172,22 +174,19 @@ struct ProtocolRun {
     for (std::size_t e = 0; e < ne; ++e)
       if (row.op_at(emitter_wire(e)) == PauliOp::Z)
         support.push_back(static_cast<std::uint32_t>(e));
-    EPG_CHECK(!support.empty(), "absorption row must touch an emitter");
-    const std::uint32_t target = support[0];
-    for (std::size_t i = 1; i < support.size(); ++i) {
+    EPG_CHECK(!support.empty(), "contracted row must touch an emitter");
+    const std::uint32_t target = onto_last ? support.back() : support[0];
+    for (const std::uint32_t f : support) {
+      if (f == target) continue;
       // CNOT(control=f, target=e) maps Z_e -> Z_f Z_e, cancelling Z_f.
-      ee_cnot(support[i], target);
-      conjugate_cnot(row, emitter_wire(support[i]), emitter_wire(target));
+      ee_cnot(f, target);
+      conjugate_cnot(row, emitter_wire(f), emitter_wire(target));
     }
     if (row.sign() < 0) {
       emitter_local(target, Clifford1::x());
       row.negate();
     }
-    // Reversed emission: CNOT emitter -> photon decouples the photon.
-    t.cnot(emitter_wire(target), v);
-    ops.push_back(
-        {RevKind::absorb_emission, target, v, Clifford1::identity()});
-    EPG_CHECK(t.is_zero_state(v), "photon must decouple after absorption");
+    return target;
   }
 
   std::vector<std::size_t> emitter_wires() const {
@@ -203,6 +202,15 @@ struct ProtocolRun {
     return w;
   }
 
+  /// The emitter wire `r` holds in |0>: r is +Z on that one emitter wire
+  /// and acts on no other emitter.
+  std::optional<std::size_t> zero_wire(const PauliString& r) const {
+    if (emitter_weight(r) != 1 || r.sign() < 0) return std::nullopt;
+    for (std::size_t e = 0; e < ne; ++e)
+      if (r.op_at(emitter_wire(e)) == PauliOp::Z) return emitter_wire(e);
+    return std::nullopt;
+  }
+
   /// Strip removable emitter support from `row` using a *canonical*
   /// emitter-only basis. As in GraphiQ, only components on already-free
   /// wires (pure +Z basis singles) are removed — required so contraction
@@ -210,15 +218,8 @@ struct ProtocolRun {
   void thin_with(PauliString& row,
                  const std::vector<PauliString>& basis) const {
     for (const PauliString& r : basis) {
-      std::size_t weight = 0, wire = 0;
-      for (std::size_t e = 0; e < ne; ++e)
-        if (supported_on(r, emitter_wire(e))) {
-          ++weight;
-          wire = emitter_wire(e);
-        }
-      const bool free_single =
-          weight == 1 && r.op_at(wire) == PauliOp::Z && r.sign() > 0;
-      if (free_single && row.z_bit(wire) && !row.x_bit(wire)) row *= r;
+      const std::optional<std::size_t> wire = zero_wire(r);
+      if (wire && row.z_bit(*wire) && !row.x_bit(*wire)) row *= r;
     }
   }
 
@@ -254,7 +255,13 @@ struct ProtocolRun {
     const Clifford1 w = rotate_to_z(candidate->op_at(v));
     photon_local(v, w);
     conjugate_1q(*candidate, v, w);
-    contract_and_absorb(*candidate, v);
+    // The row is now +Z_v Z_target: a reversed emission (CNOT emitter ->
+    // photon) decouples the photon.
+    const std::uint32_t target = contract(*candidate, /*onto_last=*/false);
+    t.cnot(emitter_wire(target), v);
+    ops.push_back(
+        {RevKind::absorb_emission, target, v, Clifford1::identity()});
+    EPG_CHECK(t.is_zero_state(v), "photon must decouple after absorption");
     return true;
   }
 
@@ -281,46 +288,15 @@ struct ProtocolRun {
       std::optional<PauliString> pick;
       std::size_t pick_weight = 0;
       for (const PauliString& row : block) {
-        std::size_t weight = 0;
-        std::uint32_t only = 0;
-        for (std::size_t e = 0; e < ne; ++e) {
-          if (supported_on(row, emitter_wire(e))) {
-            ++weight;
-            only = static_cast<std::uint32_t>(e);
-          }
-        }
-        const bool zero_wire = weight == 1 &&
-                               row.op_at(emitter_wire(only)) == PauliOp::Z &&
-                               row.sign() > 0;
-        if (weight == 0 || zero_wire) continue;
+        const std::size_t weight = emitter_weight(row);
+        if (weight == 0 || zero_wire(row)) continue;
         if (!pick || weight < pick_weight) {
           pick = row;
           pick_weight = weight;
         }
       }
       if (!pick) return;  // every emitter is back in |0>
-      // Rotate to Z's, contract to one wire, fix the sign: that wire is |0>.
-      for (std::size_t e = 0; e < ne; ++e) {
-        const PauliOp op = pick->op_at(emitter_wire(e));
-        if (op == PauliOp::I || op == PauliOp::Z) continue;
-        const Clifford1 c = rotate_to_z(op);
-        emitter_local(static_cast<std::uint32_t>(e), c);
-        conjugate_1q(*pick, emitter_wire(e), c);
-      }
-      std::vector<std::uint32_t> support;
-      for (std::size_t e = 0; e < ne; ++e)
-        if (pick->op_at(emitter_wire(e)) == PauliOp::Z)
-          support.push_back(static_cast<std::uint32_t>(e));
-      const std::uint32_t target = support.back();
-      for (std::size_t i = 0; i + 1 < support.size(); ++i) {
-        ee_cnot(support[i], target);
-        conjugate_cnot(*pick, emitter_wire(support[i]),
-                       emitter_wire(target));
-      }
-      if (pick->sign() < 0) {
-        emitter_local(target, Clifford1::x());
-        pick->negate();
-      }
+      contract(*pick, /*onto_last=*/true);  // that wire is now |0>
     }
     EPG_CHECK(false, "emitter disentangling did not converge; state:\n" +
                          t.str());

@@ -86,10 +86,8 @@ std::string part_cache_key(const SubgraphSpec& spec,
                g.words_per_row() * 8);
   for (Vertex v = 0; v < g.vertex_count(); ++v)
     key.push_back(spec.boundary[v] ? 1 : 0);
-  key.append(reinterpret_cast<const char*>(&cfg.dangler.cap),
-             sizeof cfg.dangler.cap);
-  key.push_back(cfg.dangler.key_order ? 1 : 0);
-  if (cfg.dangler.key_order)
+  key.push_back(static_cast<char>(cfg.dangler));
+  if (cfg.dangler == DanglerPolicy::key_ordered)
     key.append(reinterpret_cast<const char*>(spec.stem_key.data()),
                spec.stem_key.size() * sizeof(std::uint32_t));
   key.append(reinterpret_cast<const char*>(&level), sizeof level);
@@ -160,7 +158,7 @@ struct VariantPolicies {
 
   explicit VariantPolicies(const SubgraphCompileConfig& cfg)
       : base(cfg), anchors(cfg) {
-    anchors.dangler = DanglerPolicy::anchors_only();
+    anchors.dangler = DanglerPolicy::anchors_only;
   }
 
   /// Calls fn(policy, ne) for every variant walk of `spec`, in variant
@@ -185,7 +183,8 @@ struct VariantPolicies {
     const bool has_boundary =
         std::find(spec.boundary.begin(), spec.boundary.end(), true) !=
         spec.boundary.end();
-    if (has_boundary && base.dangler.cap != 0) walks(anchors);
+    if (has_boundary && base.dangler != DanglerPolicy::anchors_only)
+      walks(anchors);
   }
 };
 
@@ -197,7 +196,7 @@ std::vector<const SubgraphSpec*> search_specs(
     const SubgraphCompileConfig& cfg, std::vector<SubgraphSpec>& normalized) {
   std::vector<const SubgraphSpec*> specs;
   specs.reserve(parts.size());
-  if (!cfg.dangler.key_order) {
+  if (cfg.dangler != DanglerPolicy::key_ordered) {
     for (std::uint32_t p : parts) specs.push_back(&plan.parts[p].spec);
     return specs;
   }
@@ -444,8 +443,8 @@ void schedule_stage(const Graph& target, const FrameworkConfig& cfg,
   // precedence cycle that admits no placement; tighten the offending parts
   // first to key-ordered windows (removes most cross-part cycles), then to
   // anchor-only, which cannot deadlock.
-  const DanglerPolicy ladder[] = {DanglerPolicy::key_ordered(),
-                                  DanglerPolicy::anchors_only()};
+  const DanglerPolicy ladder[] = {DanglerPolicy::key_ordered,
+                                  DanglerPolicy::anchors_only};
   std::vector<std::size_t> part_level(plan.parts.size(), 0);
   for (std::size_t level = 0; level < std::size(ladder); ++level) {
     std::size_t rounds = plan.parts.size() + 1;

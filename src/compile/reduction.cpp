@@ -11,7 +11,7 @@ ReductionState::ReductionState(const SubgraphSpec& spec,
     : spec_(&spec),
       n_(static_cast<std::uint32_t>(spec.graph.vertex_count())),
       words_(static_cast<std::uint32_t>(spec.graph.words_per_row())),
-      buf_((n_ + 3) * std::size_t{words_} + 3 * std::size_t{n_}, 0),
+      buf_((n_ + 3) * std::size_t{words_} + 2 * std::size_t{n_}, 0),
       ne_limit_(ne_limit),
       policy_(policy),
       photons_left_(n_) {
@@ -146,12 +146,8 @@ void ReductionState::absorb_dangler(Vertex e, Vertex p) {
   op.e = e;
   op.slot_e = static_cast<std::uint32_t>(slots()[e]);
   op.anchor = is_boundary(p);  // stem-carrying emission: host window needed
-  if (op.anchor) {
-    const std::uint64_t slot = slots()[e];
-    ++windows()[slot];
-    windows_len_ = std::max(windows_len_, static_cast<std::uint32_t>(slot + 1));
+  if (op.anchor)
     last_dangler_key_ = static_cast<std::int64_t>(spec_->stem_key[p]);
-  }
   // e's only edge went to p: after removing it e is isolated, so e
   // inherits p's row as is and every neighbor u of p swaps its p bit for
   // an e bit.
@@ -246,12 +242,9 @@ std::uint64_t ReductionState::state_hash() const {
     h = h * 0x100000001b3ULL ^ ((not_photon & 1) + (done & 1));
   }
   h = h * 0x100000001b3ULL ^ lcs_;
-  // Remaining dangler-window budget / key watermark gate future boundary
-  // absorbs, so they are part of the memoized state where active.
-  if (policy_.cap != DanglerPolicy::unlimited)
-    for (std::uint32_t s = 0; s < windows_len_; ++s)
-      h = h * 0x100000001b3ULL ^ windows()[s];
-  if (policy_.key_order)
+  // The key watermark gates future boundary absorbs, so it is part of the
+  // memoized state where active.
+  if (policy_ == DanglerPolicy::key_ordered)
     h = h * 0x100000001b3ULL ^ static_cast<std::uint64_t>(last_dangler_key_);
   return h;
 }

@@ -115,23 +115,20 @@ struct ReduceOp {
 /// photon, so a stem CZ applied to the host right before the emission rides
 /// onto the photon; the scheduler places stem CZs in exactly that window.
 /// Windows from different parts can form precedence cycles at
-/// recombination; the framework ladders offending parts through stricter
-/// policies until the schedule closes (anchor-only never deadlocks).
-struct DanglerPolicy {
-  /// No limit on boundary-dangler windows per emitter slot.
-  static constexpr std::uint32_t unlimited = ~0u;
-
-  /// Boundary photons each emitter slot may emit via absorb_dangler over
-  /// its lifetime; 0 = anchor-only mode.
-  std::uint32_t cap = unlimited;
-  /// Require dangler-hosted boundary photons to be emitted in increasing
-  /// stem-key order within the part (strictly decreasing along the reverse
-  /// sequence). This removes most cross-part window cycles.
-  bool key_order = false;
-
-  static DanglerPolicy free_form() { return {unlimited, false}; }
-  static DanglerPolicy key_ordered() { return {unlimited, true}; }
-  static DanglerPolicy anchors_only() { return {0, false}; }
+/// recombination; the framework ladders offending parts through the
+/// stricter policies until the schedule closes (anchor-only never
+/// deadlocks).
+enum class DanglerPolicy : std::uint8_t {
+  /// Any boundary photon may leave through a dangler host; one window may
+  /// host several stem CZs.
+  free_form,
+  /// Dangler-hosted boundary photons carry one stem each and are emitted
+  /// in increasing stem-key order within the part (strictly decreasing
+  /// along the reverse sequence). This removes most cross-part window
+  /// cycles.
+  key_ordered,
+  /// Every boundary photon leaves through its own anchor (paper Sec. IV.B).
+  anchors_only,
 };
 
 /// Calls fn(v) for every set bit v of a `words`-word mask, ascending. A
@@ -166,8 +163,7 @@ bool for_each_set_bit(const std::uint64_t* mask, std::size_t words, Fn&& fn) {
 ///   adjacency   n rows of W words, laid out exactly like Graph's rows
 ///               (so state_hash can fingerprint them as a Graph would),
 ///   slot        n words: the emitter slot of each emitter vertex,
-///   free slots  n words: the stack of retired, reusable slots,
-///   windows     n words: boundary-dangler windows used per slot.
+///   free slots  n words: the stack of retired, reusable slots.
 /// The part-size cap is a user setting, so nothing assumes W == 1.
 ///
 /// The spec is held by pointer, not copied: it is immutable during a
@@ -189,11 +185,11 @@ bool for_each_set_bit(const std::uint64_t* mask, std::size_t words, Fn&& fn) {
 class ReductionState {
  public:
   ReductionState(const SubgraphSpec& spec, std::uint32_t ne_limit,
-                 DanglerPolicy policy = DanglerPolicy{});
+                 DanglerPolicy policy = DanglerPolicy::free_form);
   /// A temporary spec would dangle behind the stored pointer — callers
   /// must keep the spec alive for the state's whole lifetime.
   ReductionState(SubgraphSpec&&, std::uint32_t,
-                 DanglerPolicy = DanglerPolicy{}) = delete;
+                 DanglerPolicy = DanglerPolicy::free_form) = delete;
 
   /// The current graph, built on demand (calibration and tests; the
   /// search reads the rows below).
@@ -267,9 +263,6 @@ class ReductionState {
   const std::vector<ReduceOp>& ops() const;
   /// The recorded ops as a fresh vector; works in both recording modes.
   std::vector<ReduceOp> ops_copy() const;
-  std::size_t ops_size() const {
-    return ops_sink_ != nullptr ? ops_len_ : ops_own_.size();
-  }
 
   /// Switch to shared op recording: this state's ops (must currently be
   /// empty) and those of every copy land in `sink`, each state keeping
@@ -283,8 +276,7 @@ class ReductionState {
   std::uint32_t lc_count() const { return lcs_; }
   /// The search memo's key: adjacency_fingerprint over the row words (the
   /// same value as graph().fingerprint()), then each vertex's role, the LC
-  /// count, and — where the policy reads them — the dangler windows and
-  /// the key watermark.
+  /// count, and — under the key-ordered policy — the key watermark.
   std::uint64_t state_hash() const;
 
  private:
@@ -305,10 +297,6 @@ class ReductionState {
     return buf_.data() + (n_ + 3) * std::size_t{words_};
   }
   std::uint64_t* free_slots() { return slots() + n_; }
-  std::uint64_t* windows() { return free_slots() + n_; }
-  const std::uint64_t* windows() const {
-    return buf_.data() + (n_ + 3) * std::size_t{words_} + 2 * n_;
-  }
   bool is_photon(Vertex v) const { return test(photon_mask(), v); }
   bool is_emitter(Vertex v) const { return test(emitter_mask(), v); }
   void remove_edge(Vertex u, Vertex v) {
@@ -325,12 +313,9 @@ class ReductionState {
   std::vector<std::uint64_t> buf_;  ///< see the class comment
   std::uint32_t ne_limit_ = 0;
   DanglerPolicy policy_;
-  /// Length of the windows prefix the hash reads: one past the highest
-  /// slot that has hosted a boundary dangler.
-  std::uint32_t windows_len_ = 0;
-  /// Key watermark for policy_.key_order: keys of dangler-hosted boundary
-  /// photons must strictly decrease along the reverse sequence — i.e.
-  /// increase along forward emission time on every wire chain.
+  /// Key watermark for the key-ordered policy: keys of dangler-hosted
+  /// boundary photons must strictly decrease along the reverse sequence —
+  /// i.e. increase along forward emission time on every wire chain.
   std::int64_t last_dangler_key_ = std::numeric_limits<std::int64_t>::max();
   std::uint32_t active_ = 0;
   std::uint32_t slots_used_ = 0;
@@ -399,15 +384,16 @@ inline bool ReductionState::can_absorb_dangler(Vertex e, Vertex p) const {
   // host in the window right before the emission and ride onto the photon.
   if (!is_emitter(e) || !is_photon(p)) return false;
   if (is_boundary(p)) {
-    // A window may host any number of stem CZs in free form; the key-
-    // ordered policy needs one stem per window (unique keys) and strictly
-    // decreasing keys along the reverse sequence for its acyclicity proof.
-    if (policy_.key_order) {
+    // Anchor-only refuses every boundary photon. A window may host any
+    // number of stem CZs in free form; the key-ordered policy needs one
+    // stem per window (unique keys) and strictly decreasing keys along the
+    // reverse sequence for its acyclicity proof.
+    if (policy_ == DanglerPolicy::anchors_only) return false;
+    if (policy_ == DanglerPolicy::key_ordered) {
       const std::uint32_t key = spec_->stem_key[p];
       if (key == SubgraphSpec::must_swap) return false;
       if (static_cast<std::int64_t>(key) >= last_dangler_key_) return false;
     }
-    if (windows()[slots()[e]] >= policy_.cap) return false;
   }
   return sole_neighbor(e) == p;
 }

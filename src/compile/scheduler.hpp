@@ -50,7 +50,8 @@ struct GlobalSchedule {
   /// Crossing dangler-host stem windows formed a precedence cycle; no valid
   /// placement exists for these subcircuits. `deadlock_parts` lists the
   /// parts whose hosts participated in unstable stems; the framework
-  /// recompiles them with a tighter boundary_dangler_cap and retries.
+  /// recompiles them one step down the dangler ladder (key_ordered, then
+  /// anchors_only) and retries.
   bool deadlocked = false;
   std::vector<std::uint32_t> deadlock_parts;
   CircuitStats stats;             ///< derived from the explicit times

@@ -471,11 +471,13 @@ std::vector<OpCalibration> calibrate(const SubgraphSpec& spec,
 }
 
 /// Trace label of a dangler policy (the `level_search` span's arg).
-std::string_view policy_name(const DanglerPolicy& policy) {
-  if (policy.cap == 0) return "anchors_only";
-  if (policy.cap == DanglerPolicy::unlimited)
-    return policy.key_order ? "key_ordered" : "free_form";
-  return policy.key_order ? "capped_key_ordered" : "capped";
+std::string_view policy_name(DanglerPolicy policy) {
+  switch (policy) {
+    case DanglerPolicy::free_form: return "free_form";
+    case DanglerPolicy::key_ordered: return "key_ordered";
+    case DanglerPolicy::anchors_only: return "anchors_only";
+  }
+  return "";
 }
 
 }  // namespace

@@ -54,7 +54,7 @@ struct SubgraphCompileConfig {
   /// requiring a dedicated anchor each. Cheaper on dense partitions;
   /// cross-part window cycles at recombination make the framework retry
   /// offending parts with stricter policies (see DanglerPolicy).
-  DanglerPolicy dangler;
+  DanglerPolicy dangler = DanglerPolicy::free_form;
 };
 
 /// Where a boundary vertex's stem CZs attach. Every boundary vertex owns

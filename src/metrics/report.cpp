@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/assert.hpp"
+#include "common/json.hpp"
 #include "graph/metrics.hpp"
 #include "store/result_store.hpp"
 
@@ -92,7 +93,7 @@ std::vector<std::string> result_cells(const JobResult& r) {
           Table::num(static_cast<std::size_t>(r.ne_limit)),
           Table::num(r.stats.loss.state_survival, 4),
           r.ok ? (r.verified ? "yes" : "skipped") : "FAILED",
-          r.cache_hit ? tier_name(r.tier) : "miss",
+          r.cache_hit() ? tier_name(r.tier) : "miss",
           Table::num(r.wall_ms, 1)};
 }
 
@@ -117,30 +118,10 @@ namespace {
 void json_field(std::ostream& os, const char* key, const std::string& value,
                 bool quote, bool last = false) {
   os << '"' << key << "\":";
-  if (quote) {
-    os << '"';
-    for (char c : value) {
-      switch (c) {
-        case '"': os << "\\\""; break;
-        case '\\': os << "\\\\"; break;
-        case '\n': os << "\\n"; break;
-        case '\r': os << "\\r"; break;
-        case '\t': os << "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            // Remaining control characters (labels and exception texts can
-            // carry anything) as \u00XX so the output always parses.
-            const char* hex = "0123456789abcdef";
-            os << "\\u00" << hex[(c >> 4) & 0xF] << hex[c & 0xF];
-          } else {
-            os << c;
-          }
-      }
-    }
-    os << '"';
-  } else {
+  if (quote)
+    os << '"' << json_escape(value) << '"';
+  else
     os << value;
-  }
   if (!last) os << ',';
 }
 
@@ -199,7 +180,7 @@ void job_result_json_fields(std::ostream& os, const JobResult& r,
   json_field(os, "kind", kind_name(r.kind), true);
   json_field(os, "ok", r.ok ? "true" : "false", false);
   if (!r.ok) json_field(os, "error", r.error, true);
-  json_field(os, "cache_hit", r.cache_hit ? "true" : "false", false);
+  json_field(os, "cache_hit", r.cache_hit() ? "true" : "false", false);
   json_field(os, "tier", tier_name(r.tier), true);
   if (include_wall) json_field(os, "wall_ms", fmt(r.wall_ms), false);
   json_field(os, "num_qubits", std::to_string(r.num_qubits), false);

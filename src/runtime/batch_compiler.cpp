@@ -54,8 +54,7 @@ std::uint64_t config_fingerprint(const FrameworkConfig& cfg) {
   h.mix(cfg.subgraph.time_budget_ms);
   mix_hardware(h, cfg.subgraph.hw);
   h.mix(static_cast<std::uint64_t>(cfg.subgraph.verify));
-  h.mix(static_cast<std::uint64_t>(cfg.subgraph.dangler.cap));
-  h.mix(static_cast<std::uint64_t>(cfg.subgraph.dangler.key_order));
+  h.mix(static_cast<std::uint64_t>(cfg.subgraph.dangler));
   h.mix(cfg.ne_limit_factor);
   h.mix(static_cast<std::uint64_t>(cfg.ne_limit_override));
   h.mix(static_cast<std::uint64_t>(cfg.alap_tetris));
@@ -258,7 +257,6 @@ JobResult BatchCompiler::rehydrate(const CompileJob& job,
   r.num_qubits = job.graph.vertex_count();
   r.num_edges = job.graph.edge_count();
   r.ok = true;
-  r.cache_hit = true;
   r.tier = ResultTier::store;
   r.stats = stored.stats;
   r.ne_min = stored.ne_min;
@@ -412,14 +410,12 @@ std::vector<JobResult> BatchCompiler::run(
           find_cached(keyed[i].cache_key, jobs[i], keyed[i].config_hash);
       r = hit->result;
       r.label = jobs[i].label;
-      r.cache_hit = true;
       r.tier =
           keyed[i].from_store ? ResultTier::store : ResultTier::memory;
       r.wall_ms = 0.0;
     } else if (keyed[i].representative != i) {
       r = results[keyed[i].representative];
       r.label = jobs[i].label;
-      r.cache_hit = true;
       r.tier = ResultTier::dedup;
       r.wall_ms = 0.0;
     } else {
@@ -434,7 +430,7 @@ std::vector<JobResult> BatchCompiler::run(
       case ResultTier::store: ++summary_.store_hits; break;
       case ResultTier::dedup: ++summary_.dedup_hits; break;
     }
-    if (r.cache_hit) ++summary_.cache_hits;
+    if (r.cache_hit()) ++summary_.cache_hits;
     if (!r.ok) ++summary_.failures;
     summary_.compile_ms += r.wall_ms;
     if (r.tier == ResultTier::compiled) job_wall_ms_->observe(r.wall_ms);

@@ -63,7 +63,6 @@ struct JobResult {
 
   bool ok = false;
   std::string error;      ///< exception text when !ok
-  bool cache_hit = false; ///< tier != compiled
   ResultTier tier = ResultTier::compiled;
   double wall_ms = 0.0;   ///< this job's compile time (0 for cache hits)
 
@@ -84,6 +83,8 @@ struct JobResult {
   /// BatchConfig::keep_results is set. Shared between cache-hit copies.
   std::shared_ptr<const FrameworkResult> framework_result;
   std::shared_ptr<const BaselineResult> baseline_result;
+
+  bool cache_hit() const { return tier != ResultTier::compiled; }
 };
 
 struct BatchConfig {

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <set>
+#include <sstream>
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "metrics/report.hpp"
 #include "noise/monte_carlo.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/graph_hash.hpp"
@@ -196,14 +199,14 @@ TEST(BatchCompiler, CacheHitsIdenticalJobsWithinAndAcrossRuns) {
   EXPECT_EQ(batch.summary().compiled, 1u);
   EXPECT_EQ(batch.summary().cache_hits, 3u);
   for (const JobResult& r : first) expect_same_metrics(first[0], r);
-  EXPECT_FALSE(first[0].cache_hit);
-  EXPECT_TRUE(first[3].cache_hit);
+  EXPECT_FALSE(first[0].cache_hit());
+  EXPECT_TRUE(first[3].cache_hit());
 
   // Across runs: the persistent cache serves the repeat instantly.
   const std::vector<JobResult> second =
       batch.run({framework_job("again", g, 5)});
   EXPECT_EQ(batch.summary().compiled, 0u);
-  EXPECT_TRUE(second[0].cache_hit);
+  EXPECT_TRUE(second[0].cache_hit());
   expect_same_metrics(first[0], second[0]);
 }
 
@@ -265,6 +268,60 @@ TEST(BatchCompiler, DifferentConfigsDoNotShareCacheEntries) {
   EXPECT_EQ(batch.summary().compiled, 2u);  // seeds differ -> both compile
   EXPECT_NE(config_fingerprint(quick_framework(5)),
             config_fingerprint(quick_framework(6)));
+}
+
+TEST(BatchCompiler, DanglerPolicyMovesConfigFingerprint) {
+  std::set<std::uint64_t> fingerprints;
+  for (const DanglerPolicy policy :
+       {DanglerPolicy::free_form, DanglerPolicy::key_ordered,
+        DanglerPolicy::anchors_only}) {
+    FrameworkConfig cfg;
+    cfg.subgraph.dangler = policy;
+    fingerprints.insert(config_fingerprint(cfg));
+  }
+  EXPECT_EQ(fingerprints.size(), 3u);
+  // Default-initialized (not value-initialized) configs, one on the stack
+  // and one on the heap: a member without an initializer would make them
+  // disagree.
+  FrameworkConfig on_stack;
+  const std::unique_ptr<FrameworkConfig> on_heap(new FrameworkConfig);
+  EXPECT_EQ(config_fingerprint(on_stack), config_fingerprint(*on_heap));
+  EXPECT_EQ(config_fingerprint(on_stack),
+            config_fingerprint(FrameworkConfig{}));
+}
+
+TEST(BatchCompiler, JsonEscapesLabelsAndErrorsExactly) {
+  JobResult r;
+  r.index = 2;
+  r.label = "a\"b\\c\nd\te\x01" "f";
+  r.error = "bad \"graph\"\x1f";
+  r.wall_ms = 1.5;
+  r.num_qubits = 3;
+  r.num_edges = 2;
+  r.graph_hash = 7;
+  r.canonical_hash = 9;
+  r.stats.ee_cnot_count = 4;
+  r.stats.duration_tau = 2.5;
+  const std::string fields =
+      R"("index":2,"label":"a\"b\\c\nd\te\u0001f","kind":"framework",)"
+      R"("ok":false,"error":"bad \"graph\"\u001f","cache_hit":false,)"
+      R"("tier":"compiled","wall_ms":1.5,"num_qubits":3,"num_edges":2,)"
+      R"("graph_hash":"7","canonical_hash":"9","ee_cnot_count":4,)"
+      R"("emission_count":0,"local_count":0,"measure_count":0,)"
+      R"("emitters_used":0,"ne_min":0,"ne_limit":0,"stem_count":0,)"
+      R"("makespan_ticks":0,"duration_tau":2.5,"t_loss_tau":0,)"
+      R"("state_survival":1,"ee_fidelity_estimate":1,"verified":false)";
+  std::ostringstream os;
+  job_result_json_fields(os, r);
+  EXPECT_EQ(os.str(), fields);
+  BatchSummary summary;
+  summary.jobs = 1;
+  summary.failures = 1;
+  EXPECT_EQ(batch_json({r}, summary),
+            R"({"summary":{"jobs":1,"compiled":0,"cache_hits":0,)"
+            R"("memory_hits":0,"store_hits":0,"dedup_hits":0,"failures":1,)"
+            R"("wall_ms":0,"compile_ms":0,"speedup":1},"jobs":[{)" +
+                fields + "}]}");
 }
 
 TEST(BatchCompiler, FailedJobsAreIsolatedAndNeverCached) {

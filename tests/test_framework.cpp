@@ -147,7 +147,7 @@ TEST(Framework, DanglerHostingNeverCostsCnotsOnLattices) {
   const Graph g = shuffle_labels(make_lattice(4, 5), 7);
   FrameworkConfig with = quick_config();
   FrameworkConfig without = quick_config();
-  without.subgraph.dangler = DanglerPolicy::anchors_only();
+  without.subgraph.dangler = DanglerPolicy::anchors_only;
   const FrameworkResult a = compile_framework(g, with);
   const FrameworkResult b = compile_framework(g, without);
   EXPECT_TRUE(a.verified);
@@ -157,7 +157,7 @@ TEST(Framework, DanglerHostingNeverCostsCnotsOnLattices) {
 
 TEST(Framework, AnchorsOnlyModeNeverFallsBack) {
   FrameworkConfig cfg = quick_config();
-  cfg.subgraph.dangler = DanglerPolicy::anchors_only();
+  cfg.subgraph.dangler = DanglerPolicy::anchors_only;
   const FrameworkResult r =
       compile_framework(shuffle_labels(make_lattice(3, 4), 5), cfg);
   EXPECT_TRUE(r.verified);

@@ -125,27 +125,14 @@ TEST(Reduction, BoundaryPhotonExitRules) {
 
 TEST(Reduction, BoundaryDanglerCanBeDisabled) {
   SubgraphSpec spec(make_linear_cluster(2), {true, false});
-  ReductionState st(spec, 2, DanglerPolicy::anchors_only());
+  ReductionState st(spec, 2, DanglerPolicy::anchors_only);
   st.swap_photon(1);
   EXPECT_FALSE(st.can_absorb_dangler(1, 0));  // anchor-only fallback mode
   // Non-boundary photons are unaffected by the policy.
   SubgraphSpec plain(make_linear_cluster(2));
-  ReductionState st2(plain, 2, DanglerPolicy::anchors_only());
+  ReductionState st2(plain, 2, DanglerPolicy::anchors_only);
   st2.swap_photon(1);
   EXPECT_TRUE(st2.can_absorb_dangler(1, 0));
-}
-
-TEST(Reduction, BoundaryDanglerPerSlotCap) {
-  // Path 0-1-2-3 with 0 and 1 boundary: one host slot may emit only one
-  // stem-carrying photon under cap 1.
-  SubgraphSpec spec(make_linear_cluster(4), {true, true, false, false});
-  ReductionState st(spec, 2, DanglerPolicy{1, false});
-  st.swap_photon(3);
-  st.absorb_dangler(3, 2);                    // plain: does not consume cap
-  EXPECT_TRUE(st.can_absorb_dangler(3, 1));
-  st.absorb_dangler(3, 1);                    // consumes the slot's budget
-  EXPECT_FALSE(st.can_absorb_dangler(3, 0));  // second boundary: refused
-  EXPECT_TRUE(st.can_swap(0));                // anchor path stays open
 }
 
 TEST(Reduction, BoundaryDanglerKeyOrder) {
@@ -153,14 +140,14 @@ TEST(Reduction, BoundaryDanglerKeyOrder) {
   // key-ordered policy is active (= increase along forward emission time).
   SubgraphSpec spec(make_linear_cluster(4), {true, true, false, false},
                     {5, 2, 0, 0});
-  ReductionState st(spec, 2, DanglerPolicy::key_ordered());
+  ReductionState st(spec, 2, DanglerPolicy::key_ordered);
   st.swap_photon(3);
   st.absorb_dangler(3, 2);  // plain photon: no key constraint
   EXPECT_TRUE(st.can_absorb_dangler(3, 1));
   st.absorb_dangler(3, 1);  // watermark now 2
   EXPECT_FALSE(st.can_absorb_dangler(3, 0));  // key 5 >= 2: refused
   // The free-form policy accepts the same move.
-  ReductionState free_st(spec, 2, DanglerPolicy::free_form());
+  ReductionState free_st(spec, 2, DanglerPolicy::free_form);
   free_st.swap_photon(3);
   free_st.absorb_dangler(3, 2);
   free_st.absorb_dangler(3, 1);
@@ -170,12 +157,12 @@ TEST(Reduction, BoundaryDanglerKeyOrder) {
 TEST(Reduction, MultiStemBoundaryMustSwapUnderKeyOrder) {
   SubgraphSpec spec(make_linear_cluster(2), {true, false},
                     {SubgraphSpec::must_swap, 0});
-  ReductionState st(spec, 2, DanglerPolicy::key_ordered());
+  ReductionState st(spec, 2, DanglerPolicy::key_ordered);
   st.swap_photon(1);
   EXPECT_FALSE(st.can_absorb_dangler(1, 0));  // two stems: must anchor
   EXPECT_TRUE(st.can_swap(0));
   // Free form hosts multi-stem windows (several CZs in one window).
-  ReductionState free_st(spec, 2, DanglerPolicy::free_form());
+  ReductionState free_st(spec, 2, DanglerPolicy::free_form);
   free_st.swap_photon(1);
   EXPECT_TRUE(free_st.can_absorb_dangler(1, 0));
 }
@@ -261,7 +248,7 @@ TEST(Reduction, IsolatedPhotonSwapInstantRetire) {
 /// The reduction rules restated over a Graph, independent of
 /// ReductionState's flat bitmask layout: legality, mutations, slot
 /// bookkeeping and the memo hash (Graph::fingerprint, then roles, LC count,
-/// dangler windows and key watermark where the policy reads them).
+/// and the key watermark under the key-ordered policy).
 struct Reference {
   const SubgraphSpec& spec;
   DanglerPolicy policy;
@@ -270,7 +257,6 @@ struct Reference {
   std::vector<Role> role;
   std::vector<std::uint32_t> slot;
   std::vector<std::uint32_t> free_slots;
-  std::vector<std::uint32_t> windows;  ///< up to the highest hosting slot
   std::int64_t last_key = std::numeric_limits<std::int64_t>::max();
   std::uint32_t active = 0, slots_used = 0, lcs = 0;
 
@@ -294,13 +280,11 @@ struct Reference {
   bool can_dangler(Vertex e, Vertex p) const {
     if (!emitter(e) || !photon(p)) return false;
     if (boundary(p)) {
+      if (policy == DanglerPolicy::anchors_only) return false;
       const std::uint32_t key = spec.stem_key[p];
-      if (policy.key_order && (key == SubgraphSpec::must_swap ||
-                               std::int64_t{key} >= last_key))
+      if (policy == DanglerPolicy::key_ordered &&
+          (key == SubgraphSpec::must_swap || std::int64_t{key} >= last_key))
         return false;
-      const std::uint32_t used =
-          slot[e] < windows.size() ? windows[slot[e]] : 0;
-      if (used >= policy.cap) return false;
     }
     return g.degree(e) == 1 && g.has_edge(e, p);
   }
@@ -338,11 +322,7 @@ struct Reference {
     retire_if_free(e);
   }
   void dangler(Vertex e, Vertex p) {
-    if (boundary(p)) {
-      if (windows.size() <= slot[e]) windows.resize(slot[e] + 1, 0);
-      ++windows[slot[e]];
-      last_key = spec.stem_key[p];
-    }
+    if (boundary(p)) last_key = spec.stem_key[p];
     g.remove_edge(e, p);
     std::vector<Vertex> moved;
     g.for_each_neighbor(p, [&](Vertex u) { moved.push_back(u); });
@@ -373,9 +353,7 @@ struct Reference {
     for (const Role r : role)
       h = h * 0x100000001b3ULL ^ static_cast<std::uint64_t>(r);
     h = h * 0x100000001b3ULL ^ lcs;
-    if (policy.cap != DanglerPolicy::unlimited)
-      for (std::uint32_t w : windows) h = h * 0x100000001b3ULL ^ w;
-    if (policy.key_order)
+    if (policy == DanglerPolicy::key_ordered)
       h = h * 0x100000001b3ULL ^ static_cast<std::uint64_t>(last_key);
     return h;
   }
@@ -474,12 +452,12 @@ TEST(Reduction, RandomMovesMatchGraphReference) {
       }
       const SubgraphSpec spec(std::move(g), boundary, keys);
       for (const DanglerPolicy policy :
-           {DanglerPolicy::free_form(), DanglerPolicy::key_ordered(),
-            DanglerPolicy::anchors_only(), DanglerPolicy{1, false}}) {
+           {DanglerPolicy::free_form, DanglerPolicy::key_ordered,
+            DanglerPolicy::anchors_only}) {
         const auto ne = static_cast<std::uint32_t>(1 + rng.below(4));
         SCOPED_TRACE("n=" + std::to_string(shape.n) + " spec " +
-                     std::to_string(s) + " cap " + std::to_string(policy.cap) +
-                     " key_order " + std::to_string(policy.key_order));
+                     std::to_string(s) + " policy " +
+                     std::to_string(static_cast<int>(policy)));
         ReductionState st(spec, ne, policy);
         std::vector<ReduceOp> log;
         if (rng.chance(0.5)) st.share_op_log(log);
@@ -509,15 +487,11 @@ TEST(Reduction, StateHashValuesArePinned) {
 
   const SubgraphSpec path4(make_linear_cluster(4), {true, true, false, false},
                            {5, 2, 0, 0});
-  for (const auto& [policy, pin] :
-       {std::pair{DanglerPolicy::key_ordered(), 14027500704945305065ULL},
-        std::pair{DanglerPolicy{1, false}, 14027500704945305066ULL}}) {
-    ReductionState st(path4, 2, policy);
-    st.swap_photon(3);
-    st.absorb_dangler(3, 2);
-    st.absorb_dangler(3, 1);
-    EXPECT_EQ(st.state_hash(), pin);
-  }
+  ReductionState keyed(path4, 2, DanglerPolicy::key_ordered);
+  keyed.swap_photon(3);
+  keyed.absorb_dangler(3, 2);
+  keyed.absorb_dangler(3, 1);
+  EXPECT_EQ(keyed.state_hash(), 14027500704945305065ULL);
 
   const SubgraphSpec ring6(make_ring(6));
   ReductionState lc(ring6, 2);

@@ -397,7 +397,7 @@ TEST_F(StoreTest, BatchWarmRunHitsStoreWithIdenticalMetrics) {
   EXPECT_EQ(warm.summary().cache_hits, jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_EQ(warm_results[i].tier, ResultTier::store);
-    EXPECT_TRUE(warm_results[i].cache_hit);
+    EXPECT_TRUE(warm_results[i].cache_hit());
     EXPECT_EQ(warm_results[i].stats.ee_cnot_count,
               cold_results[i].stats.ee_cnot_count);
     EXPECT_EQ(warm_results[i].stats.makespan_ticks,

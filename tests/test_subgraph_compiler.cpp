@@ -83,7 +83,7 @@ TEST(SubgraphCompiler, BoundaryDanglerHostRecorded) {
 TEST(SubgraphCompiler, AnchorsOnlyPolicyForcesSwapHosts) {
   SubgraphSpec spec(make_linear_cluster(3), {true, false, false});
   SubgraphCompileConfig cfg = quick_config(3);
-  cfg.dangler = DanglerPolicy::anchors_only();
+  cfg.dangler = DanglerPolicy::anchors_only;
   const auto r = compile_subgraph(spec, cfg);
   ASSERT_TRUE(r.success);
   ASSERT_EQ(r.best.anchors.size(), 1u);
@@ -246,7 +246,7 @@ TEST(SubgraphCompiler, LevelWalkWithBoundaryMatchesSeparateCalls) {
   const SubgraphSpec spec(g, {true, false, false, false, true, true});
   expect_level_walk_matches_separate_calls(spec, quick_config(1), 1);
   SubgraphCompileConfig anchors = quick_config(1);
-  anchors.dangler = DanglerPolicy::anchors_only();
+  anchors.dangler = DanglerPolicy::anchors_only;
   expect_level_walk_matches_separate_calls(spec, anchors,
                                            subgraph_ne_min(g));
 }
