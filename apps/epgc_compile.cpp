@@ -157,6 +157,11 @@ int main(int argc, char** argv) {
               << " stems, LC depth " << r.lc_depth << " ("
               << r.framework_result->strategy << " strategy)\n";
   print_stats(r.stats, r.ne_limit);
+  // Ne_limit is the paper's hardware contract; a schedule that needs more
+  // emitters says so on stderr (stdout keeps the format scripts parse).
+  if (r.stats.emitters_used > r.ne_limit)
+    std::cerr << "warning: emitters " << r.stats.emitters_used
+              << " exceed the cap " << r.ne_limit << '\n';
   if (r.framework_result)
     std::cout << "verified        " << (r.verified ? "yes" : "skipped")
               << '\n';

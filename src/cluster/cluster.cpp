@@ -77,7 +77,14 @@ ClusterFront::ClusterFront(ClusterConfig cfg)
       cfg_(std::move(cfg)),
       ring_(cfg_.workers, kRingReplicas),
       respawns_(registry_->counter("epgc_worker_respawns_total",
-                                   "worker processes respawned")) {
+                                   "worker processes respawned")),
+      queue_full_retries_(registry_->counter(
+          "epgc_front_queue_full_retries_total",
+          "requests re-sent after a worker answered queue_full")),
+      redeliveries_(registry_->counter(
+          "epgc_front_redeliveries_total",
+          "delivery attempts after a worker died or dropped its "
+          "connection mid-request")) {
   EPG_REQUIRE(cfg_.workers > 0, "cluster needs at least one worker");
   EPG_REQUIRE(!cfg_.worker_bin.empty(), "cluster needs a worker binary");
 }
@@ -277,7 +284,10 @@ std::string ClusterFront::forward(std::size_t worker,
   std::lock_guard<std::mutex> lock(w.mutex);
   for (std::size_t attempt = 0; attempt < cfg_.delivery_attempts;
        ++attempt) {
-    if (attempt > 0) sleep_ms(kRetryBackoffMs);
+    if (attempt > 0) {
+      sleep_ms(kRetryBackoffMs);
+      redeliveries_.inc();
+    }
     if (w.pid < 0 || !w.conn.valid()) {
       respawn_locked(w);
       if (w.pid < 0) continue;
@@ -301,6 +311,7 @@ std::string ClusterFront::forward(std::size_t worker,
          retry < kQueueFullRetries && is_queue_full_response(resp);
          ++retry) {
       sleep_ms(kRetryBackoffMs * static_cast<double>(retry + 1));
+      queue_full_retries_.inc();
       if (!w.conn.write_line(line) || !w.conn.read_line(resp)) {
         broken = true;
         break;

@@ -129,6 +129,8 @@ class ClusterFront : public ServingCore {
   ClusterConfig cfg_;
   HashRing ring_;
   Counter& respawns_;
+  Counter& queue_full_retries_;
+  Counter& redeliveries_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::thread monitor_;
   std::atomic<bool> started_{false};

@@ -1,5 +1,6 @@
 #include "runtime/batch_compiler.hpp"
 
+#include <mutex>
 #include <stdexcept>
 
 #include "common/build_info.hpp"
@@ -22,6 +23,29 @@ void mix_hardware(HashStream& h, const HardwareModel& hw) {
   h.mix(static_cast<std::uint64_t>(hw.measure_ticks));
   h.mix(hw.ee_cnot_fidelity);
   h.mix(hw.loss_rate_per_tau);
+}
+
+std::uint64_t config_hash_of(const CompileJob& job) {
+  return job.kind == CompilerKind::framework
+             ? config_fingerprint(job.framework)
+             : config_fingerprint(job.baseline);
+}
+
+std::uint64_t cache_key_of(std::uint64_t graph_hash,
+                           std::uint64_t config_hash, CompilerKind kind) {
+  return HashStream()
+      .mix(graph_hash)
+      .mix(config_hash)
+      .mix(static_cast<std::uint64_t>(kind))
+      .digest();
+}
+
+/// A cached result as its job's own: the job's label, the tier it came
+/// from, no compile time.
+void stamp_hit(JobResult& r, const CompileJob& job, ResultTier tier) {
+  r.label = job.label;
+  r.tier = tier;
+  r.wall_ms = 0.0;
 }
 
 }  // namespace
@@ -153,12 +177,16 @@ BatchSummary BatchCompiler::totals() const {
 }
 
 std::size_t BatchCompiler::cache_size() const {
+  std::shared_lock lock(cache_mutex_);
   std::size_t total = 0;
   for (const auto& [key, entries] : cache_) total += entries.size();
   return total;
 }
 
-void BatchCompiler::clear_cache() { cache_.clear(); }
+void BatchCompiler::clear_cache() {
+  std::unique_lock lock(cache_mutex_);
+  cache_.clear();
+}
 
 const char* tier_name(ResultTier tier) {
   switch (tier) {
@@ -291,16 +319,65 @@ JobResult BatchCompiler::rehydrate(const CompileJob& job,
   return r;
 }
 
-const BatchCompiler::CacheEntry* BatchCompiler::find_cached(
+std::optional<JobResult> BatchCompiler::find_cached(
     std::uint64_t key, const CompileJob& job,
     std::uint64_t config_hash) const {
+  std::shared_lock lock(cache_mutex_);
   auto it = cache_.find(key);
-  if (it == cache_.end()) return nullptr;
+  if (it == cache_.end()) return std::nullopt;
   for (const CacheEntry& entry : it->second)
-    if (entry.kind == job.kind && entry.config_hash == config_hash &&
-        entry.graph == job.graph)
-      return &entry;
-  return nullptr;
+    if (entry.matches(job, config_hash)) return entry.result;
+  return std::nullopt;
+}
+
+void BatchCompiler::publish(std::uint64_t key, const CompileJob& job,
+                            std::uint64_t config_hash,
+                            const JobResult& result) {
+  std::unique_lock lock(cache_mutex_);
+  std::vector<CacheEntry>& entries = cache_[key];
+  for (const CacheEntry& entry : entries)
+    if (entry.matches(job, config_hash)) return;
+  CacheEntry entry;
+  entry.graph = job.graph;
+  entry.config_hash = config_hash;
+  entry.kind = job.kind;
+  entry.result = result;
+  entries.push_back(std::move(entry));
+}
+
+std::optional<JobResult> BatchCompiler::find_stored(
+    std::uint64_t key, const CompileJob& job, std::uint64_t config_hash,
+    bool count_miss) {
+  // Metrics-only consumers never pay the circuit decode.
+  const std::optional<StoredResult> stored = cfg_.store->get(
+      job.graph, config_hash, job.kind, cfg_.keep_results, count_miss);
+  if (!stored) return std::nullopt;
+  JobResult r = rehydrate(job, *stored);
+  publish(key, job, config_hash, r);
+  return r;
+}
+
+std::optional<JobResult> BatchCompiler::lookup(const CompileJob& job) {
+  if (!cfg_.use_cache) return std::nullopt;
+  const std::uint64_t graph_hash = labelled_graph_hash(job.graph);
+  const std::uint64_t config_hash = config_hash_of(job);
+  const std::uint64_t key = cache_key_of(graph_hash, config_hash, job.kind);
+  std::optional<JobResult> r = find_cached(key, job, config_hash);
+  ResultTier tier = ResultTier::memory;
+  if (!r && cfg_.store) {
+    r = find_stored(key, job, config_hash, /*count_miss=*/false);
+    tier = ResultTier::store;
+  }
+  if (!r) return std::nullopt;
+  stamp_hit(*r, job, tier);
+  r->index = 0;
+  r->graph_hash = graph_hash;
+  r->canonical_hash = canonical_graph_hash(job.graph);
+  jobs_total_->inc();
+  cache_hits_total_->inc();
+  (tier == ResultTier::memory ? memory_hits_total_ : store_hits_total_)
+      ->inc();
+  return r;
 }
 
 std::vector<JobResult> BatchCompiler::run(
@@ -316,10 +393,10 @@ std::vector<JobResult> BatchCompiler::run(
     std::uint64_t config_hash = 0;
     // Index of the first identical job, or self if this job compiles.
     std::size_t representative = 0;
-    bool from_cache = false;  ///< in-memory hit
-    bool from_store = false;  ///< persistent-tier hit
   };
   std::vector<Keyed> keyed(jobs.size());
+  // A memory or store hit lands here while keying, already stamped with
+  // its tier; every other slot stays `compiled` until the fill below.
   std::vector<JobResult> results(jobs.size());
 
   // Key every job and group exact duplicates behind a representative.
@@ -327,27 +404,25 @@ std::vector<JobResult> BatchCompiler::run(
   // distinct) so keying never rehashes mid-batch.
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> groups;
   groups.reserve(jobs.size());
-  cache_.reserve(cache_.size() + jobs.size());
+  {
+    std::unique_lock lock(cache_mutex_);
+    cache_.reserve(cache_.size() + jobs.size());
+  }
   std::vector<std::size_t> to_compile;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     Keyed& k = keyed[i];
     k.graph_hash = labelled_graph_hash(jobs[i].graph);
     k.canonical_hash = canonical_graph_hash(jobs[i].graph);
-    k.config_hash = jobs[i].kind == CompilerKind::framework
-                        ? config_fingerprint(jobs[i].framework)
-                        : config_fingerprint(jobs[i].baseline);
-    k.cache_key = HashStream()
-                      .mix(k.graph_hash)
-                      .mix(k.config_hash)
-                      .mix(static_cast<std::uint64_t>(jobs[i].kind))
-                      .digest();
+    k.config_hash = config_hash_of(jobs[i]);
+    k.cache_key = cache_key_of(k.graph_hash, k.config_hash, jobs[i].kind);
     k.representative = i;
     if (!cfg_.use_cache) {
       to_compile.push_back(i);
       continue;
     }
-    if (find_cached(k.cache_key, jobs[i], k.config_hash) != nullptr) {
-      k.from_cache = true;
+    if (auto hit = find_cached(k.cache_key, jobs[i], k.config_hash)) {
+      results[i] = std::move(*hit);
+      stamp_hit(results[i], jobs[i], ResultTier::memory);
       continue;
     }
     auto& members = groups[k.cache_key];
@@ -367,16 +442,10 @@ std::vector<JobResult> BatchCompiler::run(
     // memory cache immediately, so identical jobs later in this batch
     // (and later runs) hit memory.
     if (cfg_.store) {
-      // Metrics-only consumers never pay the circuit decode.
-      if (auto stored = cfg_.store->get(jobs[i].graph, k.config_hash,
-                                        jobs[i].kind, cfg_.keep_results)) {
-        k.from_store = true;
-        CacheEntry entry;
-        entry.graph = jobs[i].graph;
-        entry.config_hash = k.config_hash;
-        entry.kind = jobs[i].kind;
-        entry.result = rehydrate(jobs[i], *stored);
-        cache_[k.cache_key].push_back(std::move(entry));
+      if (auto hit = find_stored(k.cache_key, jobs[i], k.config_hash,
+                                 /*count_miss=*/true)) {
+        results[i] = std::move(*hit);
+        stamp_hit(results[i], jobs[i], ResultTier::store);
         continue;
       }
     }
@@ -391,35 +460,18 @@ std::vector<JobResult> BatchCompiler::run(
     results[i] = compile_one(jobs[i], keyed[i].config_hash);
   });
 
-  // Publish fresh results to the cache, then fill duplicates and hits.
+  // Publish fresh results to the cache, then fill duplicates.
   if (cfg_.use_cache) {
-    for (std::size_t i : to_compile) {
-      if (!results[i].ok) continue;  // never cache failures
-      CacheEntry entry;
-      entry.graph = jobs[i].graph;
-      entry.config_hash = keyed[i].config_hash;
-      entry.kind = jobs[i].kind;
-      entry.result = results[i];
-      cache_[keyed[i].cache_key].push_back(std::move(entry));
-    }
+    for (std::size_t i : to_compile)
+      if (results[i].ok)  // never cache failures
+        publish(keyed[i].cache_key, jobs[i], keyed[i].config_hash,
+                results[i]);
   }
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     JobResult& r = results[i];
-    if (keyed[i].from_cache || keyed[i].from_store) {
-      const CacheEntry* hit =
-          find_cached(keyed[i].cache_key, jobs[i], keyed[i].config_hash);
-      r = hit->result;
-      r.label = jobs[i].label;
-      r.tier =
-          keyed[i].from_store ? ResultTier::store : ResultTier::memory;
-      r.wall_ms = 0.0;
-    } else if (keyed[i].representative != i) {
+    if (r.tier == ResultTier::compiled && keyed[i].representative != i) {
       r = results[keyed[i].representative];
-      r.label = jobs[i].label;
-      r.tier = ResultTier::dedup;
-      r.wall_ms = 0.0;
-    } else {
-      r.tier = ResultTier::compiled;
+      stamp_hit(r, jobs[i], ResultTier::dedup);
     }
     r.index = i;
     r.graph_hash = keyed[i].graph_hash;

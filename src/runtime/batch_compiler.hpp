@@ -25,6 +25,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -151,9 +153,20 @@ class BatchCompiler {
  public:
   explicit BatchCompiler(BatchConfig cfg = {});
 
-  /// Compile the batch; results are in job order. Not thread-safe (one
-  /// run at a time), but reusable — the cache persists across runs.
+  /// Compile the batch; results are in job order. One run() at a time,
+  /// reusable — the cache persists across runs. lookup() and cache_size()
+  /// may run on other threads meanwhile: run() holds the cache lock only
+  /// while it reads or publishes entries, never while it compiles.
   std::vector<JobResult> run(const std::vector<CompileJob>& jobs);
+
+  /// One job's memory-tier or store-tier result, exactly as a one-job
+  /// run() would return it, or nullopt on a miss. Thread-safe, also
+  /// against a concurrent run(). A hit counts in the job and tier counters
+  /// as run() counts it, a miss counts nothing (a store miss is not
+  /// counted in the store's stats either: the run() that compiles the job
+  /// probes the store again). A store hit is published to the memory tier.
+  /// summary() and the ms totals stay the last run()'s.
+  std::optional<JobResult> lookup(const CompileJob& job);
 
   const BatchSummary& summary() const { return summary_; }  ///< last run()
   /// Cumulative totals across every run(), assembled from the metrics
@@ -175,11 +188,28 @@ class BatchCompiler {
     std::uint64_t config_hash = 0;
     CompilerKind kind = CompilerKind::framework;
     JobResult result;
+
+    /// Exact identity: a 64-bit key collision never matches.
+    bool matches(const CompileJob& job, std::uint64_t job_config) const {
+      return kind == job.kind && config_hash == job_config &&
+             graph == job.graph;
+    }
   };
 
   JobResult compile_one(const CompileJob& job, std::uint64_t config_hash);
-  const CacheEntry* find_cached(std::uint64_t key, const CompileJob& job,
-                                std::uint64_t config_hash) const;
+  /// The memory-tier result for `job`, copied out under the shared lock.
+  std::optional<JobResult> find_cached(std::uint64_t key,
+                                       const CompileJob& job,
+                                       std::uint64_t config_hash) const;
+  /// Cache `result` for `job` unless a concurrent caller already did
+  /// (rechecked under the exclusive lock).
+  void publish(std::uint64_t key, const CompileJob& job,
+               std::uint64_t config_hash, const JobResult& result);
+  /// Probe the persistent tier; a hit is rehydrated and published.
+  std::optional<JobResult> find_stored(std::uint64_t key,
+                                       const CompileJob& job,
+                                       std::uint64_t config_hash,
+                                       bool count_miss);
   /// Materialize a JobResult from a persistent-store hit.
   JobResult rehydrate(const CompileJob& job, const StoredResult& stored);
 
@@ -202,6 +232,8 @@ class BatchCompiler {
   /// Millisecond aggregates stay local doubles (counters are integral).
   double totals_wall_ms_ = 0.0;
   double totals_compile_ms_ = 0.0;
+  /// Guards cache_: shared for reads, exclusive for writes.
+  mutable std::shared_mutex cache_mutex_;
   std::unordered_map<std::uint64_t, std::vector<CacheEntry>> cache_;
 };
 

@@ -127,6 +127,7 @@ int ServingCore::serve_listener(int listen_fd) {
   scfg.handler = [this](const std::string& line, double queued_ms) {
     return handle_line(line, queued_ms);
   };
+  scfg.inline_handler = answer_inline_;
   scfg.reject_response = [this](const std::string& line) {
     requests_.rejected.inc();  // called once per overflow
     return queue_full_response(line, max_queue_);
@@ -171,7 +172,10 @@ Service::Service(ServiceConfig cfg)
     : ServingCore("epgc_serve", cfg.metrics, cfg.max_queue,
                   cfg.max_frame_bytes, cfg.default_deadline_ms,
                   1),  // one BatchCompiler; ordering = admission order
-      cfg_(std::move(cfg)) {
+      cfg_(std::move(cfg)),
+      inline_answers_(registry_->counter(
+          "epgc_requests_inline_total",
+          "cache hits answered on the connection's reader thread")) {
   // Responses may embed the compiled circuit, so full results must be
   // retained; the cache is the service's reason to exist.
   cfg_.batch.keep_results = true;
@@ -183,6 +187,9 @@ Service::Service(ServiceConfig cfg)
   // job/tier counters — the stats/health/metrics verbs all read from it.
   cfg_.batch.metrics = registry_;
   batch_ = std::make_unique<BatchCompiler>(cfg_.batch);
+  answer_inline_ = [this](const std::string& line) {
+    return answer_hit(line);
+  };
   if (!cfg_.trace_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(cfg_.trace_dir, ec);
@@ -202,16 +209,46 @@ std::string Service::resolve_trace_id(const ServiceRequest& req) {
   return generate_trace_id(trace_seq_.fetch_add(1));
 }
 
-std::string Service::answer(const std::string& line, double queued_ms) {
-  const Stopwatch compute_watch;
-  // Per-request recorder: requests on one executor thread never share
-  // span buffers, and an untraced service keeps the null-recorder fast
-  // path everywhere below.
+template <class Respond>
+std::string Service::traced(ServiceOp op, const std::string& trace_id,
+                            const Stopwatch& compute_watch,
+                            Respond&& respond) {
+  // Per-request recorder: requests on one thread never share span
+  // buffers, and an untraced service keeps the null-recorder fast path
+  // everywhere below.
   std::unique_ptr<TraceRecorder> recorder;
   if (!cfg_.trace_dir.empty())
     recorder = std::make_unique<TraceRecorder>();
   ScopedTraceInstall install(recorder.get());
+  std::string response;
+  {
+    Span root("request", "service");
+    root.arg("op", op_name(op));
+    if (!trace_id.empty()) root.arg("trace_id", trace_id);
+    response = respond();
+  }
+  const double compute_ms = compute_watch.elapsed_ms();
+  if (recorder && !response.empty() && compute_ms >= cfg_.trace_slow_ms &&
+      recorder->event_count() > 0) {
+    // Deterministic mode suppresses self-generated trace_ids on the wire,
+    // but dump files still need distinct names — otherwise every slow
+    // anonymous request would overwrite (and race on) trace-anon.json.
+    // The sequence is process-local and never leaves this machine, so it
+    // cannot break response reproducibility.
+    const std::string file_id =
+        trace_id.empty()
+            ? "local-" + std::to_string(trace_seq_.fetch_add(1))
+            : sanitize_trace_id(trace_id);
+    const std::string path =
+        cfg_.trace_dir + "/trace-" + file_id + ".json";
+    std::ofstream out(path);
+    if (out) recorder->write_chrome_trace(out);
+  }
+  return response;
+}
 
+std::string Service::answer(const std::string& line, double queued_ms) {
+  const Stopwatch compute_watch;
   ServiceRequest req;
   try {
     req = parse_service_request(line);
@@ -228,30 +265,34 @@ std::string Service::answer(const std::string& line, double queued_ms) {
   const std::string expired =
       expire(req.id_json, req.deadline_ms, queued_ms, trace_id);
   if (!expired.empty()) return expired;
-  std::string response;
-  {
-    Span root("request", "service");
-    root.arg("op", op_name(req.op));
-    if (!trace_id.empty()) root.arg("trace_id", trace_id);
-    response = handle_request(req, trace_id, queued_ms, compute_watch);
+  return traced(req.op, trace_id, compute_watch, [&] {
+    return handle_request(req, trace_id, queued_ms, compute_watch);
+  });
+}
+
+std::string Service::answer_hit(const std::string& line) {
+  const Stopwatch compute_watch;
+  ServiceRequest req;
+  try {
+    req = parse_service_request(line);
+  } catch (const std::exception&) {
+    return {};  // the executor answers the error
   }
-  const double compute_ms = compute_watch.elapsed_ms();
-  if (recorder && compute_ms >= cfg_.trace_slow_ms &&
-      recorder->event_count() > 0) {
-    // Deterministic mode suppresses self-generated trace_ids on the wire,
-    // but dump files still need distinct names — otherwise every slow
-    // anonymous request would overwrite (and race on) trace-anon.json.
-    // The sequence is process-local and never leaves this machine, so it
-    // cannot break response reproducibility.
-    const std::string file_id =
-        trace_id.empty()
-            ? "local-" + std::to_string(trace_seq_.fetch_add(1))
-            : sanitize_trace_id(trace_id);
-    const std::string path =
-        cfg_.trace_dir + "/trace-" + file_id + ".json";
-    std::ofstream out(path);
-    if (out) recorder->write_chrome_trace(out);
-  }
+  // A batch reply needs a run summary, so batches stay on the executor.
+  if (req.op != ServiceOp::compile) return {};
+  // No queue wait: a deadline cannot have expired.
+  const std::string trace_id = resolve_trace_id(req);
+  std::string response = traced(req.op, trace_id, compute_watch, [&] {
+    const std::optional<JobResult> hit = batch_->lookup(req.jobs.front());
+    return hit ? compile_reply(req, *hit, trace_id, 0.0, compute_watch)
+               : std::string();
+  });
+  if (response.empty()) return response;
+  // handle_line's counting, for a request that never queued.
+  requests_.requests.inc();
+  requests_.queue_wait_ms.observe(0.0);
+  requests_.latency_ms.observe(compute_watch.elapsed_ms());
+  inline_answers_.inc();
   return response;
 }
 
@@ -292,17 +333,9 @@ std::string Service::handle_request(const ServiceRequest& req,
           req.id_json, registry_->json(),
           req.want_prometheus ? registry_->prometheus_text() : std::string(),
           trace_id);
-    case ServiceOp::compile: {
-      const std::vector<JobResult> results = batch_->run(req.jobs);
-      const JobResult& r = results.front();
-      if (r.ok) requests_.ok.inc();
-      else requests_.errors.inc();
-      timing.compute_ms = compute_watch.elapsed_ms();
-      return compile_response(
-          req.id_json, r,
-          req.want_circuit && r.ok ? circuit_text_of(r) : std::string(),
-          include_wall, trace_id, include_wall ? &timing : nullptr);
-    }
+    case ServiceOp::compile:
+      return compile_reply(req, batch_->run(req.jobs).front(), trace_id,
+                           queued_ms, compute_watch);
     case ServiceOp::batch: {
       const std::vector<JobResult> results = batch_->run(req.jobs);
       const BatchSummary summary = batch_->summary();
@@ -316,6 +349,23 @@ std::string Service::handle_request(const ServiceRequest& req,
   requests_.errors.inc();
   return error_response(req.id_json, kErrBadRequest, "unhandled op",
                         trace_id);
+}
+
+std::string Service::compile_reply(const ServiceRequest& req,
+                                   const JobResult& r,
+                                   const std::string& trace_id,
+                                   double queued_ms,
+                                   const Stopwatch& compute_watch) {
+  if (r.ok) requests_.ok.inc();
+  else requests_.errors.inc();
+  const bool include_wall = !cfg_.batch.deterministic;
+  ResponseTiming timing;
+  timing.queued_ms = queued_ms;
+  timing.compute_ms = compute_watch.elapsed_ms();
+  return compile_response(
+      req.id_json, r,
+      req.want_circuit && r.ok ? circuit_text_of(r) : std::string(),
+      include_wall, trace_id, include_wall ? &timing : nullptr);
 }
 
 int Service::serve_stream(std::istream& in, std::ostream& out) {

@@ -11,7 +11,9 @@
 //     immediately with a structured "queue_full" error (explicit
 //     backpressure), and a request whose `deadline_ms` elapses while it
 //     is still queued is answered with a deadline error instead of being
-//     compiled late.
+//     compiled late. A compile that is a memory- or store-tier hit, on a
+//     connection with nothing pending, is answered on its reader thread
+//     and never queues behind another connection's compile.
 //   * TCP mode — the same admission discipline over an AF_INET listener,
 //     for external clients, load balancers, and multi-host fan-out.
 //
@@ -29,6 +31,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -147,6 +150,10 @@ class ServingCore {
   std::shared_ptr<MetricsRegistry> registry_;
   RequestMetrics requests_;
   std::atomic<bool> stop_{false};
+  /// Set by an owner that answers some frames on the connection's reader
+  /// thread (LineServerConfig::inline_handler); it counts what it
+  /// answers. Unset = every frame is admitted.
+  std::function<std::string(const std::string& line)> answer_inline_;
 
  private:
   int serve_listener(int listen_fd);
@@ -176,13 +183,28 @@ class Service : public ServingCore {
 
  private:
   std::string answer(const std::string& line, double queued_ms) override;
+  /// The reader-thread answer: the response to a compile whose job is a
+  /// memory- or store-tier hit, counted as handle_line counts a request
+  /// with no queue wait; empty (nothing counted) for any other frame.
+  std::string answer_hit(const std::string& line);
+  /// Run `respond` under the request's root span, on a per-request
+  /// recorder when tracing; dump the trace when the response is non-empty
+  /// and its compute time reaches trace_slow_ms.
+  template <class Respond>
+  std::string traced(ServiceOp op, const std::string& trace_id,
+                     const Stopwatch& compute_watch, Respond&& respond);
   std::string handle_request(const ServiceRequest& req,
                              const std::string& trace_id, double queued_ms,
                              const Stopwatch& compute_watch);
+  /// The compile response for `r`, counted ok or failed.
+  std::string compile_reply(const ServiceRequest& req, const JobResult& r,
+                            const std::string& trace_id, double queued_ms,
+                            const Stopwatch& compute_watch);
   /// Non-empty only when this request should be traced/correlated.
   std::string resolve_trace_id(const ServiceRequest& req);
 
   ServiceConfig cfg_;
+  Counter& inline_answers_;  ///< requests answered by answer_hit
   std::shared_ptr<CompileResultStore> store_;  ///< null when disabled
   std::unique_ptr<BatchCompiler> batch_;
   std::atomic<std::uint64_t> trace_seq_{0};  ///< generated trace_id suffix

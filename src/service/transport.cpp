@@ -190,14 +190,22 @@ namespace {
 struct ServerConn {
   int fd = -1;
   std::mutex write_mutex;
+  /// Requests admitted from this connection and not yet answered: raised
+  /// by the reader before it queues one, lowered by write_line.
+  std::atomic<std::size_t> pending{0};
 
   explicit ServerConn(int f) : fd(f) {}
   ~ServerConn() {
     if (fd >= 0) ::close(fd);
   }
 
-  void write_line(const std::string& response) {
+  /// `admitted` marks the reply to a queued request. Its pending count
+  /// drops under the write lock, before the bytes go out: a reader that
+  /// then sees nothing pending writes its own reply after this one, and a
+  /// client that has this reply never finds its request still pending.
+  void write_line(const std::string& response, bool admitted = false) {
     std::lock_guard<std::mutex> lock(write_mutex);
+    if (admitted) pending.fetch_sub(1);
     std::string out = response;
     out += '\n';
     std::size_t sent = 0;
@@ -238,7 +246,10 @@ int LineServer::serve(int listen_fd, std::atomic<bool>& stop) {
   // the client can see — instead of buffering without bound. An
   // over-sized complete frame is answered and skipped (the stream
   // resyncs at its newline); an over-sized lineless stream cannot
-  // resync, so it is answered and dropped.
+  // resync, so it is answered and dropped. With nothing pending on the
+  // connection, cfg_.inline_handler may answer a frame right here: every
+  // earlier reply holds or has released the write lock this reply waits
+  // for, so the connection's replies keep request order.
   auto reader = [&](std::shared_ptr<ServerConn> conn,
                     std::shared_ptr<std::atomic<bool>> done) {
     std::string buffer;
@@ -261,11 +272,19 @@ int LineServer::serve(int listen_fd, std::atomic<bool>& stop) {
           conn->write_line(cfg_.oversize_response(line));
           continue;  // complete frame: the connection stays usable
         }
+        if (cfg_.inline_handler && conn->pending.load() == 0) {
+          const std::string response = cfg_.inline_handler(line);
+          if (!response.empty()) {
+            conn->write_line(response);
+            continue;
+          }
+        }
         bool rejected = false;
         {
           std::lock_guard<std::mutex> lock(mutex);
           rejected = queue.size() >= cfg_.max_queue;
           if (!rejected) {
+            conn->pending.fetch_add(1);
             queue.push_back({conn, std::move(line),
                              std::chrono::steady_clock::now()});
             depth_.store(queue.size());
@@ -331,7 +350,7 @@ int LineServer::serve(int listen_fd, std::atomic<bool>& stop) {
           std::chrono::duration<double, std::milli>(
               std::chrono::steady_clock::now() - p.enqueued)
               .count();
-      p.conn->write_line(cfg_.handler(p.line, queued_ms));
+      p.conn->write_line(cfg_.handler(p.line, queued_ms), /*admitted=*/true);
     }
   };
 

@@ -13,7 +13,10 @@
 // up must not SIGPIPE the server) and every accepted connection gets a
 // dedicated reader thread feeding one bounded admission queue; a full
 // queue rejects immediately (visible backpressure), and executors charge
-// each request's deadline against its queue wait.
+// each request's deadline against its queue wait. An owner may answer
+// some frames on the reader thread instead (inline_handler), but only
+// while that connection has nothing admitted and unanswered, so each
+// connection's replies keep request order.
 //
 // LineServer is protocol-agnostic: the owner supplies the handler and the
 // reject/oversize response renderers, so the service and the cluster
@@ -76,14 +79,22 @@ struct LineServerConfig {
   /// Per-frame (per-line) byte cap; also the cap on a lineless stream.
   std::size_t max_frame_bytes = std::size_t{64} << 20;
   /// Threads draining the admission queue. 1 (the calling thread)
-  /// preserves global response ordering — what epgc_serve wants, since
-  /// one BatchCompiler run may execute at a time; the cluster front runs
-  /// one executor per worker so independent workers proceed in parallel.
+  /// answers admitted requests in admission order — what epgc_serve
+  /// wants, since one BatchCompiler run may execute at a time; the
+  /// cluster front runs one executor per worker so independent workers
+  /// proceed in parallel.
   std::size_t executors = 1;
   /// The request handler: line in, response line out (no trailing '\n').
   /// Called from executor threads; must be thread-safe when executors>1.
   std::function<std::string(const std::string& line, double queued_ms)>
       handler;
+  /// Optional reader-side answer, called on the connection's reader
+  /// thread for a complete frame when that connection has no admitted
+  /// request still unanswered. A non-empty return is written as the reply
+  /// and the frame is never admitted; empty admits it as usual. Runs
+  /// concurrently with the executors and other readers. Unset = every
+  /// frame is admitted.
+  std::function<std::string(const std::string& line)> inline_handler;
   /// Render (and count) the rejection for an admission-queue overflow.
   std::function<std::string(const std::string& line)> reject_response;
   /// Render the error for a frame over max_frame_bytes.

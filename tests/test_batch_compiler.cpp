@@ -1,11 +1,15 @@
 #include "runtime/batch_compiler.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <filesystem>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -14,6 +18,7 @@
 #include "obs/metrics.hpp"
 #include "runtime/graph_hash.hpp"
 #include "runtime/thread_pool.hpp"
+#include "store/result_store.hpp"
 
 namespace epg {
 namespace {
@@ -337,6 +342,119 @@ TEST(BatchCompiler, FailedJobsAreIsolatedAndNeverCached) {
   EXPECT_TRUE(res[1].ok) << res[1].error;
   EXPECT_EQ(batch.summary().failures, 1u);
   EXPECT_EQ(batch.cache_size(), 1u);  // only the success was cached
+}
+
+// ---- one-job lookup --------------------------------------------------------
+
+/// A fresh store directory, removed again on destruction.
+class TempStore {
+ public:
+  explicit TempStore(const std::string& name)
+      : dir_(std::filesystem::temp_directory_path() /
+             ("epgc-batch-" + name + "-" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(dir_);
+    StoreConfig cfg;
+    cfg.dir = dir_.string();
+    store_ = std::make_shared<CompileResultStore>(cfg);
+  }
+  ~TempStore() { std::filesystem::remove_all(dir_); }
+  const std::shared_ptr<CompileResultStore>& store() const { return store_; }
+
+ private:
+  std::filesystem::path dir_;
+  std::shared_ptr<CompileResultStore> store_;
+};
+
+std::string rendered(const JobResult& r) {
+  std::ostringstream os;
+  job_result_json_fields(os, r);
+  return os.str();
+}
+
+TEST(BatchCompiler, LookupAnswersAHitExactlyAsAOneJobRun) {
+  BatchConfig cfg;
+  cfg.threads = 1;
+  BatchCompiler batch(cfg);
+  CompileJob job = framework_job("first", make_waxman(10, 6), 5);
+  EXPECT_FALSE(batch.lookup(job).has_value());
+  EXPECT_EQ(batch.totals().jobs, 0u) << "a miss counts nothing";
+  batch.run({job});
+
+  job.label = "again";
+  const std::optional<JobResult> hit = batch.lookup(job);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->tier, ResultTier::memory);
+  EXPECT_EQ(batch.summary().compiled, 1u) << "summary() is the last run()";
+  EXPECT_EQ(rendered(*hit), rendered(batch.run({job}).front()));
+  const BatchSummary totals = batch.totals();
+  EXPECT_EQ(totals.jobs, 3u);
+  EXPECT_EQ(totals.compiled, 1u);
+  EXPECT_EQ(totals.memory_hits, 2u);
+  EXPECT_EQ(totals.cache_hits, 2u);
+}
+
+TEST(BatchCompiler, LookupReadsThroughTheStoreAndPublishesTheHit) {
+  const TempStore temp("lookup");
+  BatchConfig cfg;
+  cfg.threads = 1;
+  cfg.store = temp.store();
+  const CompileJob job = framework_job("w", make_waxman(10, 6), 5);
+  BatchCompiler(cfg).run({job});  // fills the store
+
+  BatchCompiler warm(cfg);
+  const std::size_t misses = temp.store()->stats().misses;
+  EXPECT_FALSE(warm.lookup(framework_job("x", make_ring(7), 5)));
+  EXPECT_EQ(temp.store()->stats().misses, misses)
+      << "the run() after a lookup miss counts the store miss";
+  const std::optional<JobResult> stored = warm.lookup(job);
+  ASSERT_TRUE(stored.has_value());
+  EXPECT_EQ(stored->tier, ResultTier::store);
+  EXPECT_EQ(rendered(*stored), rendered(BatchCompiler(cfg).run({job})[0]));
+  const std::optional<JobResult> memory = warm.lookup(job);
+  ASSERT_TRUE(memory.has_value());
+  EXPECT_EQ(memory->tier, ResultTier::memory);
+  EXPECT_EQ(warm.cache_size(), 1u);
+  EXPECT_EQ(warm.totals().store_hits, 1u);
+  EXPECT_EQ(warm.totals().memory_hits, 1u);
+}
+
+TEST(BatchCompiler, LookupsDuringARunSeeOneCachedEntryPerJob) {
+  // Readers race run()'s store probes, compiles and publishes (and each
+  // other's store-hit publishes); ThreadSanitizer builds of this test are
+  // the data-race check of the shared cache.
+  const TempStore temp("race");
+  BatchConfig cfg;
+  cfg.threads = 2;
+  cfg.store = temp.store();
+  std::vector<CompileJob> jobs;
+  for (std::uint64_t i = 0; i < 4; ++i)
+    jobs.push_back(framework_job("s" + std::to_string(i),
+                                 make_waxman(9, 20 + i), 1));
+  BatchCompiler(cfg).run(jobs);  // the store holds the first four
+  for (std::uint64_t i = 0; i < 4; ++i)
+    jobs.push_back(framework_job("c" + std::to_string(i),
+                                 make_waxman(9, 40 + i), 1));
+
+  BatchCompiler batch(cfg);
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t)
+    readers.emplace_back([&] {
+      while (!done.load())
+        for (const CompileJob& job : jobs)
+          if (const auto hit = batch.lookup(job)) EXPECT_TRUE(hit->ok);
+    });
+  const std::vector<JobResult> ran = batch.run(jobs);
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(batch.cache_size(), jobs.size()) << "each result cached once";
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const std::optional<JobResult> hit = batch.lookup(jobs[i]);
+    ASSERT_TRUE(hit.has_value()) << i;
+    EXPECT_EQ(hit->tier, ResultTier::memory);
+    expect_same_metrics(*hit, ran[i]);
+  }
 }
 
 // ---- Deterministic parallel Monte-Carlo ----------------------------------

@@ -169,6 +169,14 @@ TEST(ClusterFront, KilledWorkerIsRespawnedAndRequestRedelivered) {
   Service fresh(single_process_config());
   EXPECT_EQ(after, fresh.handle_line(line));
   EXPECT_GE(front.respawns(), 1u);
+  // The front's own registry counts the redelivery.
+  const JsonValue metrics =
+      JsonValue::parse(front.handle_line(R"({"op":"metrics","id":2})"));
+  const JsonValue* front_counters = metrics.find("front");
+  ASSERT_NE(front_counters, nullptr);
+  front_counters = front_counters->find("counters");
+  ASSERT_NE(front_counters, nullptr);
+  EXPECT_GE(front_counters->get_u64("epgc_front_redeliveries_total", 0), 1u);
 
   // The worker that owned the request was respawned inline; the other one
   // is the monitor's job — poll until every worker runs under a new pid.

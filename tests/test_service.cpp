@@ -7,12 +7,14 @@
 #include "service/service.hpp"
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <sstream>
 #include <thread>
 
@@ -505,6 +507,130 @@ TEST(ServiceTcp, DeadlineIsChargedAgainstQueueWait) {
   EXPECT_FALSE(v.get_bool("ok", true)) << resp;
   EXPECT_EQ(v.get_string("code", ""), kErrDeadline) << resp;
   EXPECT_EQ(fx.service().counters().expired, 1u);
+}
+
+TEST(ServiceTcp, HitPipelinedBehindACompileStillQueuesAndExpires) {
+  TcpServiceFixture fx(test_config());
+  // The same as above with a cache hit in place of the ping: a connection
+  // with a request pending never has a frame answered on its reader
+  // thread, so the hit queues, and its deadline is charged against the
+  // wait.
+  const std::string ring = write_graph6(make_ring(6));
+  LineConn conn = fx.connect();
+  std::string resp;
+  ASSERT_TRUE(conn.write_line(
+      "{\"op\":\"compile\",\"id\":0,\"graph\":\"" + ring + "\"}"));
+  ASSERT_TRUE(conn.read_line(resp));
+  ASSERT_TRUE(conn.write_line(
+      "{\"op\":\"compile\",\"id\":1,\"graph\":\"" +
+      write_graph6(make_waxman(24, 9)) + "\"}"));
+  ASSERT_TRUE(conn.write_line("{\"op\":\"compile\",\"id\":2,\"graph\":\"" +
+                              ring + "\",\"deadline_ms\":0.0001}"));
+  ASSERT_TRUE(conn.read_line(resp));
+  EXPECT_EQ(JsonValue::parse(resp).get_number("id", 0), 1.0) << resp;
+  EXPECT_TRUE(JsonValue::parse(resp).get_bool("ok", false)) << resp;
+  ASSERT_TRUE(conn.read_line(resp));
+  const JsonValue v = JsonValue::parse(resp);
+  EXPECT_EQ(v.get_number("id", 0), 2.0) << resp;
+  EXPECT_EQ(v.get_string("code", ""), kErrDeadline) << resp;
+  EXPECT_EQ(fx.service().counters().expired, 1u);
+}
+
+TEST(ServiceTcp, HitIsAnsweredWhileAnotherConnectionCompiles) {
+  TcpServiceFixture fx(test_config());
+  const std::string hit = "{\"op\":\"compile\",\"id\":2,\"graph\":\"" +
+                          write_graph6(make_ring(6)) + "\"}";
+  LineConn b = fx.connect();
+  std::string resp;
+  ASSERT_TRUE(b.write_line(hit));
+  ASSERT_TRUE(b.read_line(resp));  // compiled: the cache is now warm
+
+  // A's uncached compile holds the one executor for a good while; B's hit
+  // must not wait for it.
+  LineConn a = fx.connect();
+  ASSERT_TRUE(a.write_line("{\"op\":\"compile\",\"id\":1,\"graph\":\"" +
+                           write_graph6(make_waxman(48, 9)) + "\"}"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(b.write_line(hit));
+  ASSERT_TRUE(b.read_line(resp));
+  EXPECT_EQ(JsonValue::parse(resp).get_string("tier", ""), "memory") << resp;
+  pollfd pfd{a.fd(), POLLIN, 0};
+  EXPECT_EQ(::poll(&pfd, 1, 0), 0) << "the hit waited for the compile";
+  ASSERT_TRUE(a.read_line(resp));
+  EXPECT_EQ(JsonValue::parse(resp).get_string("tier", ""), "compiled")
+      << resp;
+  EXPECT_EQ(fx.service()
+                .batch()
+                .metrics()
+                .counter("epgc_requests_inline_total")
+                .value(),
+            1u);
+}
+
+/// Every counter's value and every histogram's count in a registry, plus
+/// the queue-wait sum (the other sums are wall times).
+std::map<std::string, double> metric_snapshot(const MetricsRegistry& r) {
+  const JsonValue v = JsonValue::parse(r.json());
+  std::map<std::string, double> out;
+  for (const auto& [name, value] : v.find("counters")->members())
+    out[name] = value.as_number();
+  for (const auto& [name, h] : v.find("histograms")->members())
+    out[name + ".count"] = h.get_number("count", -1);
+  out["epgc_queue_wait_ms.sum"] =
+      v.find("histograms")->find("epgc_queue_wait_ms")->get_number("sum", -1);
+  return out;
+}
+
+std::map<std::string, double> metric_delta(
+    const std::map<std::string, double>& before,
+    const std::map<std::string, double>& after) {
+  std::map<std::string, double> out;
+  for (const auto& [name, value] : after) {
+    const auto it = before.find(name);
+    const double delta = value - (it == before.end() ? 0.0 : it->second);
+    if (delta != 0.0) out[name] = delta;
+  }
+  return out;
+}
+
+TEST(ServiceTcp, InlineHitMatchesAStreamHitByteForByteAndCounter) {
+  ServiceConfig cfg = test_config();
+  cfg.batch.deterministic = true;
+  const std::string g6 = write_graph6(make_waxman(10, 7));
+  const std::string warm =
+      "{\"op\":\"compile\",\"id\":1,\"graph\":\"" + g6 + "\"}";
+  const std::string hit = "{\"op\":\"compile\",\"id\":2,\"graph\":\"" +
+                          g6 + "\",\"circuit\":true}";
+
+  Service stream(cfg);
+  std::istringstream warm_in(warm + "\n");
+  std::ostringstream warm_out;
+  stream.serve_stream(warm_in, warm_out);
+  const auto stream_before = metric_snapshot(stream.batch().metrics());
+  std::istringstream hit_in(hit + "\n");
+  std::ostringstream hit_out;
+  stream.serve_stream(hit_in, hit_out);
+  auto stream_delta = metric_delta(
+      stream_before, metric_snapshot(stream.batch().metrics()));
+
+  TcpServiceFixture fx(cfg);
+  const MetricsRegistry& registry = fx.service().batch().metrics();
+  LineConn conn = fx.connect();
+  std::string resp;
+  ASSERT_TRUE(conn.write_line(warm));
+  ASSERT_TRUE(conn.read_line(resp));
+  EXPECT_EQ(resp + "\n", warm_out.str());
+  const auto socket_before = metric_snapshot(registry);
+  ASSERT_TRUE(conn.write_line(hit));
+  ASSERT_TRUE(conn.read_line(resp));
+  auto socket_delta = metric_delta(socket_before, metric_snapshot(registry));
+
+  EXPECT_EQ(resp + "\n", hit_out.str());
+  EXPECT_EQ(socket_delta["epgc_requests_inline_total"], 1.0);
+  socket_delta.erase("epgc_requests_inline_total");
+  EXPECT_EQ(socket_delta, stream_delta);
+  EXPECT_EQ(stream_delta["epgc_tier_hits_total{tier=\"memory\"}"], 1.0);
+  EXPECT_EQ(stream_delta["epgc_requests_total"], 1.0);
 }
 
 TEST(ServiceTcp, ConcurrentClientsRacingShutdownAllGetAnswersOrEof) {
