@@ -326,57 +326,38 @@ std::optional<JobResult> BatchCompiler::find_cached(
   auto it = cache_.find(key);
   if (it == cache_.end()) return std::nullopt;
   for (const CacheEntry& entry : it->second)
-    if (entry.matches(job, config_hash)) return entry.result;
+    if (entry.kind == job.kind && entry.config_hash == config_hash &&
+        entry.graph == job.graph)
+      return entry.result;
   return std::nullopt;
 }
 
 void BatchCompiler::publish(std::uint64_t key, const CompileJob& job,
                             std::uint64_t config_hash,
                             const JobResult& result) {
-  std::unique_lock lock(cache_mutex_);
-  std::vector<CacheEntry>& entries = cache_[key];
-  for (const CacheEntry& entry : entries)
-    if (entry.matches(job, config_hash)) return;
   CacheEntry entry;
   entry.graph = job.graph;
   entry.config_hash = config_hash;
   entry.kind = job.kind;
   entry.result = result;
-  entries.push_back(std::move(entry));
-}
-
-std::optional<JobResult> BatchCompiler::find_stored(
-    std::uint64_t key, const CompileJob& job, std::uint64_t config_hash,
-    bool count_miss) {
-  // Metrics-only consumers never pay the circuit decode.
-  const std::optional<StoredResult> stored = cfg_.store->get(
-      job.graph, config_hash, job.kind, cfg_.keep_results, count_miss);
-  if (!stored) return std::nullopt;
-  JobResult r = rehydrate(job, *stored);
-  publish(key, job, config_hash, r);
-  return r;
+  std::unique_lock lock(cache_mutex_);
+  cache_[key].push_back(std::move(entry));
 }
 
 std::optional<JobResult> BatchCompiler::lookup(const CompileJob& job) {
   if (!cfg_.use_cache) return std::nullopt;
   const std::uint64_t graph_hash = labelled_graph_hash(job.graph);
   const std::uint64_t config_hash = config_hash_of(job);
-  const std::uint64_t key = cache_key_of(graph_hash, config_hash, job.kind);
-  std::optional<JobResult> r = find_cached(key, job, config_hash);
-  ResultTier tier = ResultTier::memory;
-  if (!r && cfg_.store) {
-    r = find_stored(key, job, config_hash, /*count_miss=*/false);
-    tier = ResultTier::store;
-  }
+  std::optional<JobResult> r = find_cached(
+      cache_key_of(graph_hash, config_hash, job.kind), job, config_hash);
   if (!r) return std::nullopt;
-  stamp_hit(*r, job, tier);
+  stamp_hit(*r, job, ResultTier::memory);
   r->index = 0;
   r->graph_hash = graph_hash;
   r->canonical_hash = canonical_graph_hash(job.graph);
   jobs_total_->inc();
   cache_hits_total_->inc();
-  (tier == ResultTier::memory ? memory_hits_total_ : store_hits_total_)
-      ->inc();
+  memory_hits_total_->inc();
   return r;
 }
 
@@ -442,9 +423,11 @@ std::vector<JobResult> BatchCompiler::run(
     // memory cache immediately, so identical jobs later in this batch
     // (and later runs) hit memory.
     if (cfg_.store) {
-      if (auto hit = find_stored(k.cache_key, jobs[i], k.config_hash,
-                                 /*count_miss=*/true)) {
-        results[i] = std::move(*hit);
+      // Metrics-only consumers never pay the circuit decode.
+      if (auto stored = cfg_.store->get(jobs[i].graph, k.config_hash,
+                                        jobs[i].kind, cfg_.keep_results)) {
+        results[i] = rehydrate(jobs[i], *stored);
+        publish(k.cache_key, jobs[i], k.config_hash, results[i]);
         stamp_hit(results[i], jobs[i], ResultTier::store);
         continue;
       }

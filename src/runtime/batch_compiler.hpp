@@ -159,12 +159,11 @@ class BatchCompiler {
   /// while it reads or publishes entries, never while it compiles.
   std::vector<JobResult> run(const std::vector<CompileJob>& jobs);
 
-  /// One job's memory-tier or store-tier result, exactly as a one-job
-  /// run() would return it, or nullopt on a miss. Thread-safe, also
-  /// against a concurrent run(). A hit counts in the job and tier counters
-  /// as run() counts it, a miss counts nothing (a store miss is not
-  /// counted in the store's stats either: the run() that compiles the job
-  /// probes the store again). A store hit is published to the memory tier.
+  /// One job's memory-tier result, exactly as a one-job run() would
+  /// return it, or nullopt on a miss. Thread-safe, also against a
+  /// concurrent run(); it only reads the cache (run() and clear_cache()
+  /// write it) and never probes the persistent store. A hit counts in
+  /// the job and tier counters as run() counts it, a miss counts nothing.
   /// summary() and the ms totals stay the last run()'s.
   std::optional<JobResult> lookup(const CompileJob& job);
 
@@ -188,12 +187,6 @@ class BatchCompiler {
     std::uint64_t config_hash = 0;
     CompilerKind kind = CompilerKind::framework;
     JobResult result;
-
-    /// Exact identity: a 64-bit key collision never matches.
-    bool matches(const CompileJob& job, std::uint64_t job_config) const {
-      return kind == job.kind && config_hash == job_config &&
-             graph == job.graph;
-    }
   };
 
   JobResult compile_one(const CompileJob& job, std::uint64_t config_hash);
@@ -201,15 +194,9 @@ class BatchCompiler {
   std::optional<JobResult> find_cached(std::uint64_t key,
                                        const CompileJob& job,
                                        std::uint64_t config_hash) const;
-  /// Cache `result` for `job` unless a concurrent caller already did
-  /// (rechecked under the exclusive lock).
+  /// Cache `result` for `job` (run() only, under the exclusive lock).
   void publish(std::uint64_t key, const CompileJob& job,
                std::uint64_t config_hash, const JobResult& result);
-  /// Probe the persistent tier; a hit is rehydrated and published.
-  std::optional<JobResult> find_stored(std::uint64_t key,
-                                       const CompileJob& job,
-                                       std::uint64_t config_hash,
-                                       bool count_miss);
   /// Materialize a JobResult from a persistent-store hit.
   JobResult rehydrate(const CompileJob& job, const StoredResult& stored);
 

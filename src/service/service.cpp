@@ -76,7 +76,8 @@ ServiceCounters RequestMetrics::counters() const {
 ServingCore::ServingCore(const char* name,
                          std::shared_ptr<MetricsRegistry> registry,
                          std::size_t max_queue, std::size_t max_frame_bytes,
-                         double default_deadline_ms, std::size_t executors)
+                         double default_deadline_ms, std::size_t executors,
+                         InlineAnswer answer_inline)
     : registry_(registry ? std::move(registry)
                          : std::make_shared<MetricsRegistry>()),
       requests_(*registry_),
@@ -84,7 +85,8 @@ ServingCore::ServingCore(const char* name,
       max_queue_(max_queue),
       max_frame_bytes_(max_frame_bytes),
       default_deadline_ms_(default_deadline_ms),
-      executors_(executors) {}
+      executors_(executors),
+      answer_inline_(std::move(answer_inline)) {}
 
 std::string ServingCore::expire(const std::string& id_json,
                                 double deadline_ms, double queued_ms,
@@ -171,11 +173,14 @@ int ServingCore::serve_tcp(const std::string& host, std::uint16_t port) {
 Service::Service(ServiceConfig cfg)
     : ServingCore("epgc_serve", cfg.metrics, cfg.max_queue,
                   cfg.max_frame_bytes, cfg.default_deadline_ms,
-                  1),  // one BatchCompiler; ordering = admission order
+                  1,  // one BatchCompiler; ordering = admission order
+                  [this](const std::string& line) {
+                    return answer_hit(line);
+                  }),
       cfg_(std::move(cfg)),
       inline_answers_(registry_->counter(
           "epgc_requests_inline_total",
-          "cache hits answered on the connection's reader thread")) {
+          "memory-tier hits answered on the connection's reader thread")) {
   // Responses may embed the compiled circuit, so full results must be
   // retained; the cache is the service's reason to exist.
   cfg_.batch.keep_results = true;
@@ -187,9 +192,6 @@ Service::Service(ServiceConfig cfg)
   // job/tier counters — the stats/health/metrics verbs all read from it.
   cfg_.batch.metrics = registry_;
   batch_ = std::make_unique<BatchCompiler>(cfg_.batch);
-  answer_inline_ = [this](const std::string& line) {
-    return answer_hit(line);
-  };
   if (!cfg_.trace_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(cfg_.trace_dir, ec);
@@ -228,7 +230,7 @@ std::string Service::traced(ServiceOp op, const std::string& trace_id,
     response = respond();
   }
   const double compute_ms = compute_watch.elapsed_ms();
-  if (recorder && !response.empty() && compute_ms >= cfg_.trace_slow_ms &&
+  if (recorder && compute_ms >= cfg_.trace_slow_ms &&
       recorder->event_count() > 0) {
     // Deterministic mode suppresses self-generated trace_ids on the wire,
     // but dump files still need distinct names — otherwise every slow
@@ -280,14 +282,16 @@ std::string Service::answer_hit(const std::string& line) {
   }
   // A batch reply needs a run summary, so batches stay on the executor.
   if (req.op != ServiceOp::compile) return {};
+  // A miss leaves no trace here: no trace_id drawn, no recorder, nothing
+  // counted. The hit's trace is its rendering; compute_watch covers the
+  // lookup too, so a slow hit is still dumped.
+  const std::optional<JobResult> hit = batch_->lookup(req.jobs.front());
+  if (!hit) return {};
   // No queue wait: a deadline cannot have expired.
   const std::string trace_id = resolve_trace_id(req);
   std::string response = traced(req.op, trace_id, compute_watch, [&] {
-    const std::optional<JobResult> hit = batch_->lookup(req.jobs.front());
-    return hit ? compile_reply(req, *hit, trace_id, 0.0, compute_watch)
-               : std::string();
+    return compile_reply(req, *hit, trace_id, 0.0, compute_watch);
   });
-  if (response.empty()) return response;
   // handle_line's counting, for a request that never queued.
   requests_.requests.inc();
   requests_.queue_wait_ms.observe(0.0);

@@ -11,9 +11,9 @@
 //     immediately with a structured "queue_full" error (explicit
 //     backpressure), and a request whose `deadline_ms` elapses while it
 //     is still queued is answered with a deadline error instead of being
-//     compiled late. A compile that is a memory- or store-tier hit, on a
-//     connection with nothing pending, is answered on its reader thread
-//     and never queues behind another connection's compile.
+//     compiled late. A compile that is a memory-tier hit, on a connection
+//     with nothing pending, is answered on its reader thread and never
+//     queues behind another connection's compile.
 //   * TCP mode — the same admission discipline over an AF_INET listener,
 //     for external clients, load balancers, and multi-host fan-out.
 //
@@ -126,12 +126,18 @@ class ServingCore {
   ServiceCounters counters() const { return requests_.counters(); }
 
  protected:
+  /// An owner's answer to a frame on its connection's reader thread
+  /// (LineServerConfig::inline_handler); it counts what it answers.
+  using InlineAnswer = std::function<std::string(const std::string& line)>;
+
   /// `name` prefixes listener diagnostics on stderr; a null `registry`
   /// makes the core own a private one. `executors` threads drain the
   /// admission queue of `max_queue` lines of at most `max_frame_bytes`.
+  /// A null `answer_inline` admits every frame.
   ServingCore(const char* name, std::shared_ptr<MetricsRegistry> registry,
               std::size_t max_queue, std::size_t max_frame_bytes,
-              double default_deadline_ms, std::size_t executors);
+              double default_deadline_ms, std::size_t executors,
+              InlineAnswer answer_inline = nullptr);
 
   /// The owner's answer to one request line. It counts the request ok or
   /// failed; handle_line counts its arrival, queue wait and latency.
@@ -150,10 +156,6 @@ class ServingCore {
   std::shared_ptr<MetricsRegistry> registry_;
   RequestMetrics requests_;
   std::atomic<bool> stop_{false};
-  /// Set by an owner that answers some frames on the connection's reader
-  /// thread (LineServerConfig::inline_handler); it counts what it
-  /// answers. Unset = every frame is admitted.
-  std::function<std::string(const std::string& line)> answer_inline_;
 
  private:
   int serve_listener(int listen_fd);
@@ -163,6 +165,7 @@ class ServingCore {
   std::size_t max_frame_bytes_;
   double default_deadline_ms_;
   std::size_t executors_;
+  InlineAnswer answer_inline_;
   std::atomic<std::uint16_t> tcp_port_{0};
   /// Live only while serve_listener runs.
   std::atomic<LineServer*> server_{nullptr};
@@ -184,12 +187,12 @@ class Service : public ServingCore {
  private:
   std::string answer(const std::string& line, double queued_ms) override;
   /// The reader-thread answer: the response to a compile whose job is a
-  /// memory- or store-tier hit, counted as handle_line counts a request
-  /// with no queue wait; empty (nothing counted) for any other frame.
+  /// memory-tier hit, counted as handle_line counts a request with no
+  /// queue wait; empty (nothing counted) for any other frame.
   std::string answer_hit(const std::string& line);
   /// Run `respond` under the request's root span, on a per-request
-  /// recorder when tracing; dump the trace when the response is non-empty
-  /// and its compute time reaches trace_slow_ms.
+  /// recorder when tracing; dump the trace when its compute time reaches
+  /// trace_slow_ms.
   template <class Respond>
   std::string traced(ServiceOp op, const std::string& trace_id,
                      const Stopwatch& compute_watch, Respond&& respond);

@@ -352,7 +352,7 @@ void CompileResultStore::evict_to_cap_locked() {
 
 std::optional<StoredResult> CompileResultStore::get(
     const Graph& graph, std::uint64_t config_hash, CompilerKind kind,
-    bool with_circuit, bool count_miss) {
+    bool with_circuit) {
   Span span("store_get", "store");
   std::lock_guard<std::mutex> lock(mutex_);
   const std::string name = key_name(graph, config_hash, kind);
@@ -364,7 +364,7 @@ std::optional<StoredResult> CompileResultStore::get(
   {
     std::ifstream in(path, std::ios::binary);
     if (!in) {
-      if (count_miss) ++stats_.misses;
+      ++stats_.misses;
       return std::nullopt;
     }
     std::ostringstream buf;
@@ -379,7 +379,7 @@ std::optional<StoredResult> CompileResultStore::get(
     warn("skipping unreadable entry " + name + ": " + e.what());
     drop_file_locked(name);
     ++stats_.corrupt_skipped;
-    if (count_miss) ++stats_.misses;
+    ++stats_.misses;
     return std::nullopt;
   }
 
@@ -388,7 +388,7 @@ std::optional<StoredResult> CompileResultStore::get(
   const bool want_framework = kind == CompilerKind::framework;
   if (entry.config_hash != config_hash ||
       entry.is_framework != want_framework || !(entry.graph == graph)) {
-    if (count_miss) ++stats_.misses;
+    ++stats_.misses;
     return std::nullopt;
   }
 

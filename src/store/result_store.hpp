@@ -116,13 +116,10 @@ class CompileResultStore {
   /// Look up (graph, config, kind); exact-graph recheck on every hit.
   /// `with_circuit = false` skips decoding the circuit (metrics-only
   /// consumers); the returned StoredResult then carries an empty circuit.
-  /// `count_miss = false` leaves a miss out of stats(), for a probe whose
-  /// miss a counted get() repeats.
   std::optional<StoredResult> get(const Graph& graph,
                                   std::uint64_t config_hash,
                                   CompilerKind kind,
-                                  bool with_circuit = true,
-                                  bool count_miss = true);
+                                  bool with_circuit = true);
 
   /// Insert/overwrite; atomic write then LRU eviction to the byte cap.
   void put(const Graph& graph, std::uint64_t config_hash, CompilerKind kind,

@@ -545,12 +545,14 @@ TEST(ServiceTcp, HitIsAnsweredWhileAnotherConnectionCompiles) {
   ASSERT_TRUE(b.write_line(hit));
   ASSERT_TRUE(b.read_line(resp));  // compiled: the cache is now warm
 
-  // A's uncached compile holds the one executor for a good while; B's hit
-  // must not wait for it.
+  // A's uncached compile holds the one executor for hundreds of ms; B's
+  // hit, sent once the executor has picked A up (it counts A's arrival
+  // first), must come back while A's reply is still unwritten. Only a
+  // compile faster than the hit's round trip could fail this.
   LineConn a = fx.connect();
   ASSERT_TRUE(a.write_line("{\"op\":\"compile\",\"id\":1,\"graph\":\"" +
                            write_graph6(make_waxman(48, 9)) + "\"}"));
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  while (fx.service().counters().requests < 2) std::this_thread::yield();
   ASSERT_TRUE(b.write_line(hit));
   ASSERT_TRUE(b.read_line(resp));
   EXPECT_EQ(JsonValue::parse(resp).get_string("tier", ""), "memory") << resp;
