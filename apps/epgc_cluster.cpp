@@ -5,10 +5,12 @@
 // compile/batch request by consistent-hashed labelled-graph hash so every
 // worker's in-memory cache progresses exactly as a single-process
 // epgc_serve would for its shard — cluster responses stay byte-identical
-// to single-process responses (ci/serve_e2e.sh proves it). Dead workers
-// are respawned; in-flight requests on a dead worker are retried on the
-// replacement. SIGTERM drains: stop accepting, answer what was admitted,
-// shut the workers down, exit clean.
+// to single-process responses (ci/serve_e2e.sh proves it). Frames are
+// pipelined: each worker has up to --max-queue requests in flight from
+// the front. Dead workers are respawned; in-flight requests on a dead
+// worker are redelivered, in order, to the replacement. SIGTERM drains:
+// stop accepting, answer what was taken, shut the workers down, exit
+// clean.
 #include <unistd.h>
 
 #include <csignal>
@@ -36,8 +38,12 @@ options:
   --socket PATH     serve a Unix domain socket
   --tcp HOST:PORT   serve TCP (PORT alone binds 127.0.0.1; port 0 picks an
                     ephemeral port, printed as 'listening' on stderr)
-  --max-queue N     front admission-queue capacity (default 256)
+  --max-queue N     front admission-queue capacity and each worker's cap on
+                    requests in flight, passed to the workers as their
+                    --max-queue; the front answers the excess queue_full
+                    (default 256)
   --deadline-ms X   default per-request deadline when the request has none
+                    (passed to the workers too)
   --store-dir DIR   persistent result store, shared by all workers (safe:
                     writes are rename-atomic)
   --store-cap-mb N  per-worker store LRU cap in MiB (default 0 = no cap)

@@ -2,7 +2,7 @@
 # Differential end-to-end check: epgc_serve must never drift from
 # epgc_compile.
 #
-# Seven legs over every corpus entry (.epgc) in CORPUS_DIR:
+# Eight legs over every corpus entry (.epgc) in CORPUS_DIR:
 #   * drift: each graph is compiled by epgc_compile (reference metrics +
 #     --epgc circuit) and through the service at the default spec — the
 #     two run the exact same configuration, so metrics must match
@@ -22,6 +22,9 @@
 #     byte-identical to the single-process responses (det1.ndjson);
 #   * cluster kill/respawn: same check with one worker SIGKILLed mid-run —
 #     the front must respawn it, redeliver, and still match byte-for-byte;
+#   * pipelined cluster: every request written on one connection before
+#     any reply is read; put back into request order by id, the replies
+#     must equal det1.ndjson;
 #   * observability: a non-deterministic 3-worker cluster with --trace-dir
 #     must (a) answer the metrics verb on front and worker with monotone,
 #     correctly aggregated counters, (b) report the memory cache tier on a
@@ -182,6 +185,52 @@ EOF
 run_cluster_leg cluster no-kill
 run_cluster_leg cluster-kill kill
 echo "serve-e2e: cluster legs byte-equal (3 workers, incl. kill/respawn)"
+
+# Leg 5b (pipelined cluster): every request written on one connection
+# without waiting, so each worker has several in flight from the front.
+# Replies from different workers may overtake each other; put back in
+# request order by id, they must equal the single-process bytes.
+"$BUILD/epgc_cluster" --workers 3 --deterministic \
+  --runtime-dir "$WORK/rt-pipe" --socket "$WORK/pipe.sock" \
+  2> "$WORK/pipe.log" &
+pipe_front_pid=$!
+python3 - "$WORK" <<'EOF'
+import json
+import pathlib
+import socket
+import sys
+import time
+
+work = pathlib.Path(sys.argv[1])
+path = work / "pipe.sock"
+deadline = time.time() + 30
+while not path.exists():
+    if time.time() > deadline:
+        sys.exit("cluster-pipe: front socket never appeared")
+    time.sleep(0.05)
+conn = socket.socket(socket.AF_UNIX)
+conn.connect(str(path))
+requests = (work / "requests.ndjson").read_text().splitlines()
+conn.sendall("".join(line + "\n" for line in requests).encode())
+f = conn.makefile("r")
+by_id = {}
+for _ in requests:
+    reply = f.readline().rstrip("\n")
+    by_id[json.loads(reply)["id"]] = reply
+order = [json.loads(line)["id"] for line in requests]
+if sorted(by_id) != sorted(order):
+    sys.exit(f"cluster-pipe: replies for {sorted(by_id)}, asked {sorted(order)}")
+conn.sendall(b'{"op":"shutdown","id":"__drain__"}\n')
+f.readline()
+(work / "pipe.ndjson").write_text("".join(by_id[i] + "\n" for i in order))
+EOF
+wait "$pipe_front_pid" \
+  || { echo "serve-e2e: pipelined cluster front exited nonzero" >&2;
+       cat "$WORK/pipe.log" >&2; exit 1; }
+cmp "$WORK/pipe.ndjson" "$WORK/det1.ndjson" \
+  || { echo "serve-e2e: pipelined cluster drifted from single-process bytes" >&2;
+       exit 1; }
+echo "serve-e2e: pipelined cluster leg byte-equal (all requests in flight at once)"
 
 # Leg 6 (observability): metrics verb + per-request trace dumps on a
 # NON-deterministic cluster (trace ids and timing fields are live there).

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -25,18 +26,6 @@ namespace {
 void sleep_ms(double ms) {
   std::this_thread::sleep_for(
       std::chrono::microseconds(static_cast<long>(ms * 1000.0)));
-}
-
-/// True when `resp` is a structured queue-full rejection. The substring
-/// pre-check is exact: a raw '"' cannot occur inside a JSON string value,
-/// so "queue_full" as a code can only be the code field.
-bool is_queue_full_response(const std::string& resp) {
-  if (resp.find(kErrQueueFull) == std::string::npos) return false;
-  try {
-    return JsonValue::parse(resp).get_string("code", "") == kErrQueueFull;
-  } catch (const std::exception&) {
-    return false;
-  }
 }
 
 /// Compile/batch requests route by labelled-graph hash — the same graph
@@ -63,29 +52,51 @@ std::optional<std::uint64_t> graph_route_key(const JsonValue& request) {
   return std::nullopt;
 }
 
+/// Bucket bounds of epgc_front_in_flight.
+std::vector<double> in_flight_buckets() {
+  return {1, 2, 4, 8, 16, 32, 64, 128, 256};
+}
+
 }  // namespace
 
 /// Virtual nodes per worker on the consistent-hash ring.
 constexpr std::size_t kRingReplicas = 64;
 
+struct ClusterFront::Request {
+  std::string op;
+  std::string id_json = "null";
+  std::string trace_id;
+  bool want_prometheus = false;
+  double deadline_ms = 0.0;
+  std::optional<JsonValue> parsed;  ///< set when the line is a JSON object
+
+  bool front_op() const {
+    return op == "ping" || op == "stats" || op == "health" ||
+           op == "metrics" || op == "shutdown";
+  }
+  bool routable() const { return op == "compile" || op == "batch"; }
+};
+
 ClusterFront::ClusterFront(ClusterConfig cfg)
-    // One executor per worker: independent workers make progress in
-    // parallel, while the per-worker mutex keeps each worker serving one
-    // request at a time (admission order per worker == response order).
     : ServingCore("epgc_cluster", nullptr, cfg.max_queue, cfg.max_frame_bytes,
-                  cfg.default_deadline_ms, cfg.workers),
+                  cfg.default_deadline_ms,
+                  [this](const std::string& line, const ReplySink& reply) {
+                    return take_frame(line, reply);
+                  }),
       cfg_(std::move(cfg)),
       ring_(cfg_.workers, kRingReplicas),
       respawns_(registry_->counter("epgc_worker_respawns_total",
                                    "worker processes respawned")),
-      queue_full_retries_(registry_->counter(
-          "epgc_front_queue_full_retries_total",
-          "requests re-sent after a worker answered queue_full")),
       redeliveries_(registry_->counter(
           "epgc_front_redeliveries_total",
           "delivery attempts after a worker died or dropped its "
-          "connection mid-request")) {
+          "connection mid-request")),
+      in_flight_seen_(registry_->histogram(
+          "epgc_front_in_flight", in_flight_buckets(),
+          "requests in flight on a worker's connection, seen by its relay "
+          "at each reply")) {
   EPG_REQUIRE(cfg_.workers > 0, "cluster needs at least one worker");
+  EPG_REQUIRE(cfg_.max_queue > 0, "cluster needs an in-flight cap");
   EPG_REQUIRE(!cfg_.worker_bin.empty(), "cluster needs a worker binary");
 }
 
@@ -98,6 +109,12 @@ ClusterFront::~ClusterFront() {
 
 /// How long to wait for a freshly spawned worker's socket.
 constexpr long kSpawnWaitMs = 10000;
+/// Monitor cadence and per-probe response timeout; a worker that is down
+/// with nothing to deliver is respawned after one cadence.
+constexpr auto kProbeInterval = std::chrono::milliseconds(250);
+constexpr int kProbeTimeoutMs = 5000;
+/// Pause after a failed respawn before the next one.
+constexpr auto kRespawnBackoff = std::chrono::milliseconds(25);
 
 bool ClusterFront::spawn_locked(Worker& w, std::string& err) {
   ::unlink(w.socket_path.c_str());
@@ -105,6 +122,17 @@ bool ClusterFront::spawn_locked(Worker& w, std::string& err) {
                                           w.socket_path};
   arg_strings.insert(arg_strings.end(), cfg_.worker_args.begin(),
                      cfg_.worker_args.end());
+  // The worker's admission queue holds every request the front may have
+  // in flight on it, so it never answers queue_full; a forwarded request
+  // waits in that queue, so the default deadline is charged there.
+  arg_strings.insert(arg_strings.end(),
+                     {"--max-queue", std::to_string(cfg_.max_queue)});
+  if (cfg_.default_deadline_ms > 0.0) {
+    std::ostringstream deadline;
+    deadline.precision(17);
+    deadline << cfg_.default_deadline_ms;
+    arg_strings.insert(arg_strings.end(), {"--deadline-ms", deadline.str()});
+  }
   std::vector<char*> argv;
   argv.reserve(arg_strings.size() + 1);
   for (std::string& s : arg_strings) argv.push_back(s.data());
@@ -153,23 +181,6 @@ bool ClusterFront::spawn_locked(Worker& w, std::string& err) {
   return false;
 }
 
-void ClusterFront::respawn_locked(Worker& w) {
-  if (w.pid > 0) {
-    ::kill(w.pid, SIGKILL);
-    ::waitpid(w.pid, nullptr, 0);
-  }
-  w.pid = -1;
-  w.conn.close();
-  w.last_health.clear();
-  if (workers_down_.load()) return;  // draining: stay down
-  std::string err;
-  if (spawn_locked(w, err)) {
-    respawns_.inc();
-  } else {
-    std::cerr << "epgc_cluster: respawn failed: " << err << '\n';
-  }
-}
-
 void ClusterFront::start() {
   if (started_.exchange(true)) return;
   std::filesystem::create_directories(cfg_.runtime_dir);
@@ -185,46 +196,138 @@ void ClusterFront::start() {
     std::string err;
     if (!spawn_locked(*w, err)) throw std::runtime_error(err);
   }
+  for (auto& w : workers_)
+    w->relay = std::thread([this, &w = *w] { relay_loop(w); });
   monitor_ = std::thread([this] { monitor_loop(); });
 }
 
-/// Monitor cadence and per-probe response timeout.
-constexpr double kProbeIntervalMs = 250.0;
-constexpr int kProbeTimeoutMs = 5000;
+void ClusterFront::relay_loop(Worker& w) {
+  std::vector<std::string_view> replies;
+  std::vector<InFlight> answered;
+  while (true) {
+    int fd = -1;
+    {
+      std::unique_lock<std::mutex> lock(w.mutex);
+      if (!w.conn.valid() && !reconnect_locked(w, lock)) return;
+      fd = w.conn.fd();
+    }
+    // The worker answers in the order it reads, so each reply belongs to
+    // the oldest entry in flight. One lock per recv pops them all.
+    FrameBuffer frames;
+    while (frames.refill(fd) > 0) {
+      std::string_view reply;
+      while (frames.next(reply))
+        if (!reply.empty()) replies.push_back(reply);
+      if (replies.empty()) continue;
+      {
+        std::lock_guard<std::mutex> lock(w.mutex);
+        for (std::size_t i = 0; i < replies.size() && !w.in_flight.empty();
+             ++i) {
+          in_flight_seen_.observe(static_cast<double>(w.in_flight.size()));
+          answered.push_back(std::move(w.in_flight.front()));
+          w.in_flight.pop_front();
+        }
+      }
+      for (std::size_t i = 0; i < answered.size(); ++i)
+        deliver(answered[i], replies[i]);
+      replies.clear();
+      answered.clear();
+    }
+    // The connection ended: the worker died, or the front shut the
+    // connection down after a failed write. During a shutdown
+    // shutdown_workers reaps the process.
+    std::lock_guard<std::mutex> lock(w.mutex);
+    if (w.pid > 0 && !workers_down_.load()) {
+      ::kill(w.pid, SIGKILL);
+      ::waitpid(w.pid, nullptr, 0);
+      w.pid = -1;
+    }
+    w.conn.close();
+    w.last_health.clear();
+  }
+}
+
+bool ClusterFront::reconnect_locked(Worker& w,
+                                    std::unique_lock<std::mutex>& lock) {
+  while (!w.conn.valid()) {
+    if (workers_down_.load()) {
+      w.closed = true;
+      for (InFlight& entry : w.in_flight) fail(w, entry);
+      w.in_flight.clear();
+      return false;
+    }
+    if (w.in_flight.empty()) {
+      // Nothing to deliver: respawn after one probe interval, or as soon
+      // as a request arrives.
+      w.wake.wait_for(lock, kProbeInterval, [&] {
+        return !w.in_flight.empty() || workers_down_.load();
+      });
+      if (workers_down_.load()) continue;
+    }
+    // Each request in flight spends one more delivery attempt on this
+    // respawn, or is answered worker_failed when it has none left.
+    for (auto it = w.in_flight.begin(); it != w.in_flight.end();) {
+      if (it->attempts >= cfg_.delivery_attempts) {
+        fail(w, *it);
+        it = w.in_flight.erase(it);
+      } else {
+        ++it->attempts;
+        redeliveries_.inc();
+        ++it;
+      }
+    }
+    std::string err;
+    if (!spawn_locked(w, err)) {
+      std::cerr << "epgc_cluster: respawn failed: " << err << '\n';
+      w.wake.wait_for(lock, kRespawnBackoff,
+                      [&] { return workers_down_.load(); });
+      continue;
+    }
+    respawns_.inc();
+    // Redeliver in order. Compiles are pure functions of the request, so
+    // redelivery can change at most a result's cache tier.
+    for (const InFlight& entry : w.in_flight) {
+      if (!w.conn.write_line(entry.line)) {
+        ::shutdown(w.conn.fd(), SHUT_RDWR);
+        break;
+      }
+    }
+  }
+  return true;
+}
 
 void ClusterFront::monitor_loop() {
-  // Liveness supervision: reap + respawn dead workers, and ride the same
-  // `health` verb external load balancers use. try_lock everywhere — a
-  // worker whose mutex is held is mid-request, which is proof of life,
-  // and probing must never stall the request path.
+  // Liveness supervision rides the same `health` verb external load
+  // balancers use. Only an idle worker is probed: one with requests in
+  // flight is busy, which is proof of life, and a probe behind them would
+  // time out on a long compile. A worker that does not answer its probe
+  // in time is killed; its relay respawns it.
   while (!workers_down_.load()) {
-    sleep_ms(kProbeIntervalMs);
+    sleep_ms(std::chrono::duration<double, std::milli>(kProbeInterval)
+                 .count());
     if (workers_down_.load()) break;
     for (auto& wp : workers_) {
       Worker& w = *wp;
-      std::unique_lock<std::mutex> lock(w.mutex, std::try_to_lock);
-      if (!lock.owns_lock()) continue;
-      if (w.pid > 0) {
-        int status = 0;
-        if (::waitpid(w.pid, &status, WNOHANG) == w.pid) {
-          w.pid = -1;  // already reaped; respawn must not re-kill
-          respawn_locked(w);
-        }
+      pid_t pid = -1;
+      {
+        std::lock_guard<std::mutex> lock(w.mutex);
+        if (!w.conn.valid() || !w.in_flight.empty()) continue;
+        pid = w.pid;
       }
-      if (w.pid < 0 || !w.conn.valid()) {
-        respawn_locked(w);
-        if (w.pid < 0) continue;
-      }
-      if (!w.conn.write_line(R"({"op":"health","id":"__probe__"})")) {
-        respawn_locked(w);
-        continue;
-      }
-      std::string resp;
-      if (!w.conn.read_line(resp, kProbeTimeoutMs)) {
-        respawn_locked(w);
-        continue;
-      }
-      w.last_health = resp;
+      InFlight probe;
+      probe.line = R"({"op":"health","id":"__probe__"})";
+      probe.id_json = R"("__probe__")";
+      probe.waiter = std::make_shared<std::promise<std::string>>();
+      std::future<std::string> reply = probe.waiter->get_future();
+      if (!submit(w, std::move(probe))) continue;  // busy after all
+      const bool answered =
+          reply.wait_for(std::chrono::milliseconds(kProbeTimeoutMs)) ==
+          std::future_status::ready;
+      std::lock_guard<std::mutex> lock(w.mutex);
+      if (answered)
+        w.last_health = reply.get();
+      else if (w.pid == pid)
+        ::kill(pid, SIGKILL);  // hung: the relay sees the end and respawns
     }
   }
 }
@@ -233,31 +336,44 @@ void ClusterFront::shutdown_workers() {
   if (workers_down_.exchange(true)) return;
   if (monitor_.joinable()) monitor_.join();
   for (auto& wp : workers_) {
+    std::lock_guard<std::mutex> lock(wp->mutex);
+    wp->wake.notify_all();  // a relay waiting to respawn gives up
+    // Polite first: the protocol shutdown drains the worker cleanly. The
+    // worker answers it after every request in flight, and the relay
+    // drops that last reply, which no entry waits for.
+    if (wp->conn.valid())
+      wp->conn.write_line(R"({"op":"shutdown","id":"__drain__"})");
+  }
+  for (auto& wp : workers_) {
     Worker& w = *wp;
-    std::lock_guard<std::mutex> lock(w.mutex);
-    if (w.pid > 0) {
-      // Polite first: the protocol shutdown drains the worker cleanly.
-      if (w.conn.valid() &&
-          w.conn.write_line(R"({"op":"shutdown","id":"__drain__"})")) {
-        std::string resp;
-        w.conn.read_line(resp, 2000);
-      }
+    pid_t pid = -1;
+    {
+      std::lock_guard<std::mutex> lock(w.mutex);
+      pid = w.pid;
+    }
+    if (pid > 0) {
       const auto deadline = std::chrono::steady_clock::now() +
                             std::chrono::milliseconds(5000);
       bool exited = false;
       while (std::chrono::steady_clock::now() < deadline) {
         int status = 0;
-        if (::waitpid(w.pid, &status, WNOHANG) == w.pid) {
+        if (::waitpid(pid, &status, WNOHANG) == pid) {
           exited = true;
           break;
         }
         sleep_ms(20.0);
       }
       if (!exited) {
-        ::kill(w.pid, SIGKILL);
-        ::waitpid(w.pid, nullptr, 0);
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, nullptr, 0);
       }
     }
+    {
+      std::lock_guard<std::mutex> lock(w.mutex);
+      if (w.conn.valid()) ::shutdown(w.conn.fd(), SHUT_RDWR);
+    }
+    if (w.relay.joinable()) w.relay.join();
+    std::lock_guard<std::mutex> lock(w.mutex);
     w.conn.close();
     ::unlink(w.socket_path.c_str());
     w.pid = -1;
@@ -270,154 +386,190 @@ pid_t ClusterFront::worker_pid(std::size_t i) const {
   return workers_[i]->pid;
 }
 
-// ---- request path ----------------------------------------------------------
-
-/// Worker said queue_full: retry up to this many times, backing off
-/// between tries, then pass the rejection through to the client.
-constexpr std::size_t kQueueFullRetries = 3;
-constexpr double kRetryBackoffMs = 25.0;
-
-std::string ClusterFront::forward(std::size_t worker,
-                                  const std::string& line,
-                                  const std::string& id_json) {
-  Worker& w = *workers_[worker];
-  std::lock_guard<std::mutex> lock(w.mutex);
-  for (std::size_t attempt = 0; attempt < cfg_.delivery_attempts;
-       ++attempt) {
-    if (attempt > 0) {
-      sleep_ms(kRetryBackoffMs);
-      redeliveries_.inc();
-    }
-    if (w.pid < 0 || !w.conn.valid()) {
-      respawn_locked(w);
-      if (w.pid < 0) continue;
-    }
-    if (!w.conn.write_line(line)) {
-      respawn_locked(w);
-      continue;
-    }
-    std::string resp;
-    if (!w.conn.read_line(resp)) {
-      // Worker died mid-request (the CI kill leg exercises exactly this):
-      // respawn and redeliver. Compiles are pure functions of the request,
-      // so redelivery can change at most the result's cache tier.
-      respawn_locked(w);
-      continue;
-    }
-    // Worker-side backpressure: bounded retry with backoff, then pass the
-    // rejection through so the client sees the pressure.
-    bool broken = false;
-    for (std::size_t retry = 0;
-         retry < kQueueFullRetries && is_queue_full_response(resp);
-         ++retry) {
-      sleep_ms(kRetryBackoffMs * static_cast<double>(retry + 1));
-      queue_full_retries_.inc();
-      if (!w.conn.write_line(line) || !w.conn.read_line(resp)) {
-        broken = true;
-        break;
-      }
-    }
-    if (broken) {
-      respawn_locked(w);
-      continue;
-    }
-    return resp;
-  }
-  return error_response(id_json, kErrWorkerFailed,
-                        "worker " + std::to_string(worker) +
-                            " unavailable after " +
-                            std::to_string(cfg_.delivery_attempts) +
-                            " delivery attempts");
+std::size_t ClusterFront::in_flight(std::size_t i) const {
+  if (i >= workers_.size()) return 0;
+  std::lock_guard<std::mutex> lock(workers_[i]->mutex);
+  return workers_[i]->in_flight.size();
 }
 
-std::string ClusterFront::answer(const std::string& line, double queued_ms) {
-  std::string op;
-  std::string id_json = "null";
-  std::string trace_id;
-  bool want_prometheus = false;
-  double deadline_ms = 0.0;
-  std::optional<JsonValue> parsed;
+// ---- request path ----------------------------------------------------------
+
+ClusterFront::Request ClusterFront::read_request(const std::string& line) {
+  Request req;
   try {
-    parsed = JsonValue::parse(line);
+    JsonValue v = JsonValue::parse(line);
+    if (v.type() == JsonValue::Type::object) req.parsed = std::move(v);
   } catch (const std::exception&) {
-    // forwarded below; the worker's parser answers
+    // forwarded; the worker's parser answers
   }
-  const bool object = parsed && parsed->type() == JsonValue::Type::object;
-  if (object) {
-    const JsonValue* id = parsed->find("id");
-    if (id != nullptr) id_json = id->dump();
-    try {
-      op = parsed->get_string("op", "");
-      trace_id = parsed->get_string("trace_id", "");
-      want_prometheus = parsed->get_bool("prometheus", false);
-      deadline_ms = parsed->get_number("deadline_ms", 0.0);
-    } catch (const std::exception&) {
-      op.clear();  // wrong-typed op/deadline: the worker renders the error
-    }
+  if (!req.parsed) return req;
+  const JsonValue* id = req.parsed->find("id");
+  if (id != nullptr) req.id_json = id->dump();
+  try {
+    req.op = req.parsed->get_string("op", "");
+    req.trace_id = req.parsed->get_string("trace_id", "");
+    req.want_prometheus = req.parsed->get_bool("prometheus", false);
+    req.deadline_ms = req.parsed->get_number("deadline_ms", 0.0);
+  } catch (const std::exception&) {
+    req.op.clear();  // wrong-typed op/deadline: the worker renders the error
   }
+  return req;
+}
 
-  // The deadline is charged against the front's queue wait, exactly like
-  // a single epgc_serve charges it against its own admission queue.
-  const std::string expired =
-      expire(id_json, deadline_ms, queued_ms, trace_id);
-  if (!expired.empty()) return expired;
-
-  const bool front_op = op == "ping" || op == "stats" || op == "health" ||
-                        op == "metrics" || op == "shutdown";
-  // The front originates a trace_id when the client supplied none —
-  // non-deterministic mode only, since a generated id in the response
-  // would break byte-identity with a single-process run.
-  const bool routable = op == "compile" || op == "batch";
-  if (trace_id.empty() && !cfg_.deterministic && (front_op || routable))
-    trace_id = generate_trace_id(trace_seq_.fetch_add(1));
-  if (front_op) {
-    try {
-      check_request_proto(*parsed);
-    } catch (const UnsupportedProtoError& e) {
-      requests_.errors.inc();
-      return error_response(id_json, kErrUnsupportedProto, e.what(),
-                            trace_id);
-    } catch (const std::exception& e) {
-      requests_.errors.inc();
-      return error_response(id_json, kErrBadRequest, e.what(), trace_id);
-    }
-    requests_.ok.inc();  // before rendering, so stats counts itself
-    if (op == "ping") return pong_response(id_json, trace_id);
-    if (op == "shutdown") {
-      stop_.store(true);
-      return shutdown_response(id_json, trace_id);
-    }
-    if (op == "stats") return stats_response_line(id_json, trace_id);
-    if (op == "metrics")
-      return metrics_response_line(id_json, want_prometheus, trace_id);
-    return health_response_line(id_json, trace_id);
-  }
-
+std::pair<std::size_t, std::string> ClusterFront::route(
+    const Request& req, const std::string& line) {
   // Propagate a front-generated trace_id to the worker by splicing it
   // into the forwarded line; the worker echoes it like a client-supplied
   // one. Client-supplied ids are already in the line (pass-through).
   std::string forwarded = line;
-  if (routable && !trace_id.empty() && parsed->find("trace_id") == nullptr) {
+  if (req.routable() && !req.trace_id.empty() &&
+      req.parsed->find("trace_id") == nullptr) {
     const std::size_t close = forwarded.rfind('}');
     if (close != std::string::npos)
       forwarded.insert(close,
-                       ",\"trace_id\":\"" + json_escape(trace_id) + "\"");
+                       ",\"trace_id\":\"" + json_escape(req.trace_id) + "\"");
   }
   // Anything without a graph key (malformed JSON, unknown op, undecodable
   // graph) routes by line hash and is answered by the worker's parser,
   // which renders exactly the bytes a single-process epgc_serve would.
   const std::optional<std::uint64_t> key =
-      object ? graph_route_key(*parsed) : std::nullopt;
-  const std::string resp =
-      forward(ring_.route(key ? *key : HashStream().mix(forwarded).digest()),
-              forwarded, id_json);
-  // A raw '"' cannot occur inside a JSON string value, so this substring
-  // test reads the response's actual ok field.
-  if (resp.find("\"ok\":false") == std::string::npos)
+      req.parsed ? graph_route_key(*req.parsed) : std::nullopt;
+  const std::size_t worker =
+      ring_.route(key ? *key : HashStream().mix(forwarded).digest());
+  return {worker, std::move(forwarded)};
+}
+
+bool ClusterFront::submit(Worker& w, InFlight entry) {
+  std::unique_lock<std::mutex> lock(w.mutex);
+  if (w.closed || cfg_.delivery_attempts == 0) {
+    lock.unlock();
+    fail(w, entry);
+    return true;
+  }
+  if (w.in_flight.size() >= cfg_.max_queue) return false;
+  // A failed write means the connection is ending: shut it down so the
+  // relay sees the end, respawns the worker and redelivers this entry.
+  if (!w.conn.valid() || !w.conn.write_line(entry.line)) {
+    if (w.conn.valid()) ::shutdown(w.conn.fd(), SHUT_RDWR);
+    w.wake.notify_one();
+  }
+  w.in_flight.push_back(std::move(entry));
+  return true;
+}
+
+std::optional<std::string> ClusterFront::forward(std::size_t worker,
+                                                 const std::string& line,
+                                                 const std::string& id_json) {
+  InFlight entry;
+  entry.line = line;
+  entry.id_json = id_json;
+  entry.waiter = std::make_shared<std::promise<std::string>>();
+  std::future<std::string> reply = entry.waiter->get_future();
+  if (!submit(*workers_[worker], std::move(entry))) return std::nullopt;
+  return reply.get();
+}
+
+void ClusterFront::deliver(InFlight& entry, std::string_view reply) {
+  if (entry.waiter) {
+    entry.waiter->set_value(std::string(reply));
+    return;
+  }
+  // handle_line's counting, for a request that never queued at the
+  // front. A raw '"' cannot occur inside a JSON string value, so this
+  // substring test reads the response's actual ok field.
+  requests_.requests.inc();
+  requests_.queue_wait_ms.observe(0.0);
+  requests_.latency_ms.observe(
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - entry.arrived)
+          .count());
+  if (reply.find("\"ok\":false") == std::string_view::npos)
     requests_.ok.inc();
   else
     requests_.errors.inc();
-  return resp;
+  entry.client.send(reply);
+}
+
+void ClusterFront::fail(const Worker& w, InFlight& entry) {
+  deliver(entry, error_response(entry.id_json, kErrWorkerFailed,
+                                "worker " + std::to_string(w.index) +
+                                    " unavailable after " +
+                                    std::to_string(cfg_.delivery_attempts) +
+                                    " delivery attempts"));
+}
+
+bool ClusterFront::take_frame(const std::string& line,
+                              const ReplySink& reply) {
+  Request req = read_request(line);
+  if (req.front_op()) return false;  // the executor answers front verbs
+  // The front originates a trace_id when the client supplied none —
+  // non-deterministic mode only, since a generated id in the response
+  // would break byte-identity with a single-process run.
+  if (req.trace_id.empty() && !cfg_.deterministic && req.routable())
+    req.trace_id = generate_trace_id(trace_seq_.fetch_add(1));
+  auto [worker, forwarded] = route(req, line);
+  InFlight entry;
+  entry.line = std::move(forwarded);
+  entry.id_json = std::move(req.id_json);
+  entry.client = reply;
+  entry.arrived = std::chrono::steady_clock::now();
+  if (!submit(*workers_[worker], std::move(entry))) reply.send(reject(line));
+  return true;
+}
+
+std::string ClusterFront::answer(const std::string& line, double queued_ms) {
+  Request req = read_request(line);
+  // The deadline is charged against the front's queue wait, exactly like
+  // a single epgc_serve charges it against its own admission queue.
+  const std::string expired =
+      expire(req.id_json, req.deadline_ms, queued_ms, req.trace_id);
+  if (!expired.empty()) return expired;
+
+  if (req.trace_id.empty() && !cfg_.deterministic &&
+      (req.front_op() || req.routable()))
+    req.trace_id = generate_trace_id(trace_seq_.fetch_add(1));
+  if (req.front_op()) {
+    try {
+      check_request_proto(*req.parsed);
+    } catch (const UnsupportedProtoError& e) {
+      requests_.errors.inc();
+      return error_response(req.id_json, kErrUnsupportedProto, e.what(),
+                            req.trace_id);
+    } catch (const std::exception& e) {
+      requests_.errors.inc();
+      return error_response(req.id_json, kErrBadRequest, e.what(),
+                            req.trace_id);
+    }
+    requests_.ok.inc();  // before rendering, so stats counts itself
+    if (req.op == "ping") return pong_response(req.id_json, req.trace_id);
+    if (req.op == "shutdown") {
+      stop_.store(true);
+      return shutdown_response(req.id_json, req.trace_id);
+    }
+    if (req.op == "stats")
+      return stats_response_line(req.id_json, req.trace_id);
+    if (req.op == "metrics")
+      return metrics_response_line(req.id_json, req.want_prometheus,
+                                   req.trace_id);
+    return health_response_line(req.id_json, req.trace_id);
+  }
+
+  // A frame behind a front verb on its connection (or a caller of
+  // handle_line): forwarded the same way, and waited for here.
+  auto [worker, forwarded] = route(req, line);
+  const std::optional<std::string> resp =
+      forward(worker, forwarded, req.id_json);
+  if (!resp) {
+    requests_.errors.inc();
+    return reject(line);
+  }
+  // A raw '"' cannot occur inside a JSON string value, so this substring
+  // test reads the response's actual ok field.
+  if (resp->find("\"ok\":false") == std::string::npos)
+    requests_.ok.inc();
+  else
+    requests_.errors.inc();
+  return *resp;
 }
 
 // ---- aggregated observability ---------------------------------------------
@@ -427,11 +579,12 @@ std::string ClusterFront::stats_response_line(const std::string& id_json,
   // Live per-worker snapshots, summed into a cluster view; a worker that
   // cannot answer contributes a failure placeholder instead of stalling
   // the whole snapshot.
+  const std::string probe = R"({"op":"stats","id":"__stats__"})";
   std::vector<StatsField> aggregate = stats_counter_fields({}, {});
   std::vector<std::string> per_worker(workers_.size());
   for (std::size_t i = 0; i < workers_.size(); ++i) {
-    per_worker[i] = forward(i, R"({"op":"stats","id":"__stats__"})",
-                            R"("__stats__")");
+    per_worker[i] = forward(i, probe, R"("__stats__")")
+                        .value_or(queue_full_response(probe, max_queue()));
     try {
       const JsonValue v = JsonValue::parse(per_worker[i]);
       for (auto& [name, value] : aggregate) value += v.get_u64(name, 0);
@@ -465,14 +618,10 @@ std::string ClusterFront::health_response_line(const std::string& id_json,
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     Worker& w = *workers_[i];
     if (i) os << ',';
-    std::unique_lock<std::mutex> lock(w.mutex, std::try_to_lock);
-    if (!lock.owns_lock()) {
-      // Mid-request: the mutex holder is talking to a live worker.
-      os << "{\"worker\":" << i << ",\"busy\":true,\"up\":true}";
-      continue;
-    }
-    os << "{\"worker\":" << i << ",\"busy\":false,\"up\":"
-       << (w.pid > 0 ? "true" : "false") << ",\"pid\":" << w.pid;
+    std::lock_guard<std::mutex> lock(w.mutex);
+    os << "{\"worker\":" << i << ",\"up\":"
+       << (w.pid > 0 && w.conn.valid() ? "true" : "false")
+       << ",\"pid\":" << w.pid << ",\"in_flight\":" << w.in_flight.size();
     if (!w.last_health.empty()) os << ",\"probe\":" << w.last_health;
     os << '}';
   }
@@ -496,7 +645,8 @@ std::string ClusterFront::metrics_response_line(const std::string& id_json,
   parsed.reserve(workers_.size());
   std::vector<const JsonValue*> snaps;
   for (std::size_t i = 0; i < workers_.size(); ++i) {
-    per_worker[i] = forward(i, probe, R"("__metrics__")");
+    per_worker[i] = forward(i, probe, R"("__metrics__")")
+                        .value_or(queue_full_response(probe, max_queue()));
     try {
       JsonValue v = JsonValue::parse(per_worker[i]);
       const JsonValue* m = v.find("metrics");

@@ -76,8 +76,8 @@ ServiceCounters RequestMetrics::counters() const {
 ServingCore::ServingCore(const char* name,
                          std::shared_ptr<MetricsRegistry> registry,
                          std::size_t max_queue, std::size_t max_frame_bytes,
-                         double default_deadline_ms, std::size_t executors,
-                         InlineAnswer answer_inline)
+                         double default_deadline_ms,
+                         ReaderHook reader_hook)
     : registry_(registry ? std::move(registry)
                          : std::make_shared<MetricsRegistry>()),
       requests_(*registry_),
@@ -85,8 +85,7 @@ ServingCore::ServingCore(const char* name,
       max_queue_(max_queue),
       max_frame_bytes_(max_frame_bytes),
       default_deadline_ms_(default_deadline_ms),
-      executors_(executors),
-      answer_inline_(std::move(answer_inline)) {}
+      reader_hook_(std::move(reader_hook)) {}
 
 std::string ServingCore::expire(const std::string& id_json,
                                 double deadline_ms, double queued_ms,
@@ -97,6 +96,11 @@ std::string ServingCore::expire(const std::string& id_json,
   requests_.expired.inc();
   requests_.errors.inc();
   return deadline_response(id_json, queued_ms, deadline, trace_id);
+}
+
+std::string ServingCore::reject(const std::string& line) {
+  requests_.rejected.inc();
+  return queue_full_response(line, max_queue_);
 }
 
 std::string ServingCore::handle_line(const std::string& line,
@@ -125,14 +129,12 @@ int ServingCore::serve_listener(int listen_fd) {
   LineServerConfig scfg;
   scfg.max_queue = max_queue_;
   scfg.max_frame_bytes = max_frame_bytes_;
-  scfg.executors = executors_;
   scfg.handler = [this](const std::string& line, double queued_ms) {
     return handle_line(line, queued_ms);
   };
-  scfg.inline_handler = answer_inline_;
+  scfg.reader_hook = reader_hook_;
   scfg.reject_response = [this](const std::string& line) {
-    requests_.rejected.inc();  // called once per overflow
-    return queue_full_response(line, max_queue_);
+    return reject(line);  // called once per overflow
   };
   scfg.oversize_response = [this](const std::string& line) {
     return oversized_frame_response(line, max_frame_bytes_);
@@ -173,9 +175,8 @@ int ServingCore::serve_tcp(const std::string& host, std::uint16_t port) {
 Service::Service(ServiceConfig cfg)
     : ServingCore("epgc_serve", cfg.metrics, cfg.max_queue,
                   cfg.max_frame_bytes, cfg.default_deadline_ms,
-                  1,  // one BatchCompiler; ordering = admission order
-                  [this](const std::string& line) {
-                    return answer_hit(line);
+                  [this](const std::string& line, const ReplySink& reply) {
+                    return answer_hit(line, reply);
                   }),
       cfg_(std::move(cfg)),
       inline_answers_(registry_->counter(
@@ -272,21 +273,21 @@ std::string Service::answer(const std::string& line, double queued_ms) {
   });
 }
 
-std::string Service::answer_hit(const std::string& line) {
+bool Service::answer_hit(const std::string& line, const ReplySink& reply) {
   const Stopwatch compute_watch;
   ServiceRequest req;
   try {
     req = parse_service_request(line);
   } catch (const std::exception&) {
-    return {};  // the executor answers the error
+    return false;  // the executor answers the error
   }
   // A batch reply needs a run summary, so batches stay on the executor.
-  if (req.op != ServiceOp::compile) return {};
+  if (req.op != ServiceOp::compile) return false;
   // A miss leaves no trace here: no trace_id drawn, no recorder, nothing
   // counted. The hit's trace is its rendering; compute_watch covers the
   // lookup too, so a slow hit is still dumped.
   const std::optional<JobResult> hit = batch_->lookup(req.jobs.front());
-  if (!hit) return {};
+  if (!hit) return false;
   // No queue wait: a deadline cannot have expired.
   const std::string trace_id = resolve_trace_id(req);
   std::string response = traced(req.op, trace_id, compute_watch, [&] {
@@ -297,7 +298,8 @@ std::string Service::answer_hit(const std::string& line) {
   requests_.queue_wait_ms.observe(0.0);
   requests_.latency_ms.observe(compute_watch.elapsed_ms());
   inline_answers_.inc();
-  return response;
+  reply.send(response);
+  return true;
 }
 
 std::string Service::handle_request(const ServiceRequest& req,

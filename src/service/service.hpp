@@ -126,18 +126,18 @@ class ServingCore {
   ServiceCounters counters() const { return requests_.counters(); }
 
  protected:
-  /// An owner's answer to a frame on its connection's reader thread
-  /// (LineServerConfig::inline_handler); it counts what it answers.
-  using InlineAnswer = std::function<std::string(const std::string& line)>;
+  /// An owner's take on a frame on its connection's reader thread
+  /// (LineServerConfig::reader_hook); it counts what it answers.
+  using ReaderHook =
+      std::function<bool(const std::string& line, const ReplySink& reply)>;
 
   /// `name` prefixes listener diagnostics on stderr; a null `registry`
-  /// makes the core own a private one. `executors` threads drain the
-  /// admission queue of `max_queue` lines of at most `max_frame_bytes`.
-  /// A null `answer_inline` admits every frame.
+  /// makes the core own a private one. One executor drains the admission
+  /// queue of `max_queue` lines of at most `max_frame_bytes`. A null
+  /// `reader_hook` admits every frame.
   ServingCore(const char* name, std::shared_ptr<MetricsRegistry> registry,
               std::size_t max_queue, std::size_t max_frame_bytes,
-              double default_deadline_ms, std::size_t executors,
-              InlineAnswer answer_inline = nullptr);
+              double default_deadline_ms, ReaderHook reader_hook = nullptr);
 
   /// The owner's answer to one request line. It counts the request ok or
   /// failed; handle_line counts its arrival, queue wait and latency.
@@ -148,6 +148,8 @@ class ServingCore {
   /// the returned deadline error; empty when it is still in time.
   std::string expire(const std::string& id_json, double deadline_ms,
                      double queued_ms, const std::string& trace_id);
+  /// The queue_full answer to `line`, counted as a rejection.
+  std::string reject(const std::string& line);
   std::uint64_t uptime_ms() const;
   /// Requests admitted but not yet picked up (0 outside a serve call).
   std::size_t queue_depth() const;
@@ -164,8 +166,7 @@ class ServingCore {
   std::size_t max_queue_;
   std::size_t max_frame_bytes_;
   double default_deadline_ms_;
-  std::size_t executors_;
-  InlineAnswer answer_inline_;
+  ReaderHook reader_hook_;
   std::atomic<std::uint16_t> tcp_port_{0};
   /// Live only while serve_listener runs.
   std::atomic<LineServer*> server_{nullptr};
@@ -186,10 +187,11 @@ class Service : public ServingCore {
 
  private:
   std::string answer(const std::string& line, double queued_ms) override;
-  /// The reader-thread answer: the response to a compile whose job is a
-  /// memory-tier hit, counted as handle_line counts a request with no
-  /// queue wait; empty (nothing counted) for any other frame.
-  std::string answer_hit(const std::string& line);
+  /// The reader hook: a compile whose job is a memory-tier hit is
+  /// answered through `reply` at once and counted as handle_line counts a
+  /// request with no queue wait; false (nothing counted) for any other
+  /// frame.
+  bool answer_hit(const std::string& line, const ReplySink& reply);
   /// Run `respond` under the request's root span, on a per-request
   /// recorder when tracing; dump the trace when its compute time reaches
   /// trace_slow_ms.

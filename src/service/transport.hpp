@@ -9,24 +9,33 @@
 // complete line over the cap is answered with a structured error and the
 // connection resyncs at the next newline; a stream that exceeds the cap
 // without ever producing a newline is not a protocol client and is
-// answered then dropped. All writes use MSG_NOSIGNAL (a client that hung
-// up must not SIGPIPE the server) and every accepted connection gets a
-// dedicated reader thread feeding one bounded admission queue; a full
-// queue rejects immediately (visible backpressure), and executors charge
-// each request's deadline against its queue wait. An owner may answer
-// some frames on the reader thread instead (inline_handler), but only
-// while that connection has nothing admitted and unanswered, so each
-// connection's replies keep request order.
+// answered then dropped. Every accepted connection gets a dedicated
+// reader thread feeding one bounded admission queue, drained by one
+// executor; a full queue rejects immediately (visible backpressure), and
+// the executor charges each request's deadline against its queue wait.
+// An owner may take some frames on the reader thread instead
+// (reader_hook), but only while that connection has nothing admitted and
+// unanswered; it answers them through the connection's ReplySink.
+//
+// Replies never block the thread that sends them: the bytes a client's
+// socket will not take yet wait in that connection's outbox, which the
+// listener thread flushes, and a connection whose outbox outgrows the
+// frame cap is dropped. All writes use MSG_NOSIGNAL (a client that hung
+// up must not SIGPIPE the server).
 //
 // LineServer is protocol-agnostic: the owner supplies the handler and the
 // reject/oversize response renderers, so the service and the cluster
 // front reuse byte-for-byte identical admission behavior.
 #pragma once
 
+#include <sys/types.h>
+
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
+#include <string_view>
 
 namespace epg {
 
@@ -46,6 +55,27 @@ int connect_unix(const std::string& path, std::string& err);
 int connect_tcp(const std::string& host, std::uint16_t port,
                 std::string& err);
 
+/// Splits a byte stream into '\n'-terminated frames. Each received byte is
+/// scanned once, and the frames already taken are dropped in one move per
+/// refill, so a frame that arrives in many pieces, or many frames that
+/// arrive in one piece, cost time linear in their bytes.
+class FrameBuffer {
+ public:
+  /// Drop the frames already taken, then recv once from `fd` (blocking)
+  /// and append what arrived. Returns recv's result.
+  ssize_t refill(int fd);
+  /// The next complete frame, without its '\n'; it stays valid until the
+  /// next refill. False when no complete frame is buffered.
+  bool next(std::string_view& frame);
+  /// Bytes buffered past the last complete frame.
+  std::size_t partial() const { return buf_.size() - start_; }
+
+ private:
+  std::string buf_;
+  std::size_t start_ = 0;    ///< first byte not yet returned by next()
+  std::size_t scanned_ = 0;  ///< [start_, scanned_) holds no '\n'
+};
+
 /// Buffered line-oriented connection (the client side of the protocol;
 /// the cluster front drives its workers through this). Owns the fd.
 class LineConn {
@@ -62,8 +92,8 @@ class LineConn {
   int fd() const { return fd_; }
   void close();
 
-  /// Send `line` + '\n' fully; false when the peer is gone.
-  bool write_line(const std::string& line);
+  /// Send `line` + '\n' fully (blocking); false when the peer is gone.
+  bool write_line(std::string_view line);
   /// Read up to the next '\n' (not included). False on EOF/error with no
   /// complete line. `timeout_ms` > 0 bounds the wait per recv (probe
   /// mode); 0 blocks indefinitely.
@@ -71,30 +101,46 @@ class LineConn {
 
  private:
   int fd_ = -1;
-  std::string buffer_;
+  FrameBuffer frames_;
+};
+
+class ClientConn;
+
+/// Where the replies to one server connection go. Sending never blocks:
+/// bytes the client's socket will not take yet wait in the connection's
+/// outbox, and a client that lets its outbox outgrow the frame cap is
+/// dropped. Copies share the connection.
+class ReplySink {
+ public:
+  ReplySink() = default;
+  /// Send `reply` + '\n' as the answer to one frame the owner took from
+  /// the reader hook; call it exactly once per taken frame, from any
+  /// thread.
+  void send(std::string_view reply) const;
+
+ private:
+  friend class LineServer;
+  explicit ReplySink(std::shared_ptr<ClientConn> conn)
+      : conn_(std::move(conn)) {}
+  std::shared_ptr<ClientConn> conn_;
 };
 
 struct LineServerConfig {
   std::size_t max_queue = 64;
   /// Per-frame (per-line) byte cap; also the cap on a lineless stream.
   std::size_t max_frame_bytes = std::size_t{64} << 20;
-  /// Threads draining the admission queue. 1 (the calling thread)
-  /// answers admitted requests in admission order — what epgc_serve
-  /// wants, since one BatchCompiler run may execute at a time; the
-  /// cluster front runs one executor per worker so independent workers
-  /// proceed in parallel.
-  std::size_t executors = 1;
   /// The request handler: line in, response line out (no trailing '\n').
-  /// Called from executor threads; must be thread-safe when executors>1.
+  /// Called on the one executor thread, in admission order.
   std::function<std::string(const std::string& line, double queued_ms)>
       handler;
-  /// Optional reader-side answer, called on the connection's reader
-  /// thread for a complete frame when that connection has no admitted
-  /// request still unanswered. A non-empty return is written as the reply
-  /// and the frame is never admitted; empty admits it as usual. Runs
-  /// concurrently with the executors and other readers. Unset = every
-  /// frame is admitted.
-  std::function<std::string(const std::string& line)> inline_handler;
+  /// Optional, called on the connection's reader thread for a complete
+  /// frame when that connection has no admitted request still unanswered.
+  /// True takes the frame: the owner answers it through `reply`, at once
+  /// or later from any thread, and it is never admitted. False admits it
+  /// as usual. Runs concurrently with the executor and other readers.
+  /// Unset = every frame is admitted.
+  std::function<bool(const std::string& line, const ReplySink& reply)>
+      reader_hook;
   /// Render (and count) the rejection for an admission-queue overflow.
   std::function<std::string(const std::string& line)> reject_response;
   /// Render the error for a frame over max_frame_bytes.
@@ -102,9 +148,10 @@ struct LineServerConfig {
 };
 
 /// Serve `listen_fd` until `stop` becomes true: accept connections, split
-/// lines, admit into the bounded queue, answer via cfg.handler. Drains
-/// the queue before returning (stop = drain, not abort) and closes
-/// `listen_fd`. Returns 0.
+/// lines, admit into the bounded queue, answer via cfg.handler. Before
+/// returning it drains the queue, waits for every frame taken by the
+/// reader hook to be answered and flushes the outboxes (stop = drain, not
+/// abort), then closes `listen_fd`. Returns 0.
 class LineServer {
  public:
   explicit LineServer(LineServerConfig cfg);

@@ -1,17 +1,22 @@
 // epgc_cluster front: consistent-hash ring properties, byte-identity of
 // cluster responses with a single-process epgc_serve (the differential
 // contract ci/serve_e2e.sh enforces end-to-end), worker kill + respawn
-// with redelivery, front-answered ops, and worker shutdown reaping.
+// with redelivery, front-answered ops, worker shutdown reaping, and the
+// pipelined relay over a socket (many frames in flight per worker,
+// redelivery of each, the in-flight cap, slow clients).
 #include "cluster/cluster.hpp"
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -19,6 +24,7 @@
 #include "common/json_value.hpp"
 #include "graph/generators.hpp"
 #include "io/graph_io.hpp"
+#include "service/protocol.hpp"
 #include "service/service.hpp"
 
 namespace epg {
@@ -284,6 +290,223 @@ TEST(ClusterFront, ShutdownReapsEveryWorkerProcess) {
   }
   // Idempotent.
   front.shutdown_workers();
+}
+
+// ---- pipelined relay over a socket ------------------------------------------
+
+/// A started front serving a Unix socket on its own thread; stops the
+/// listener and shuts the workers down on destruction.
+class FrontFixture {
+ public:
+  explicit FrontFixture(ClusterConfig cfg)
+      : path_(cfg.runtime_dir + "/front.sock"), front_(std::move(cfg)) {
+    front_.start();
+    thread_ = std::thread([this] { front_.serve_socket(path_); });
+  }
+  ~FrontFixture() {
+    front_.stop();
+    thread_.join();
+    front_.shutdown_workers();
+  }
+  ClusterFront& front() { return front_; }
+  LineConn connect() {
+    std::string err;
+    for (int i = 0; i < 400; ++i) {
+      const int fd = connect_unix(path_, err);
+      if (fd >= 0) return LineConn(fd);
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ADD_FAILURE() << err;
+    return LineConn();
+  }
+
+ private:
+  std::string path_;
+  ClusterFront front_;
+  std::thread thread_;
+};
+
+/// Write every line on `conn` at once, without waiting for a reply. A
+/// front that stops reading fails the test instead of hanging it.
+void send_all(LineConn& conn, const std::vector<std::string>& lines) {
+  std::string bytes;
+  for (const std::string& line : lines) bytes += line + "\n";
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    pollfd pfd{conn.fd(), POLLOUT, 0};
+    ASSERT_EQ(::poll(&pfd, 1, 10000), 1) << "the front stopped reading";
+    const ssize_t n = ::send(conn.fd(), bytes.data() + sent,
+                             bytes.size() - sent, MSG_NOSIGNAL | MSG_DONTWAIT);
+    ASSERT_GT(n, 0);
+    sent += static_cast<std::size_t>(n);
+  }
+}
+
+/// Read `count` replies and key them by their numeric id (-1 for a null
+/// id); an id answered twice fails the test.
+std::map<long, std::string> read_by_id(LineConn& conn, std::size_t count) {
+  std::map<long, std::string> out;
+  std::string resp;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (!conn.read_line(resp, 60000)) {
+      ADD_FAILURE() << "only " << i << " of " << count << " replies";
+      break;
+    }
+    const JsonValue reply = JsonValue::parse(resp);
+    const JsonValue* id_value = reply.find("id");
+    const long id = id_value->type() == JsonValue::Type::number
+                        ? static_cast<long>(id_value->as_number())
+                        : -1;
+    EXPECT_TRUE(out.emplace(id, resp).second) << "id answered twice: " << resp;
+  }
+  return out;
+}
+
+std::string compile_line(long id, const std::string& g6,
+                         const std::string& extra = "") {
+  return "{\"op\":\"compile\",\"id\":" + std::to_string(id) +
+         ",\"graph\":\"" + g6 + "\"" + extra + "}";
+}
+
+TEST(ClusterFront, PipelinedFramesOnOneConnectionAreAllAnswered) {
+  REQUIRE_WORKER_BIN();
+  std::vector<std::string> graphs;
+  for (std::size_t n = 5; n < 10; ++n) {
+    graphs.push_back(write_graph6(make_ring(n)));
+    graphs.push_back(write_graph6(make_waxman(n + 3, n)));
+  }
+  // Each graph's first request is a miss, every later one a hit; one
+  // malformed line (its reply's id is null) rides along. The worker
+  // answers in order, so the tier of every reply equals a single
+  // process's for the same line order.
+  std::vector<std::string> lines;
+  for (long id = 0; id < 300; ++id)
+    lines.push_back(id == 150 ? "{\"op\":\"compile\",\"id\":150,\"graph\":"
+                              : compile_line(id, graphs[id % graphs.size()]));
+  Service single(single_process_config());
+  std::vector<std::string> expected;
+  for (const std::string& line : lines)
+    expected.push_back(single.handle_line(line));
+
+  FrontFixture fx(test_cluster_config("pipe"));
+  LineConn conn = fx.connect();
+  send_all(conn, lines);
+  const std::map<long, std::string> got = read_by_id(conn, lines.size());
+  ASSERT_EQ(got.size(), lines.size());
+  for (long id = 0; id < 300; ++id) {
+    const auto it = got.find(id == 150 ? -1 : id);
+    ASSERT_NE(it, got.end()) << "no reply for id " << id;
+    EXPECT_EQ(it->second, expected[static_cast<std::size_t>(id)]) << id;
+  }
+  // Hits and misses reached every worker.
+  const JsonValue stats = JsonValue::parse(
+      fx.front().handle_line(R"({"op":"stats","id":"s"})"));
+  for (const JsonValue& worker : stats.find("workers")->items()) {
+    EXPECT_GT(worker.get_u64("compiled", 0), 0u);
+    EXPECT_GT(worker.get_u64("memory_hits", 0), 0u);
+  }
+}
+
+TEST(ClusterFront, KillWithRequestsInFlightRedeliversEach) {
+  REQUIRE_WORKER_BIN();
+  ClusterConfig cfg = test_cluster_config("inflight-kill");
+  cfg.workers = 1;
+  std::vector<std::string> lines;
+  for (long id = 1; id <= 5; ++id)
+    lines.push_back(compile_line(
+        id, write_graph6(make_waxman(24, static_cast<std::uint64_t>(id)))));
+
+  FrontFixture fx(cfg);
+  LineConn conn = fx.connect();
+  send_all(conn, lines);
+  while (fx.front().in_flight(0) < 3) std::this_thread::yield();
+  ASSERT_EQ(::kill(fx.front().worker_pid(0), SIGKILL), 0);
+
+  // The respawned worker compiles each request afresh, in order: every
+  // reply equals a fresh process's.
+  const std::map<long, std::string> got = read_by_id(conn, lines.size());
+  Service fresh(single_process_config());
+  for (long id = 1; id <= 5; ++id) {
+    const auto it = got.find(id);
+    ASSERT_NE(it, got.end()) << "no reply for id " << id;
+    EXPECT_EQ(it->second,
+              fresh.handle_line(lines[static_cast<std::size_t>(id - 1)]));
+  }
+  const JsonValue metrics = JsonValue::parse(
+      fx.front().handle_line(R"({"op":"metrics","id":"m"})"));
+  EXPECT_GE(metrics.find("front")->find("counters")->get_u64(
+                "epgc_front_redeliveries_total", 0),
+            1u);
+  EXPECT_GE(fx.front().respawns(), 1u);
+}
+
+TEST(ClusterFront, InFlightCapRejectsAtTheFront) {
+  REQUIRE_WORKER_BIN();
+  ClusterConfig cfg = test_cluster_config("cap");
+  cfg.workers = 1;
+  cfg.max_queue = 2;
+  std::vector<std::string> lines;
+  for (long id = 1; id <= 5; ++id)
+    lines.push_back(compile_line(
+        id, write_graph6(make_waxman(24, static_cast<std::uint64_t>(id)))));
+
+  FrontFixture fx(cfg);
+  LineConn conn = fx.connect();
+  send_all(conn, lines);
+  const std::map<long, std::string> got = read_by_id(conn, lines.size());
+  // The first two fill the worker's cap; the front answers the rest
+  // itself, each under its own id.
+  Service single(single_process_config());
+  for (long id = 1; id <= 5; ++id) {
+    const auto it = got.find(id);
+    ASSERT_NE(it, got.end()) << "no reply for id " << id;
+    const std::string& line = lines[static_cast<std::size_t>(id - 1)];
+    EXPECT_EQ(it->second, id <= 2 ? single.handle_line(line)
+                                  : queue_full_response(line, 2));
+  }
+  EXPECT_EQ(fx.front().counters().rejected, 3u);
+}
+
+TEST(ClusterFront, ClientThatNeverReadsDoesNotDelayAnotherClientsHits) {
+  REQUIRE_WORKER_BIN();
+  ClusterConfig cfg = test_cluster_config("slow-client");
+  cfg.workers = 1;  // both clients share the one worker and its relay
+  const std::string hit = compile_line(0, write_graph6(make_waxman(12, 5)),
+                                       ",\"circuit\":true");
+  FrontFixture fx(cfg);
+  LineConn b = fx.connect();
+  std::string resp;
+  ASSERT_TRUE(b.write_line(hit));
+  ASSERT_TRUE(b.read_line(resp));  // compiled: the cache is now warm
+  ASSERT_TRUE(b.write_line(hit));
+  ASSERT_TRUE(b.read_line(resp));
+  const std::string expected_hit = resp;
+  ASSERT_EQ(JsonValue::parse(resp).get_string("tier", ""), "memory");
+
+  // A asks for far more reply bytes than its socket buffers hold, and
+  // reads none of them.
+  LineConn a = fx.connect();
+  std::vector<std::string> flood;
+  for (long id = 1; id <= 1000; ++id)
+    flood.push_back(compile_line(id, write_graph6(make_waxman(12, 5)),
+                                 ",\"circuit\":true"));
+  send_all(a, flood);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (fx.front().counters().requests + fx.front().counters().rejected <
+             1002 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  // B's hits on the same worker still come straight back.
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(b.write_line(hit));
+    ASSERT_TRUE(b.read_line(resp, 5000)) << "hit " << i << " stalled";
+    EXPECT_EQ(resp, expected_hit);
+  }
+  // A's replies were kept for it, each once.
+  const std::map<long, std::string> got = read_by_id(a, flood.size());
+  EXPECT_EQ(got.size(), flood.size());
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // NDJSON responses (malformed input is answered, never fatal), stream
 // serving equivalence with direct compilation, deterministic-mode
 // bit-stability, per-request deadlines, protocol versioning, the health
-// verb, and the Unix-socket/TCP transports (oversized frames, mid-request
-// disconnects, queue-wait deadline charging, connect/shutdown races).
+// verb, and the Unix-socket/TCP transports (frame splitting, oversized
+// frames, mid-request disconnects, queue-wait deadline charging,
+// connect/shutdown races).
 #include "service/service.hpp"
 
 #include <gtest/gtest.h>
@@ -460,6 +461,48 @@ TEST(ServiceTcp, OversizedFrameIsAnsweredAndConnectionResyncs) {
   EXPECT_EQ(JsonValue::parse(resp).get_string("code", ""),
             kErrOversizedFrame);
   EXPECT_FALSE(hog.read_line(resp)) << "lineless hog must be dropped";
+}
+
+TEST(ServiceTcp, FramesSplitAcrossRecvsOrSharingOneAreAnsweredExactly) {
+  ServiceConfig cfg = test_config();
+  cfg.batch.deterministic = true;
+  TcpServiceFixture fx(cfg);
+  Service reference(cfg);
+  const std::string ring = write_graph6(make_ring(6));
+  std::string big = R"({"op":"batch","id":1,"jobs":[)";
+  for (int i = 0; i < 300; ++i)
+    big += (i ? ",{\"graph\":\"" : "{\"graph\":\"") + ring + "\"}";
+  big += "]}";
+  LineConn conn = fx.connect();
+
+  // One frame in 64-byte pieces, each sent on its own: the reader gets it
+  // over many recvs.
+  const std::string framed = big + "\n";
+  for (std::size_t at = 0; at < framed.size(); at += 64) {
+    const std::string piece = framed.substr(at, 64);
+    ASSERT_EQ(::send(conn.fd(), piece.data(), piece.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(piece.size()));
+    if (at % 1024 == 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::string resp;
+  ASSERT_TRUE(conn.read_line(resp));
+  EXPECT_EQ(resp, reference.handle_line(big));
+
+  // Several frames in one send: every one is answered, in order.
+  std::vector<std::string> lines;
+  for (int i = 2; i < 8; ++i)
+    lines.push_back(i % 2 ? "{\"op\":\"ping\",\"id\":" + std::to_string(i) + "}"
+                          : "{\"op\":\"compile\",\"id\":" + std::to_string(i) +
+                                ",\"graph\":\"" + ring + "\"}");
+  std::string burst;
+  for (const std::string& line : lines) burst += line + "\n";
+  ASSERT_EQ(::send(conn.fd(), burst.data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+  for (const std::string& line : lines) {
+    ASSERT_TRUE(conn.read_line(resp));
+    EXPECT_EQ(resp, reference.handle_line(line));
+  }
 }
 
 TEST(ServiceTcp, MidRequestDisconnectDoesNotKillTheServer) {
