@@ -386,12 +386,6 @@ pid_t ClusterFront::worker_pid(std::size_t i) const {
   return workers_[i]->pid;
 }
 
-std::size_t ClusterFront::in_flight(std::size_t i) const {
-  if (i >= workers_.size()) return 0;
-  std::lock_guard<std::mutex> lock(workers_[i]->mutex);
-  return workers_[i]->in_flight.size();
-}
-
 // ---- request path ----------------------------------------------------------
 
 ClusterFront::Request ClusterFront::read_request(const std::string& line) {

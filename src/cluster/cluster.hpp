@@ -111,8 +111,6 @@ class ClusterFront : public ServingCore {
   std::size_t workers() const { return workers_.size(); }
   /// Current pid of worker `i` (-1 when down); test/CI kill legs use it.
   pid_t worker_pid(std::size_t i) const;
-  /// Requests written to worker `i` and not yet answered.
-  std::size_t in_flight(std::size_t i) const;
   /// Total respawns across all workers since start().
   std::size_t respawns() const { return respawns_.value(); }
 

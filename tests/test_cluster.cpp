@@ -419,7 +419,15 @@ TEST(ClusterFront, KillWithRequestsInFlightRedeliversEach) {
   FrontFixture fx(cfg);
   LineConn conn = fx.connect();
   send_all(conn, lines);
-  while (fx.front().in_flight(0) < 3) std::this_thread::yield();
+  const auto in_flight = [&] {
+    return JsonValue::parse(
+               fx.front().handle_line(R"({"op":"health","id":"h"})"))
+        .find("workers")
+        ->items()
+        .front()
+        .get_u64("in_flight", 0);
+  };
+  while (in_flight() < 3) std::this_thread::yield();
   ASSERT_EQ(::kill(fx.front().worker_pid(0), SIGKILL), 0);
 
   // The respawned worker compiles each request afresh, in order: every
