@@ -613,7 +613,8 @@ std::string ClusterFront::health_response_line(const std::string& id_json,
     Worker& w = *workers_[i];
     if (i) os << ',';
     std::lock_guard<std::mutex> lock(w.mutex);
-    os << "{\"worker\":" << i << ",\"up\":"
+    os << "{\"worker\":" << i << ",\"busy\":"
+       << (w.in_flight.empty() ? "false" : "true") << ",\"up\":"
        << (w.pid > 0 && w.conn.valid() ? "true" : "false")
        << ",\"pid\":" << w.pid << ",\"in_flight\":" << w.in_flight.size();
     if (!w.last_health.empty()) os << ",\"probe\":" << w.last_health;

@@ -130,19 +130,19 @@ class ClusterFront : public ServingCore {
   struct Worker {
     std::size_t index = 0;
     std::string socket_path;
+    std::thread relay;
     /// Guards every field below. Held to write a request and queue its
     /// entry, to pop replies, and across a respawn; never across a round
     /// trip.
-    mutable std::mutex mutex;
+    std::mutex mutex;
     std::condition_variable wake;  ///< the relay waits here while down
     pid_t pid = -1;
     LineConn conn;  ///< written under `mutex`; read only by the relay
     /// Written to `conn` in this order, which is the order of its replies.
     std::deque<InFlight> in_flight;
-    std::string last_health;  ///< last successful probe response (JSON)
+    std::string last_health;  ///< last probe response (JSON)
     /// The relay has exited: nothing more is delivered.
     bool closed = false;
-    std::thread relay;
   };
 
   /// What the front reads from a request line to route or answer it.

@@ -157,7 +157,7 @@ class LineServer {
   explicit LineServer(LineServerConfig cfg);
   int serve(int listen_fd, std::atomic<bool>& stop);
 
-  /// Requests admitted but not yet picked up by an executor (health).
+  /// Requests admitted but not yet picked up by the executor (health).
   std::size_t queue_depth() const { return depth_.load(); }
 
  private:
