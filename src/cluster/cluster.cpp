@@ -469,19 +469,24 @@ void ClusterFront::deliver(InFlight& entry, std::string_view reply) {
     return;
   }
   // handle_line's counting, for a request that never queued at the
-  // front. A raw '"' cannot occur inside a JSON string value, so this
-  // substring test reads the response's actual ok field.
+  // front.
   requests_.requests.inc();
   requests_.queue_wait_ms.observe(0.0);
   requests_.latency_ms.observe(
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - entry.arrived)
           .count());
+  count_reply(reply);
+  entry.client.send(reply);
+}
+
+void ClusterFront::count_reply(std::string_view reply) {
+  // A raw '"' cannot occur inside a JSON string value, so this substring
+  // test reads the response's actual ok field.
   if (reply.find("\"ok\":false") == std::string_view::npos)
     requests_.ok.inc();
   else
     requests_.errors.inc();
-  entry.client.send(reply);
 }
 
 void ClusterFront::fail(const Worker& w, InFlight& entry) {
@@ -557,12 +562,7 @@ std::string ClusterFront::answer(const std::string& line, double queued_ms) {
     requests_.errors.inc();
     return reject(line);
   }
-  // A raw '"' cannot occur inside a JSON string value, so this substring
-  // test reads the response's actual ok field.
-  if (resp->find("\"ok\":false") == std::string::npos)
-    requests_.ok.inc();
-  else
-    requests_.errors.inc();
+  count_reply(*resp);
   return *resp;
 }
 

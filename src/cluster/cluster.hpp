@@ -163,6 +163,8 @@ class ClusterFront : public ServingCore {
                                      const std::string& id_json);
   /// Hand `reply` to the entry's client or waiter.
   void deliver(InFlight& entry, std::string_view reply);
+  /// Count a forwarded request ok or failed from its reply.
+  void count_reply(std::string_view reply);
   /// Answer `entry` worker_failed.
   void fail(const Worker& w, InFlight& entry);
   /// The reader hook: forward a routed frame, answered by the relay.

@@ -475,6 +475,25 @@ TEST(ClusterFront, InFlightCapRejectsAtTheFront) {
   EXPECT_EQ(fx.front().counters().rejected, 3u);
 }
 
+TEST(ClusterFront, OversizedFrameIsAnsweredAtTheFrontNotForwarded) {
+  REQUIRE_WORKER_BIN();
+  ClusterConfig cfg = test_cluster_config("oversize");
+  cfg.max_frame_bytes = 256;
+  const std::string big = compile_line(1, write_graph6(make_waxman(12, 5)),
+                                       ",\"pad\":\"" + std::string(512, 'x') + "\"");
+  FrontFixture fx(cfg);
+  LineConn conn = fx.connect();
+  ASSERT_TRUE(conn.write_line(big));
+  std::string resp;
+  ASSERT_TRUE(conn.read_line(resp));
+  EXPECT_EQ(resp, oversized_frame_response(big, 256));
+  const JsonValue stats = JsonValue::parse(
+      fx.front().handle_line(R"({"op":"stats","id":"s"})"));
+  const JsonValue* workers = stats.find("aggregate");
+  EXPECT_EQ(workers->get_u64("compiled", 9), 0u) << "a worker compiled it";
+  EXPECT_EQ(workers->get_u64("errors", 9), 0u) << "a worker answered it";
+}
+
 TEST(ClusterFront, ClientThatNeverReadsDoesNotDelayAnotherClientsHits) {
   REQUIRE_WORKER_BIN();
   ClusterConfig cfg = test_cluster_config("slow-client");
