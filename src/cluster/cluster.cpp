@@ -303,8 +303,7 @@ void ClusterFront::monitor_loop() {
   // time out on a long compile. A worker that does not answer its probe
   // in time is killed; its relay respawns it.
   while (!workers_down_.load()) {
-    sleep_ms(std::chrono::duration<double, std::milli>(kProbeInterval)
-                 .count());
+    std::this_thread::sleep_for(kProbeInterval);
     if (workers_down_.load()) break;
     for (auto& wp : workers_) {
       Worker& w = *wp;
