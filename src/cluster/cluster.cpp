@@ -409,6 +409,14 @@ ClusterFront::Request ClusterFront::read_request(const std::string& line) {
   return req;
 }
 
+void ClusterFront::originate_trace_id(Request& req) {
+  // Non-deterministic mode only: a generated id in the response would
+  // break byte-identity with a single-process run.
+  if (req.trace_id.empty() && !cfg_.deterministic &&
+      (req.front_op() || req.routable()))
+    req.trace_id = generate_trace_id(trace_seq_.fetch_add(1));
+}
+
 std::pair<std::size_t, std::string> ClusterFront::route(
     const Request& req, const std::string& line) {
   // Propagate a front-generated trace_id to the worker by splicing it
@@ -500,11 +508,7 @@ bool ClusterFront::take_frame(const std::string& line,
                               const ReplySink& reply) {
   Request req = read_request(line);
   if (req.front_op()) return false;  // the executor answers front verbs
-  // The front originates a trace_id when the client supplied none —
-  // non-deterministic mode only, since a generated id in the response
-  // would break byte-identity with a single-process run.
-  if (req.trace_id.empty() && !cfg_.deterministic && req.routable())
-    req.trace_id = generate_trace_id(trace_seq_.fetch_add(1));
+  originate_trace_id(req);
   auto [worker, forwarded] = route(req, line);
   InFlight entry;
   entry.line = std::move(forwarded);
@@ -523,9 +527,7 @@ std::string ClusterFront::answer(const std::string& line, double queued_ms) {
       expire(req.id_json, req.deadline_ms, queued_ms, req.trace_id);
   if (!expired.empty()) return expired;
 
-  if (req.trace_id.empty() && !cfg_.deterministic &&
-      (req.front_op() || req.routable()))
-    req.trace_id = generate_trace_id(trace_seq_.fetch_add(1));
+  originate_trace_id(req);
   if (req.front_op()) {
     try {
       check_request_proto(*req.parsed);

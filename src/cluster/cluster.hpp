@@ -148,6 +148,9 @@ class ClusterFront : public ServingCore {
   /// What the front reads from a request line to route or answer it.
   struct Request;
   Request read_request(const std::string& line);
+  /// Give a front verb, compile or batch that carries no trace_id one
+  /// generated by the front.
+  void originate_trace_id(Request& req);
   /// The worker that owns `req`, and the line to forward to it.
   std::pair<std::size_t, std::string> route(const Request& req,
                                             const std::string& line);

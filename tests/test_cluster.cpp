@@ -427,7 +427,11 @@ TEST(ClusterFront, KillWithRequestsInFlightRedeliversEach) {
         .front()
         .get_u64("in_flight", 0);
   };
-  while (in_flight() < 3) std::this_thread::yield();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (in_flight() < 3)
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "never 3 requests in flight";
   ASSERT_EQ(::kill(fx.front().worker_pid(0), SIGKILL), 0);
 
   // The respawned worker compiles each request afresh, in order: every
