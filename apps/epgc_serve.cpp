@@ -47,6 +47,9 @@ options:
                     (default: --jobs, so a lone request uses every idle
                     lane; 0 = serial)
   --max-queue N     admission-queue capacity in socket mode (default 64)
+  --max-frame-bytes N
+                    per-line byte cap in socket mode; a longer line is
+                    answered oversized_frame (default 67108864 = 64 MiB)
   --deadline-ms X   default per-request deadline when the request has none
   --deterministic   leave wall-clock fields and generated trace ids out of
                     responses, so they are bit-stable across runs
@@ -96,6 +99,8 @@ int main(int argc, char** argv) {
   cfg.store.dir = args.get("store-dir", "");
   cfg.store.max_bytes = args.get_u64("store-cap-mb", 0) * 1024 * 1024;
   cfg.max_queue = args.get_u64("max-queue", 64);
+  cfg.max_frame_bytes = args.get_u64("max-frame-bytes", cfg.max_frame_bytes);
+  if (cfg.max_frame_bytes == 0) args.fail("--max-frame-bytes must be at least 1");
   cfg.default_deadline_ms = args.get_double("deadline-ms", 0.0);
   cfg.once = args.has("once");
   cfg.trace_dir = args.get("trace-dir", "");

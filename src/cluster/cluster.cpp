@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -50,6 +51,12 @@ std::optional<std::uint64_t> graph_route_key(const JsonValue& request) {
     // unroutable: the caller falls back to line-hash routing
   }
   return std::nullopt;
+}
+
+/// The member the front splices into a forwarded line that carries no
+/// trace_id of its own.
+std::string trace_id_member(const std::string& trace_id) {
+  return ",\"trace_id\":\"" + json_escape(trace_id) + "\"";
 }
 
 /// Bucket bounds of epgc_front_in_flight.
@@ -127,6 +134,13 @@ bool ClusterFront::spawn_locked(Worker& w, std::string& err) {
   // waits in that queue, so the default deadline is charged there.
   arg_strings.insert(arg_strings.end(),
                      {"--max-queue", std::to_string(cfg_.max_queue)});
+  // Likewise its frame cap holds every frame the front forwards, plus the
+  // trace_id the front may add, so it never answers oversized_frame: that
+  // answer would overtake the replies to the requests ahead of it.
+  const std::size_t frame_cap =
+      cfg_.max_frame_bytes + trace_id_member(generate_trace_id(0)).size();
+  arg_strings.insert(arg_strings.end(),
+                     {"--max-frame-bytes", std::to_string(frame_cap)});
   if (cfg_.default_deadline_ms > 0.0) {
     std::ostringstream deadline;
     deadline.precision(17);
@@ -138,13 +152,20 @@ bool ClusterFront::spawn_locked(Worker& w, std::string& err) {
   for (std::string& s : arg_strings) argv.push_back(s.data());
   argv.push_back(nullptr);
 
+  const pid_t front_pid = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0) {
     err = std::string("fork(): ") + std::strerror(errno);
     return false;
   }
   if (pid == 0) {
-    // Child: workers own no stdin; stdout/stderr are inherited so worker
+    // Child: a worker gets a draining SIGTERM when the thread that spawned
+    // it ends, so a front that dies, even by SIGKILL, leaves no worker
+    // behind. (A worker whose spawning thread ends while the front lives
+    // on is respawned like any other that exits.)
+    ::prctl(PR_SET_PDEATHSIG, SIGTERM);
+    if (::getppid() != front_pid) ::_exit(1);  // the front died already
+    // Workers own no stdin; stdout/stderr are inherited so worker
     // diagnostics surface in the front's log.
     const int devnull = ::open("/dev/null", O_RDONLY);
     if (devnull >= 0) {
@@ -427,8 +448,7 @@ std::pair<std::size_t, std::string> ClusterFront::route(
       req.parsed->find("trace_id") == nullptr) {
     const std::size_t close = forwarded.rfind('}');
     if (close != std::string::npos)
-      forwarded.insert(close,
-                       ",\"trace_id\":\"" + json_escape(req.trace_id) + "\"");
+      forwarded.insert(close, trace_id_member(req.trace_id));
   }
   // Anything without a graph key (malformed JSON, unknown op, undecodable
   // graph) routes by line hash and is answered by the worker's parser,

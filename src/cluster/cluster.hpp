@@ -26,8 +26,10 @@
 //                  compile result.
 //   * backpressure — each worker's in-flight entries are capped at the
 //                  admission queue size the front gives the worker
-//                  (--max-queue), so a worker never answers queue_full;
-//                  the front answers the excess queue_full itself.
+//                  (--max-queue), so a worker never answers queue_full
+//                  (nor oversized_frame: it gets the front's frame cap),
+//                  either of which would overtake earlier replies; the
+//                  front answers the excess queue_full itself.
 //   * supervision — the relay respawns a worker whose connection ends
 //                  and redelivers its in-flight requests in order, up to
 //                  delivery_attempts, then answers `worker_failed`. A
@@ -73,6 +75,9 @@ struct ClusterConfig {
   /// admission queue size the front gives each worker (--max-queue).
   std::size_t max_queue = 256;
   /// Frame cap; a frame over it is answered at the front, never forwarded.
+  /// Workers are started with this cap plus room for the trace_id the
+  /// front may add (--max-frame-bytes), so they never answer
+  /// oversized_frame.
   std::size_t max_frame_bytes = std::size_t{64} << 20;
   /// Applied to requests that carry no deadline_ms (0 = none), and passed
   /// to the workers (--deadline-ms), whose queue a forwarded request waits
@@ -101,7 +106,9 @@ class ClusterFront : public ServingCore {
   /// Spawn and connect every worker, start the relays and the monitor
   /// thread. Throws std::runtime_error when a worker cannot be brought
   /// up. Call before serve_socket/serve_tcp; the destructor drains and
-  /// shuts the workers down.
+  /// shuts the workers down. Each worker gets SIGTERM when the thread
+  /// that spawned it ends, so call this from a thread that outlives the
+  /// serve call; otherwise the relays respawn the workers once.
   void start();
 
   /// Send shutdown to every worker and reap the processes. Idempotent;

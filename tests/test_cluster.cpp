@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -292,6 +294,49 @@ TEST(ClusterFront, ShutdownReapsEveryWorkerProcess) {
   front.shutdown_workers();
 }
 
+TEST(ClusterFront, WorkersEndWhenTheFrontIsKilled) {
+  REQUIRE_WORKER_BIN();
+  // Orphans are reparented to this process, which can then reap them.
+  ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const pid_t front_pid = ::fork();
+  ASSERT_GE(front_pid, 0);
+  if (front_pid == 0) {
+    // The front: report the worker's pid, then wait to be killed.
+    ClusterConfig cfg = test_cluster_config("orphan");
+    cfg.workers = 1;
+    ClusterFront front(cfg);
+    front.start();
+    const pid_t worker = front.worker_pid(0);
+    if (::write(fds[1], &worker, sizeof worker) != sizeof worker) ::_exit(1);
+    while (true) ::pause();
+  }
+  ::close(fds[1]);
+  pid_t worker = -1;
+  const ssize_t got = ::read(fds[0], &worker, sizeof worker);
+  ::close(fds[0]);
+  ::kill(front_pid, SIGKILL);
+  ::waitpid(front_pid, nullptr, 0);
+  ASSERT_EQ(got, static_cast<ssize_t>(sizeof worker)) << "the front failed";
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool ended = false;
+  while (!ended && std::chrono::steady_clock::now() < deadline) {
+    ended = ::waitpid(worker, nullptr, WNOHANG) == worker;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  if (!ended) {
+    ::kill(worker, SIGKILL);
+    ::waitpid(worker, nullptr, 0);
+  }
+  EXPECT_TRUE(ended) << "the worker outlived its front";
+  std::filesystem::remove_all(std::filesystem::temp_directory_path() /
+                              ("epgc-cluster-test-orphan-" +
+                               std::to_string(front_pid)));
+}
+
 // ---- pipelined relay over a socket ------------------------------------------
 
 /// A started front serving a Unix socket on its own thread; stops the
@@ -299,7 +344,9 @@ TEST(ClusterFront, ShutdownReapsEveryWorkerProcess) {
 class FrontFixture {
  public:
   explicit FrontFixture(ClusterConfig cfg)
-      : path_(cfg.runtime_dir + "/front.sock"), front_(std::move(cfg)) {
+      : dir_(cfg.runtime_dir),
+        path_(dir_ + "/front.sock"),
+        front_(std::move(cfg)) {
     front_.start();
     thread_ = std::thread([this] { front_.serve_socket(path_); });
   }
@@ -307,6 +354,7 @@ class FrontFixture {
     front_.stop();
     thread_.join();
     front_.shutdown_workers();
+    std::filesystem::remove_all(dir_);
   }
   ClusterFront& front() { return front_; }
   LineConn connect() {
@@ -321,6 +369,7 @@ class FrontFixture {
   }
 
  private:
+  std::string dir_;
   std::string path_;
   ClusterFront front_;
   std::thread thread_;
@@ -360,6 +409,15 @@ std::map<long, std::string> read_by_id(LineConn& conn, std::size_t count) {
     EXPECT_TRUE(out.emplace(id, resp).second) << "id answered twice: " << resp;
   }
   return out;
+}
+
+/// Requests in flight on worker 0, from the front's health verb.
+std::uint64_t worker_in_flight(ClusterFront& front) {
+  return JsonValue::parse(front.handle_line(R"({"op":"health","id":"h"})"))
+      .find("workers")
+      ->items()
+      .front()
+      .get_u64("in_flight", 0);
 }
 
 std::string compile_line(long id, const std::string& g6,
@@ -419,17 +477,9 @@ TEST(ClusterFront, KillWithRequestsInFlightRedeliversEach) {
   FrontFixture fx(cfg);
   LineConn conn = fx.connect();
   send_all(conn, lines);
-  const auto in_flight = [&] {
-    return JsonValue::parse(
-               fx.front().handle_line(R"({"op":"health","id":"h"})"))
-        .find("workers")
-        ->items()
-        .front()
-        .get_u64("in_flight", 0);
-  };
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (in_flight() < 3)
+  while (worker_in_flight(fx.front()) < 3)
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
         << "never 3 requests in flight";
   ASSERT_EQ(::kill(fx.front().worker_pid(0), SIGKILL), 0);
@@ -496,6 +546,40 @@ TEST(ClusterFront, OversizedFrameIsAnsweredAtTheFrontNotForwarded) {
   const JsonValue* workers = stats.find("aggregate");
   EXPECT_EQ(workers->get_u64("compiled", 9), 0u) << "a worker compiled it";
   EXPECT_EQ(workers->get_u64("errors", 9), 0u) << "a worker answered it";
+}
+
+TEST(ClusterFront, FrameAtTheCapStaysInOrderWithTheFrontsTraceId) {
+  REQUIRE_WORKER_BIN();
+  // Outside deterministic mode the front adds a trace_id to a frame that
+  // has none, so a frame at the front's cap outgrows it. A worker that
+  // answered it oversized_frame from its reader would overtake the
+  // compile ahead of it, and each client would get the other's reply.
+  ClusterConfig cfg = test_cluster_config("cap-trace");
+  cfg.workers = 1;
+  cfg.deterministic = false;
+  cfg.worker_args.clear();
+  cfg.max_frame_bytes = 300;
+  std::string at_cap = compile_line(2, write_graph6(make_ring(6)));
+  at_cap.insert(at_cap.size() - 1, cfg.max_frame_bytes - at_cap.size(), ' ');
+  ASSERT_EQ(at_cap.size(), cfg.max_frame_bytes);
+
+  FrontFixture fx(cfg);
+  LineConn first = fx.connect();
+  LineConn second = fx.connect();
+  send_all(first, {compile_line(1, write_graph6(make_waxman(24, 1)))});
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (worker_in_flight(fx.front()) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+  }
+  send_all(second, {at_cap});
+  for (auto [conn, id] : {std::pair{&first, 1L}, std::pair{&second, 2L}}) {
+    const std::map<long, std::string> got = read_by_id(*conn, 1);
+    ASSERT_EQ(got.count(id), 1u) << "connection " << id << " got another reply";
+    const JsonValue reply = JsonValue::parse(got.at(id));
+    EXPECT_TRUE(reply.get_bool("ok", false)) << got.at(id);
+    EXPECT_FALSE(reply.get_string("trace_id", "").empty()) << got.at(id);
+  }
 }
 
 TEST(ClusterFront, ClientThatNeverReadsDoesNotDelayAnotherClientsHits) {
