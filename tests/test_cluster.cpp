@@ -84,13 +84,23 @@ TEST(HashRing, GrowingTheRingMovesOnlyAFractionOfKeys) {
 // ctest runs with CWD = the build tree, where the worker binary lives.
 constexpr const char* kWorkerBin = "./epgc_serve";
 
+/// Every test's runtime directory lives under one root per test process,
+/// removed when the tests end (a forked front's directory too).
+const std::filesystem::path kTestRoot =
+    std::filesystem::temp_directory_path() /
+    ("epgc-cluster-test-" + std::to_string(::getpid()));
+
+class RemoveTestRoot : public ::testing::Environment {
+ public:
+  void TearDown() override { std::filesystem::remove_all(kTestRoot); }
+};
+[[maybe_unused]] const ::testing::Environment* const kRemoveTestRoot =
+    ::testing::AddGlobalTestEnvironment(new RemoveTestRoot);
+
 std::string fresh_runtime_dir(const std::string& tag) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() /
-       ("epgc-cluster-test-" + tag + "-" + std::to_string(::getpid())))
-          .string();
+  const std::filesystem::path dir = kTestRoot / tag;
   std::filesystem::remove_all(dir);
-  return dir;
+  return dir.string();
 }
 
 ClusterConfig test_cluster_config(const std::string& tag) {
@@ -332,9 +342,6 @@ TEST(ClusterFront, WorkersEndWhenTheFrontIsKilled) {
     ::waitpid(worker, nullptr, 0);
   }
   EXPECT_TRUE(ended) << "the worker outlived its front";
-  std::filesystem::remove_all(std::filesystem::temp_directory_path() /
-                              ("epgc-cluster-test-orphan-" +
-                               std::to_string(front_pid)));
 }
 
 // ---- pipelined relay over a socket ------------------------------------------
@@ -344,9 +351,7 @@ TEST(ClusterFront, WorkersEndWhenTheFrontIsKilled) {
 class FrontFixture {
  public:
   explicit FrontFixture(ClusterConfig cfg)
-      : dir_(cfg.runtime_dir),
-        path_(dir_ + "/front.sock"),
-        front_(std::move(cfg)) {
+      : path_(cfg.runtime_dir + "/front.sock"), front_(std::move(cfg)) {
     front_.start();
     thread_ = std::thread([this] { front_.serve_socket(path_); });
   }
@@ -354,7 +359,6 @@ class FrontFixture {
     front_.stop();
     thread_.join();
     front_.shutdown_workers();
-    std::filesystem::remove_all(dir_);
   }
   ClusterFront& front() { return front_; }
   LineConn connect() {
@@ -369,7 +373,6 @@ class FrontFixture {
   }
 
  private:
-  std::string dir_;
   std::string path_;
   ClusterFront front_;
   std::thread thread_;
