@@ -6,230 +6,224 @@
 
 namespace epg {
 
-ReductionState::ReductionState(const SubgraphSpec& spec,
-                               std::uint32_t ne_limit, DanglerPolicy policy)
+template <std::size_t kWords>
+BasicReductionState<kWords>::BasicReductionState(const SubgraphSpec& spec,
+                                                 std::uint32_t ne_limit,
+                                                 DanglerPolicy policy,
+                                                 std::vector<ReduceOp>* log)
     : spec_(&spec),
       n_(static_cast<std::uint32_t>(spec.graph.vertex_count())),
       words_(static_cast<std::uint32_t>(spec.graph.words_per_row())),
-      buf_((n_ + 3) * std::size_t{words_} + 2 * std::size_t{n_}, 0),
+      slot_words_((n_ + kSlotsPerWord - 1) / kSlotsPerWord),
       ne_limit_(ne_limit),
       policy_(policy),
-      photons_left_(n_) {
+      photons_left_(n_),
+      log_(log) {
+  EPG_REQUIRE(kWords == 0 || words_ == kWords,
+              "the part's row width does not match the state's");
   EPG_REQUIRE(ne_limit >= 1, "need at least one emitter");
   EPG_REQUIRE(spec.boundary.size() == n_, "boundary flag per vertex required");
   EPG_REQUIRE(spec.stem_key.size() == n_, "stem key per vertex required");
+  buf_.assign((n_ + 3) * std::size_t{words_} + 2 * std::size_t{slot_words_},
+              0);
   for (Vertex v = 0; v < n_; ++v) {
-    std::copy_n(spec.graph.row(v), words_, row(v));
+    std::copy_n(spec.graph.row(v), words(), row(v));
     set(photon_mask(), v);
-    if (spec.boundary[v]) set(buf_.data() + 2 * words_, v);
+    if (spec.boundary[v]) set(buf_.data() + 2 * words(), v);
   }
 }
 
-Graph ReductionState::graph() const {
+template <std::size_t kWords>
+Graph BasicReductionState<kWords>::graph() const {
   Graph g(n_);
   for (Vertex u = 0; u < n_; ++u)
-    for_each_set_bit(row(u), words_, [&](Vertex v) {
+    for_each_set_bit(row(u), words(), [&](Vertex v) {
       if (u < v) g.add_edge(u, v);
     });
   return g;
 }
 
-const std::vector<ReduceOp>& ReductionState::ops() const {
-  EPG_REQUIRE(ops_sink_ == nullptr,
-              "ops() needs own recording mode; use ops_copy() after "
-              "share_op_log()");
-  return ops_own_;
-}
-
-std::vector<ReduceOp> ReductionState::ops_copy() const {
-  if (ops_sink_ == nullptr) return ops_own_;
-  return std::vector<ReduceOp>(ops_sink_->begin(),
-                               ops_sink_->begin() + ops_len_);
-}
-
-void ReductionState::share_op_log(std::vector<ReduceOp>& sink) {
-  EPG_REQUIRE(ops_own_.empty() && ops_sink_ == nullptr,
-              "share_op_log must be called before any op is recorded");
-  ops_sink_ = &sink;
-  ops_len_ = 0;
-}
-
-ReduceOp& ReductionState::append_op(ReduceOpKind kind) {
-  ReduceOp* op;
-  if (ops_sink_ == nullptr) {
-    op = &ops_own_.emplace_back();
-  } else {
-    // Overwrite the dead tail beyond this state's prefix in place.
-    if (ops_len_ == ops_sink_->size()) ops_sink_->emplace_back();
-    op = &(*ops_sink_)[ops_len_++];
-  }
-  op->kind = kind;
-  op->p = op->e = 0;
-  op->slot_p = op->slot_e = op->lc_slot = 0;
-  op->twin_adjacent = op->anchor = op->lc_on_emitter = false;
-  op->lc_emitter_neighbors.clear();
-  op->lc_photon_neighbors.clear();
-  return *op;
-}
-
-std::uint32_t ReductionState::slot_of(Vertex v) const {
+template <std::size_t kWords>
+std::uint32_t BasicReductionState<kWords>::slot_of(Vertex v) const {
   EPG_REQUIRE(is_emitter(v), "slot_of needs an emitter vertex");
-  return static_cast<std::uint32_t>(slots()[v]);
+  return lane(slots(), v);
 }
 
-bool ReductionState::reduced() const {
+template <std::size_t kWords>
+bool BasicReductionState<kWords>::reduced() const {
   if (photons_left_ != 0) return false;
   // Only isolated anchors may remain.
   const std::uint64_t* em = emitter_mask();
   const std::uint64_t* bd = boundary_mask();
-  for (std::size_t w = 0; w < words_; ++w)
+  for (std::size_t w = 0; w < words(); ++w)
     if ((em[w] & ~bd[w]) != 0) return false;
-  return for_each_set_bit(em, words_, [&](Vertex v) { return isolated(v); });
+  return for_each_set_bit(em, words(), [&](Vertex v) { return isolated(v); });
 }
 
-void ReductionState::maybe_retire(Vertex v) {
+template <std::size_t kWords>
+void BasicReductionState<kWords>::maybe_retire(Vertex v) {
   if (!is_emitter(v) || is_boundary(v) || !isolated(v)) return;
-  ReduceOp& op = append_op(ReduceOpKind::retire_emitter);
-  op.e = v;
-  op.slot_e = static_cast<std::uint32_t>(slots()[v]);
-  free_slots()[free_count_++] = slots()[v];
+  const std::uint32_t slot = lane(slots(), v);
+  if (ReduceOp* op = record(ReduceOpKind::retire_emitter)) {
+    op->e = v;
+    op->slot_e = slot;
+  }
+  set_lane(free_slots(), free_count_++, slot);
   clear(emitter_mask(), v);
   --active_;
 }
 
-void ReductionState::remove_photon(Vertex p) {
+template <std::size_t kWords>
+void BasicReductionState<kWords>::remove_photon(Vertex p) {
   clear(photon_mask(), p);
   --photons_left_;
 }
 
-void ReductionState::swap_photon(Vertex p) {
+template <std::size_t kWords>
+void BasicReductionState<kWords>::swap_photon(Vertex p) {
   EPG_REQUIRE(can_swap(p), "illegal swap");
   const bool anchor = is_boundary(p);
   std::uint32_t slot;
   if (!anchor && free_count_ != 0) {
-    slot = static_cast<std::uint32_t>(free_slots()[--free_count_]);
+    slot = lane(free_slots(), --free_count_);
   } else {
     // Anchors always take a dedicated fresh slot: their forward emission
     // tail may be delayed by the scheduler and must not collide with a
     // reused slot.
     slot = slots_used_++;
   }
-  ReduceOp& op = append_op(ReduceOpKind::swap_photon);
-  op.p = p;
-  op.slot_p = slot;
-  op.anchor = anchor;
+  if (ReduceOp* op = record(ReduceOpKind::swap_photon)) {
+    op->p = p;
+    op->slot_p = slot;
+    op->anchor = anchor;
+  }
 
   remove_photon(p);
   set(emitter_mask(), p);
-  slots()[p] = slot;
+  set_lane(slots(), p, slot);
   ++active_;
   ++swaps_;
   maybe_retire(p);  // a degree-0 photon swaps into an instantly-free emitter
 }
 
-void ReductionState::absorb_leaf(Vertex e, Vertex p) {
+template <std::size_t kWords>
+void BasicReductionState<kWords>::absorb_leaf(Vertex e, Vertex p) {
   EPG_REQUIRE(can_absorb_leaf(e, p), "illegal absorb_leaf");
-  ReduceOp& op = append_op(ReduceOpKind::absorb_leaf);
-  op.p = p;
-  op.e = e;
-  op.slot_e = static_cast<std::uint32_t>(slots()[e]);
-  op.anchor = is_boundary(e);
+  if (ReduceOp* op = record(ReduceOpKind::absorb_leaf)) {
+    op->p = p;
+    op->e = e;
+    op->slot_e = lane(slots(), e);
+    op->anchor = is_boundary(e);
+  }
   remove_edge(e, p);
   remove_photon(p);
   maybe_retire(e);
 }
 
-void ReductionState::absorb_dangler(Vertex e, Vertex p) {
+template <std::size_t kWords>
+void BasicReductionState<kWords>::absorb_dangler(Vertex e, Vertex p) {
   EPG_REQUIRE(can_absorb_dangler(e, p), "illegal absorb_dangler");
-  ReduceOp& op = append_op(ReduceOpKind::absorb_dangler);
-  op.p = p;
-  op.e = e;
-  op.slot_e = static_cast<std::uint32_t>(slots()[e]);
-  op.anchor = is_boundary(p);  // stem-carrying emission: host window needed
-  if (op.anchor)
+  // A boundary photon's emission carries its stems: the host window.
+  const bool stem_carrier = is_boundary(p);
+  if (ReduceOp* op = record(ReduceOpKind::absorb_dangler)) {
+    op->p = p;
+    op->e = e;
+    op->slot_e = lane(slots(), e);
+    op->anchor = stem_carrier;
+  }
+  if (stem_carrier)
     last_dangler_key_ = static_cast<std::int64_t>(spec_->stem_key[p]);
   // e's only edge went to p: after removing it e is isolated, so e
   // inherits p's row as is and every neighbor u of p swaps its p bit for
   // an e bit.
   remove_edge(e, p);
   std::uint64_t* rp = row(p);
-  for_each_set_bit(rp, words_, [&](Vertex u) {
+  for_each_set_bit(rp, words(), [&](Vertex u) {
     clear(row(u), p);
     set(row(u), e);
   });
-  std::copy_n(rp, words_, row(e));
-  std::fill_n(rp, words_, 0);
+  std::copy_n(rp, words(), row(e));
+  std::fill_n(rp, words(), 0);
   remove_photon(p);
   maybe_retire(e);
 }
 
-void ReductionState::absorb_twin(Vertex e, Vertex p) {
+template <std::size_t kWords>
+void BasicReductionState<kWords>::absorb_twin(Vertex e, Vertex p) {
   EPG_REQUIRE(can_absorb_twin(e, p), "illegal absorb_twin");
-  ReduceOp& op = append_op(ReduceOpKind::absorb_twin);
-  op.p = p;
-  op.e = e;
-  op.slot_e = static_cast<std::uint32_t>(slots()[e]);
-  op.twin_adjacent = has_edge(e, p);
+  if (ReduceOp* op = record(ReduceOpKind::absorb_twin)) {
+    op->p = p;
+    op->e = e;
+    op->slot_e = lane(slots(), e);
+    op->twin_adjacent = has_edge(e, p);
+  }
   std::uint64_t* rp = row(p);
-  for_each_set_bit(rp, words_, [&](Vertex u) { clear(row(u), p); });
-  std::fill_n(rp, words_, 0);
+  for_each_set_bit(rp, words(), [&](Vertex u) { clear(row(u), p); });
+  std::fill_n(rp, words(), 0);
   remove_photon(p);
   maybe_retire(e);
 }
 
-void ReductionState::disconnect(Vertex e1, Vertex e2) {
+template <std::size_t kWords>
+void BasicReductionState<kWords>::disconnect(Vertex e1, Vertex e2) {
   EPG_REQUIRE(can_disconnect(e1, e2), "illegal disconnect");
-  ReduceOp& op = append_op(ReduceOpKind::disconnect);
-  op.e = e1;
-  op.p = e2;
-  op.slot_e = static_cast<std::uint32_t>(slots()[e1]);
-  op.slot_p = static_cast<std::uint32_t>(slots()[e2]);
+  if (ReduceOp* op = record(ReduceOpKind::disconnect)) {
+    op->e = e1;
+    op->p = e2;
+    op->slot_e = lane(slots(), e1);
+    op->slot_p = lane(slots(), e2);
+  }
   remove_edge(e1, e2);
   ++disconnects_;
   maybe_retire(e1);
   maybe_retire(e2);
 }
 
-void ReductionState::local_comp(Vertex v) {
+template <std::size_t kWords>
+void BasicReductionState<kWords>::local_comp(Vertex v) {
   EPG_REQUIRE(can_local_comp(v), "illegal local complementation");
-  ReduceOp& op = append_op(ReduceOpKind::local_comp);
-  op.p = v;
-  op.lc_on_emitter = is_emitter(v);
-  if (op.lc_on_emitter) op.lc_slot = static_cast<std::uint32_t>(slots()[v]);
   const std::uint64_t* nv = row(v);
-  for_each_set_bit(nv, words_, [&](Vertex u) {
-    if (is_emitter(u))
-      op.lc_emitter_neighbors.emplace_back(
-          u, static_cast<std::uint32_t>(slots()[u]));
-    else
-      op.lc_photon_neighbors.push_back(u);
-  });
+  if (ReduceOp* op = record(ReduceOpKind::local_comp)) {
+    op->p = v;
+    op->lc_on_emitter = is_emitter(v);
+    if (op->lc_on_emitter) op->lc_slot = lane(slots(), v);
+    for_each_set_bit(nv, words(), [&](Vertex u) {
+      if (is_emitter(u))
+        op->lc_emitter_neighbors.emplace_back(u, lane(slots(), u));
+      else
+        op->lc_photon_neighbors.push_back(u);
+    });
+  }
   // Complement N(v): each neighbor a toggles its edges to N(v) \ {a}. v's
   // own row is untouched (v is not in N(v)), so it can be read throughout.
-  for_each_set_bit(nv, words_, [&](Vertex a) {
+  for_each_set_bit(nv, words(), [&](Vertex a) {
     std::uint64_t* ra = row(a);
-    for (std::size_t w = 0; w < words_; ++w) ra[w] ^= nv[w];
+    for (std::size_t w = 0; w < words(); ++w) ra[w] ^= nv[w];
     ra[a >> 6] ^= 1ULL << (a & 63);  // undo the self toggle
   });
   ++lcs_;
 }
 
-void ReductionState::finalize() {
+template <std::size_t kWords>
+void BasicReductionState<kWords>::finalize() {
   EPG_REQUIRE(reduced(), "finalize requires a fully reduced state");
   for (Vertex v = 0; v < n_; ++v) {
     if (!is_emitter(v)) continue;
     EPG_CHECK(is_boundary(v), "only anchors survive reduction");
-    ReduceOp& op = append_op(ReduceOpKind::retire_emitter);
-    op.e = v;
-    op.slot_e = static_cast<std::uint32_t>(slots()[v]);
-    op.anchor = true;
+    if (ReduceOp* op = record(ReduceOpKind::retire_emitter)) {
+      op->e = v;
+      op->slot_e = lane(slots(), v);
+      op->anchor = true;
+    }
     clear(emitter_mask(), v);
     --active_;
   }
 }
 
-std::uint64_t ReductionState::state_hash() const {
-  std::uint64_t h = adjacency_fingerprint(n_, row(0), std::size_t{n_} * words_);
+template <std::size_t kWords>
+std::uint64_t BasicReductionState<kWords>::state_hash() const {
+  std::uint64_t h =
+      adjacency_fingerprint(n_, row(0), std::size_t{n_} * words());
   // role(v) per vertex, branch-free: photon 0, emitter 1, done 2.
   static_assert(static_cast<int>(Role::photon) == 0 &&
                 static_cast<int>(Role::emitter) == 1 &&
@@ -248,5 +242,8 @@ std::uint64_t ReductionState::state_hash() const {
     h = h * 0x100000001b3ULL ^ static_cast<std::uint64_t>(last_dangler_key_);
   return h;
 }
+
+template class BasicReductionState<0>;
+template class BasicReductionState<1>;
 
 }  // namespace epg

@@ -156,15 +156,22 @@ bool for_each_set_bit(const std::uint64_t* mask, std::size_t words, Fn&& fn) {
 ///
 /// The state is one flat word buffer plus a few scalars, so copying a
 /// state into a preallocated one of the same part is a single same-size
-/// buffer copy with no allocation. With n vertices and W = ceil(n/64)
-/// words per row, the buffer holds, in order:
+/// buffer copy with no allocation. With n vertices and W words per row,
+/// the buffer holds, in order:
 ///   masks       photon, emitter and boundary masks, W words each (a
 ///               vertex in neither of the first two is done),
 ///   adjacency   n rows of W words, laid out exactly like Graph's rows
 ///               (so state_hash can fingerprint them as a Graph would),
-///   slot        n words: the emitter slot of each emitter vertex,
-///   free slots  n words: the stack of retired, reusable slots.
-/// The part-size cap is a user setting, so nothing assumes W == 1.
+///   slot        the emitter slot of each emitter vertex, kSlotBits bits
+///               per vertex packed into words,
+///   free slots  the stack of retired, reusable slots, packed the same way.
+///
+/// The word count is a template parameter: `kWords` 1 serves every part of
+/// at most 64 vertices (every part at the default gmax) with the row loops
+/// fixed at one word and 8-bit slots; `kWords` 0 reads W = ceil(n/64) from
+/// the spec, for any size (the part-size cap is a user setting), with
+/// 32-bit slots. `ReductionState` is the run-time-width form; the search
+/// picks its instantiation once per level from the part's size.
 ///
 /// The spec is held by pointer, not copied: it is immutable during a
 /// reduction (boundary flags and stem keys never change), so every copy
@@ -172,37 +179,37 @@ bool for_each_set_bit(const std::uint64_t* mask, std::size_t words, Fn&& fn) {
 /// every copy made from it — true for the DFS (the spec frames the whole
 /// search) and for calibration replays.
 ///
-/// Op recording has two modes. By default each state owns its op list
-/// (`ops()`), preserving value semantics for callers that keep states
-/// around. The DFS instead calls `share_op_log()` on the root: all ops
-/// then live in one caller-owned path buffer and a state carries only its
-/// prefix length. The buffer holds the ops of the CURRENT search path;
-/// states on one root-to-leaf chain may coexist, while a sibling's appends
-/// overwrite the dead tail beyond its parent's prefix — exactly the
-/// lifetime discipline of a depth-first search. Each op is written in
-/// place into its log slot, so the LC neighbor lists of a slot keep their
-/// capacity from one overwrite to the next.
-class ReductionState {
+/// Ops are recorded only into a log handed over at construction; without
+/// one (the search's states) nothing is recorded. A copy writes into the
+/// same log as its original, so only states without a log are branched.
+/// The search keeps the move it took at each depth instead, and rebuilds a
+/// kept candidate's ops by replaying that path on a fresh, logged state.
+template <std::size_t kWords>
+class BasicReductionState {
+  static_assert(kWords <= 1, "rows are one word or chosen at run time");
+
  public:
-  ReductionState(const SubgraphSpec& spec, std::uint32_t ne_limit,
-                 DanglerPolicy policy = DanglerPolicy::free_form);
+  BasicReductionState(const SubgraphSpec& spec, std::uint32_t ne_limit,
+                      DanglerPolicy policy = DanglerPolicy::free_form,
+                      std::vector<ReduceOp>* log = nullptr);
   /// A temporary spec would dangle behind the stored pointer — callers
   /// must keep the spec alive for the state's whole lifetime.
-  ReductionState(SubgraphSpec&&, std::uint32_t,
-                 DanglerPolicy = DanglerPolicy::free_form) = delete;
+  BasicReductionState(SubgraphSpec&&, std::uint32_t,
+                      DanglerPolicy = DanglerPolicy::free_form,
+                      std::vector<ReduceOp>* = nullptr) = delete;
 
   /// The current graph, built on demand (calibration and tests; the
   /// search reads the rows below).
   Graph graph() const;
-  std::size_t words() const { return words_; }
+  std::size_t words() const { return kWords != 0 ? kWords : words_; }
   /// Bitset row of v's neighbors (words() words).
   const std::uint64_t* row(Vertex v) const {
-    return buf_.data() + (3 + std::size_t{v}) * words_;
+    return buf_.data() + (3 + std::size_t{v}) * words();
   }
   const std::uint64_t* photon_mask() const { return buf_.data(); }
-  const std::uint64_t* emitter_mask() const { return buf_.data() + words_; }
+  const std::uint64_t* emitter_mask() const { return buf_.data() + words(); }
   const std::uint64_t* boundary_mask() const {
-    return buf_.data() + 2 * words_;
+    return buf_.data() + 2 * words();
   }
   bool has_edge(Vertex u, Vertex v) const { return test(row(u), v); }
   std::size_t degree(Vertex v) const;
@@ -219,6 +226,8 @@ class ReductionState {
   bool is_boundary(Vertex v) const { return test(boundary_mask(), v); }
   std::uint32_t slot_of(Vertex v) const;
 
+  const SubgraphSpec& spec() const { return *spec_; }
+  DanglerPolicy policy() const { return policy_; }
   std::uint32_t ne_limit() const { return ne_limit_; }
   std::uint32_t active_emitters() const { return active_; }
   std::uint32_t slots_used() const { return slots_used_; }
@@ -247,8 +256,8 @@ class ReductionState {
            !isolated(v) && sole_neighbor(v) == Graph::kNoVertex;
   }
 
-  // Mutations (require the corresponding can_*; record ops and auto-retire
-  // emitters that become isolated).
+  // Mutations (require the corresponding can_*; record ops into the log,
+  // if any, and auto-retire emitters that become isolated).
   void swap_photon(Vertex p);
   void absorb_leaf(Vertex e, Vertex p);
   void absorb_dangler(Vertex e, Vertex p);
@@ -256,19 +265,8 @@ class ReductionState {
   void disconnect(Vertex e1, Vertex e2);
   void local_comp(Vertex v);
 
-  /// Retire the anchors once reduced(); afterwards the op list is complete.
+  /// Retire the anchors once reduced(); afterwards the log is complete.
   void finalize();
-
-  /// Own-mode op list (the default). Invalid after share_op_log().
-  const std::vector<ReduceOp>& ops() const;
-  /// The recorded ops as a fresh vector; works in both recording modes.
-  std::vector<ReduceOp> ops_copy() const;
-
-  /// Switch to shared op recording: this state's ops (must currently be
-  /// empty) and those of every copy land in `sink`, each state keeping
-  /// only its prefix length. `sink` must outlive all such states; see the
-  /// class comment for the DFS lifetime discipline this assumes.
-  void share_op_log(std::vector<ReduceOp>& sink);
 
   // Search bookkeeping.
   std::uint32_t disconnect_count() const { return disconnects_; }
@@ -280,6 +278,12 @@ class ReductionState {
   std::uint64_t state_hash() const;
 
  private:
+  /// Bits per packed slot: slots count up to n, and one-word parts have
+  /// n <= 64.
+  static constexpr unsigned kSlotBits = kWords == 1 ? 8 : 32;
+  static constexpr unsigned kSlotsPerWord = 64 / kSlotBits;
+  static constexpr std::uint64_t kSlotMask = (1ULL << kSlotBits) - 1;
+
   static bool test(const std::uint64_t* mask, Vertex v) {
     return (mask[v >> 6] >> (v & 63)) & 1ULL;
   }
@@ -289,14 +293,27 @@ class ReductionState {
   static void clear(std::uint64_t* mask, Vertex v) {
     mask[v >> 6] &= ~(1ULL << (v & 63));
   }
-  std::uint64_t* row(Vertex v) { return buf_.data() + (3 + std::size_t{v}) * words_; }
-  std::uint64_t* photon_mask() { return buf_.data(); }
-  std::uint64_t* emitter_mask() { return buf_.data() + words_; }
-  std::uint64_t* slots() { return buf_.data() + (n_ + 3) * std::size_t{words_}; }
-  const std::uint64_t* slots() const {
-    return buf_.data() + (n_ + 3) * std::size_t{words_};
+  static std::uint32_t lane(const std::uint64_t* lanes, std::uint32_t i) {
+    return static_cast<std::uint32_t>(
+        (lanes[i / kSlotsPerWord] >> (i % kSlotsPerWord * kSlotBits)) &
+        kSlotMask);
   }
-  std::uint64_t* free_slots() { return slots() + n_; }
+  static void set_lane(std::uint64_t* lanes, std::uint32_t i,
+                       std::uint32_t value) {
+    const unsigned shift = i % kSlotsPerWord * kSlotBits;
+    std::uint64_t& w = lanes[i / kSlotsPerWord];
+    w = (w & ~(kSlotMask << shift)) | (std::uint64_t{value} << shift);
+  }
+  std::uint64_t* row(Vertex v) {
+    return buf_.data() + (3 + std::size_t{v}) * words();
+  }
+  std::uint64_t* photon_mask() { return buf_.data(); }
+  std::uint64_t* emitter_mask() { return buf_.data() + words(); }
+  const std::uint64_t* slots() const {
+    return buf_.data() + (n_ + 3) * words();
+  }
+  std::uint64_t* slots() { return buf_.data() + (n_ + 3) * words(); }
+  std::uint64_t* free_slots() { return slots() + slot_words_; }
   bool is_photon(Vertex v) const { return test(photon_mask(), v); }
   bool is_emitter(Vertex v) const { return test(emitter_mask(), v); }
   void remove_edge(Vertex u, Vertex v) {
@@ -309,7 +326,8 @@ class ReductionState {
   // 32-bit sizes: a uint64_t buffer store cannot alias them, so the
   // compiler keeps them in registers across mutations.
   std::uint32_t n_ = 0;
-  std::uint32_t words_ = 0;
+  std::uint32_t words_ = 0;       ///< W (read through words())
+  std::uint32_t slot_words_ = 0;  ///< words of each packed slot array
   std::vector<std::uint64_t> buf_;  ///< see the class comment
   std::uint32_t ne_limit_ = 0;
   DanglerPolicy policy_;
@@ -322,31 +340,42 @@ class ReductionState {
   std::uint32_t free_count_ = 0;  ///< depth of the free-slot stack
   std::uint32_t photons_left_ = 0;
   std::uint32_t disconnects_ = 0, swaps_ = 0, lcs_ = 0;
-  std::vector<ReduceOp> ops_own_;          ///< own recording mode
-  std::vector<ReduceOp>* ops_sink_ = nullptr;  ///< shared mode when set
-  std::uint32_t ops_len_ = 0;              ///< prefix length in *ops_sink_
+  std::vector<ReduceOp>* log_ = nullptr;  ///< not owned; may be null
 
-  /// The next op slot, reset to a default op of `kind` (its LC lists
-  /// cleared, their capacity kept); valid until the next append.
-  ReduceOp& append_op(ReduceOpKind kind);
+  /// A new op of `kind` appended to the log, or null without a log.
+  ReduceOp* record(ReduceOpKind kind) {
+    if (log_ == nullptr) return nullptr;
+    ReduceOp& op = log_->emplace_back();
+    op.kind = kind;
+    return &op;
+  }
   void maybe_retire(Vertex v);
   void remove_photon(Vertex p);
 };
 
+/// The run-time-width state: any part size (tests, calibration, replays
+/// and the search on parts wider than 64 vertices).
+using ReductionState = BasicReductionState<0>;
+
+extern template class BasicReductionState<0>;
+extern template class BasicReductionState<1>;
+
 // ---- inline hot path: the search calls these once per candidate move ----
 
-inline std::size_t ReductionState::degree(Vertex v) const {
+template <std::size_t kWords>
+inline std::size_t BasicReductionState<kWords>::degree(Vertex v) const {
   const std::uint64_t* r = row(v);
   std::size_t d = 0;
-  for (std::size_t w = 0; w < words_; ++w)
+  for (std::size_t w = 0; w < words(); ++w)
     d += static_cast<std::size_t>(std::popcount(r[w]));
   return d;
 }
 
-inline Vertex ReductionState::sole_neighbor(Vertex v) const {
+template <std::size_t kWords>
+inline Vertex BasicReductionState<kWords>::sole_neighbor(Vertex v) const {
   const std::uint64_t* r = row(v);
   Vertex found = Graph::kNoVertex;
-  for (std::size_t w = 0; w < words_; ++w) {
+  for (std::size_t w = 0; w < words(); ++w) {
     const std::uint64_t x = r[w];
     if (x == 0) continue;
     if ((x & (x - 1)) != 0 || found != Graph::kNoVertex)
@@ -357,9 +386,10 @@ inline Vertex ReductionState::sole_neighbor(Vertex v) const {
   return found;
 }
 
-inline bool ReductionState::isolated(Vertex v) const {
+template <std::size_t kWords>
+inline bool BasicReductionState<kWords>::isolated(Vertex v) const {
   const std::uint64_t* r = row(v);
-  for (std::size_t w = 0; w < words_; ++w)
+  for (std::size_t w = 0; w < words(); ++w)
     if (r[w] != 0) return false;
   return true;
 }
@@ -370,14 +400,18 @@ inline bool ReductionState::isolated(Vertex v) const {
 // of its internal operations — i.e. places stem CZs after all internal
 // anchor gates in the forward circuit.
 
-inline bool ReductionState::can_absorb_leaf(Vertex e, Vertex p) const {
+template <std::size_t kWords>
+inline bool BasicReductionState<kWords>::can_absorb_leaf(Vertex e,
+                                                         Vertex p) const {
   // (b): p's single neighborhood edge goes to e. Boundary photons must keep
   // their identity until their swap.
   return is_emitter(e) && is_photon(p) && !is_boundary(p) &&
          sole_neighbor(p) == e;
 }
 
-inline bool ReductionState::can_absorb_dangler(Vertex e, Vertex p) const {
+template <std::size_t kWords>
+inline bool BasicReductionState<kWords>::can_absorb_dangler(Vertex e,
+                                                            Vertex p) const {
   // (c): e inherits p's edges. Unlike leaf/twin absorption, the forward
   // emission hands the host's *entire* neighborhood to the photon, so a
   // boundary photon may leave this way too: its stem CZs are applied to the
@@ -398,12 +432,14 @@ inline bool ReductionState::can_absorb_dangler(Vertex e, Vertex p) const {
   return sole_neighbor(e) == p;
 }
 
-inline bool ReductionState::can_absorb_twin(Vertex e, Vertex p) const {
+template <std::size_t kWords>
+inline bool BasicReductionState<kWords>::can_absorb_twin(Vertex e,
+                                                         Vertex p) const {
   // (d): same neighborhood modulo each other: N(e)\{p} == N(p)\{e}.
   if (!is_emitter(e) || !is_photon(p) || is_boundary(p)) return false;
   const std::uint64_t* re = row(e);
   const std::uint64_t* rp = row(p);
-  for (std::size_t w = 0; w < words_; ++w) {
+  for (std::size_t w = 0; w < words(); ++w) {
     std::uint64_t a = re[w];
     std::uint64_t b = rp[w];
     if (w == p / 64) a &= ~(1ULL << (p % 64));

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <type_traits>
 
 #include "circuit/simulate.hpp"
 #include "circuit/timing.hpp"
@@ -132,21 +134,49 @@ class FlatMemo {
   std::uint32_t zero_cost_ = 0;
 };
 
-/// Per-depth scratch: one reusable ReductionState per DFS level, so a child
-/// is produced by copy-*assignment* into the state left at this depth by
-/// the previous candidate — one same-size buffer copy, no allocation.
+/// One search move: a mutation and its operands. `a` is the emitter of an
+/// absorption or the first emitter of a disconnect, else the photon or LC
+/// vertex; `b` is the absorbed photon or the second emitter.
+struct Move {
+  ReduceOpKind kind = ReduceOpKind::swap_photon;
+  Vertex a = 0;
+  Vertex b = 0;
+};
+
+template <class State>
+void apply(State& s, const Move& m) {
+  switch (m.kind) {
+    case ReduceOpKind::swap_photon: s.swap_photon(m.a); break;
+    case ReduceOpKind::absorb_leaf: s.absorb_leaf(m.a, m.b); break;
+    case ReduceOpKind::absorb_dangler: s.absorb_dangler(m.a, m.b); break;
+    case ReduceOpKind::absorb_twin: s.absorb_twin(m.a, m.b); break;
+    case ReduceOpKind::disconnect: s.disconnect(m.a, m.b); break;
+    case ReduceOpKind::local_comp: s.local_comp(m.a); break;
+    case ReduceOpKind::retire_emitter:
+      EPG_CHECK(false, "retirement is not a search move");
+  }
+}
+
+/// Per-depth scratch: one reusable state per DFS level, so a child is
+/// produced by copy-*assignment* into the state left at this depth by the
+/// previous candidate — one same-size buffer copy, no allocation.
 /// unique_ptr keeps the states address-stable while the arena vector grows
 /// under live references held by outer frames.
+template <class State>
 struct DepthScratch {
-  ReductionState state;
+  State state;
+  /// The move from this depth's node to the child being searched; moves
+  /// at depths 0..d-1 are the path to the current node at depth d.
+  Move move;
   /// Live photons in swap-move order, each packed as
   /// (degree << 32) | (2^32 - 1 - vertex): descending keys order photons by
   /// degree, high first, then by vertex, low first.
   std::vector<std::uint64_t> swap_order;
 
-  explicit DepthScratch(const ReductionState& proto) : state(proto) {}
+  explicit DepthScratch(const State& proto) : state(proto) {}
 };
 
+template <class State>
 struct SearchContext {
   const SubgraphCompileConfig* cfg = nullptr;
   Stopwatch clock;
@@ -157,23 +187,21 @@ struct SearchContext {
   /// Large-part mode: unwind as soon as one reduction is recorded.
   bool stop_at_first = false;
   std::uint64_t best_cost = ~0ULL;
+  /// `nodes` when best_cost last fell; 0 while it never did.
+  std::size_t last_change_node = 0;
   std::vector<std::vector<ReduceOp>> candidates;
   FlatMemo memo;
   std::size_t memo_peak = 0;
-  std::vector<std::unique_ptr<DepthScratch>> arena;
-  /// Shared DFS op log (see ReductionState::share_op_log): all states of
-  /// this search append into one buffer, so copying a state costs one
-  /// integer instead of O(depth) ReduceOps.
-  std::vector<ReduceOp> path;
+  std::vector<std::unique_ptr<DepthScratch<State>>> arena;
 
   void init(const SubgraphCompileConfig& config) {
     cfg = &config;
     memo.reset(config.memo_cap);
   }
 
-  DepthScratch& scratch(std::size_t depth, const ReductionState& proto) {
+  DepthScratch<State>& scratch(std::size_t depth, const State& proto) {
     while (arena.size() <= depth)
-      arena.push_back(std::make_unique<DepthScratch>(proto));
+      arena.push_back(std::make_unique<DepthScratch<State>>(proto));
     return *arena[depth];
   }
 
@@ -189,37 +217,45 @@ struct SearchContext {
 /// Cheapest reduction sequences a search keeps for the T_loss selection.
 constexpr std::size_t kKeepCandidates = 6;
 
-/// Finalizes `state` (a scratch copy of the reduced node) and keeps its
-/// ops when it ties or beats the incumbent.
-void record_solution(SearchContext& ctx, ReductionState& state) {
-  state.finalize();
+/// Keeps the reduced node `state` at `depth` when it ties or beats the
+/// incumbent: its ops come from replaying the moves that led to it on a
+/// fresh state that logs them.
+template <class State>
+void record_solution(SearchContext<State>& ctx, const State& state,
+                     std::size_t depth) {
   const std::uint64_t cost =
       pack_cost(state.disconnect_count(), state.swap_count());
   if (cost < ctx.best_cost) {
     ctx.best_cost = cost;
+    ctx.last_change_node = ctx.nodes;
     ctx.candidates.clear();
   }
-  if (cost == ctx.best_cost && ctx.candidates.size() < kKeepCandidates)
-    ctx.candidates.push_back(state.ops_copy());
+  if (cost == ctx.best_cost && ctx.candidates.size() < kKeepCandidates) {
+    std::vector<ReduceOp>& ops = ctx.candidates.emplace_back();
+    ReductionState replay(state.spec(), state.ne_limit(), state.policy(),
+                          &ops);
+    for (std::size_t d = 0; d < depth; ++d) apply(replay, ctx.arena[d]->move);
+    replay.finalize();
+  }
   if (ctx.stop_at_first) ctx.out_of_budget = true;
 }
 
-void dfs(SearchContext& ctx, const ReductionState& state, std::size_t depth) {
+template <class State>
+void dfs(SearchContext<State>& ctx, const State& state, std::size_t depth) {
   if (ctx.budget_exhausted()) return;
   ++ctx.nodes;
 
   const std::uint64_t cost =
       pack_cost(state.disconnect_count(), state.swap_count());
   if (cost > ctx.best_cost) return;
-  DepthScratch& sc = ctx.scratch(depth, state);
-  ReductionState& next = sc.state;
   if (state.reduced()) {
-    next = state;
-    record_solution(ctx, next);
+    record_solution(ctx, state, depth);
     return;
   }
   if (!ctx.memo.should_visit(state.state_hash(), cost)) return;
   ctx.memo_peak = std::max(ctx.memo_peak, ctx.memo.size());
+  DepthScratch<State>& sc = ctx.scratch(depth, state);
+  State& next = sc.state;
 
   const std::size_t words = state.words();
   // The state is const while moves are generated, so its role masks stay
@@ -248,12 +284,14 @@ void dfs(SearchContext& ctx, const ReductionState& state, std::size_t depth) {
   // A child that costs more than the incumbent would only count itself and
   // return (the top of dfs), so it is counted the same way without being
   // built.
-  const auto visit = [&](std::uint64_t child_cost, auto&& move) {
+  const auto visit = [&](std::uint64_t child_cost, ReduceOpKind kind,
+                         Vertex a, Vertex b = 0) {
     if (child_cost > ctx.best_cost) {
       if (!ctx.budget_exhausted()) ++ctx.nodes;
     } else {
+      sc.move = {kind, a, b};
       next = state;
-      move(next);
+      apply(next, sc.move);
       dfs(ctx, next, depth + 1);
     }
     return !ctx.budget_exhausted();
@@ -269,14 +307,14 @@ void dfs(SearchContext& ctx, const ReductionState& state, std::size_t depth) {
   if (!for_each_in(inner_photons, [&](Vertex p) {
         const Vertex e = state.sole_neighbor(p);
         if (e == Graph::kNoVertex || !state.can_absorb_leaf(e, p)) return true;
-        return visit(cost, [&](ReductionState& s) { s.absorb_leaf(e, p); });
+        return visit(cost, ReduceOpKind::absorb_leaf, e, p);
       }))
     return;
   // 2) absorb_twin
   if (!for_each_set_bit(emitters, words, [&](Vertex e) {
         return for_each_in(inner_photons, [&](Vertex p) {
           if (!state.can_absorb_twin(e, p)) return true;
-          return visit(cost, [&](ReductionState& s) { s.absorb_twin(e, p); });
+          return visit(cost, ReduceOpKind::absorb_twin, e, p);
         });
       }))
     return;
@@ -285,8 +323,7 @@ void dfs(SearchContext& ctx, const ReductionState& state, std::size_t depth) {
         const Vertex p = state.sole_neighbor(e);
         if (p == Graph::kNoVertex || !state.can_absorb_dangler(e, p))
           return true;
-        return visit(cost,
-                     [&](ReductionState& s) { s.absorb_dangler(e, p); });
+        return visit(cost, ReduceOpKind::absorb_dangler, e, p);
       }))
     return;
   // 4) swaps, high-degree photons first (hubs become emitters so their
@@ -305,8 +342,7 @@ void dfs(SearchContext& ctx, const ReductionState& state, std::size_t depth) {
     });
     for (const std::uint64_t key : order) {
       const auto p = static_cast<Vertex>(~key & 0xffffffffULL);
-      if (!visit(swap_cost, [&](ReductionState& s) { s.swap_photon(p); }))
-        return;
+      if (!visit(swap_cost, ReduceOpKind::swap_photon, p)) return;
     }
   }
   // 5) local complementation (bounded) at live vertices.
@@ -317,7 +353,7 @@ void dfs(SearchContext& ctx, const ReductionState& state, std::size_t depth) {
           },
           [&](Vertex v) {
             if (!state.can_local_comp(v)) return true;
-            return visit(cost, [&](ReductionState& s) { s.local_comp(v); });
+            return visit(cost, ReduceOpKind::local_comp, v);
           }))
     return;
   // 6) disconnects over emitter neighbors, each pair once (e1 < e2).
@@ -326,8 +362,7 @@ void dfs(SearchContext& ctx, const ReductionState& state, std::size_t depth) {
     return for_each_in([&](std::size_t w) { return r[w] & emitters[w]; },
                        [&](Vertex e2) {
       if (e2 < e1 || !state.can_disconnect(e1, e2)) return true;
-      return visit(disconnect_cost,
-                   [&](ReductionState& s) { s.disconnect(e1, e2); });
+      return visit(disconnect_cost, ReduceOpKind::disconnect, e1, e2);
     });
   });
 }
@@ -478,6 +513,14 @@ std::string_view policy_name(DanglerPolicy policy) {
     case DanglerPolicy::anchors_only: return "anchors_only";
   }
   return "";
+}
+
+/// Trace label of a search cost: "disconnects/swaps", or "none" before
+/// any reduction is found.
+std::string cost_label(std::uint64_t cost) {
+  if (cost == ~0ULL) return "none";
+  return std::to_string(cost >> 32) + "/" +
+         std::to_string(cost & 0xffffffffULL);
 }
 
 }  // namespace
@@ -646,27 +689,41 @@ SubgraphLevelResult compile_subgraph_level(const SubgraphSpec& spec,
     lc_free.time_budget_ms = cfg.time_budget_ms / 4;
   }
   std::uint64_t best_cost = ~0ULL;
+  std::size_t last_change_node = 0;
   std::vector<std::vector<ReduceOp>> candidates;
-  const auto search = [&](const SubgraphCompileConfig& config,
+  // Runs one search from `root`, seeded with the incumbent, and returns
+  // its node count at its last strict improvement (0 for none).
+  const auto search = [&](const auto& root, const SubgraphCompileConfig& config,
                           bool stop_at_first) {
-    SearchContext ctx;
+    SearchContext<std::remove_cvref_t<decltype(root)>> ctx;
     ctx.init(config);
     ctx.stop_at_first = stop_at_first;
     ctx.best_cost = best_cost;
     ctx.candidates = std::move(candidates);
-    ReductionState root(spec, ne, cfg.dangler);
-    root.share_op_log(ctx.path);
     dfs(ctx, root, 0);
     result.nodes_explored += ctx.nodes;
     result.memo_peak = std::max(result.memo_peak, ctx.memo_peak);
     result.exhausted = ctx.budget_hit;
     best_cost = ctx.best_cost;
     candidates = std::move(ctx.candidates);
+    return ctx.last_change_node;
   };
-  search(lc_free, large);
-  if (cfg.max_lc_ops > 0 && !large) search(cfg, false);
+  // The row width is fixed once per level: one word serves every part of
+  // at most 64 vertices.
+  const auto both_searches = [&](const auto& root) {
+    search(root, lc_free, large);
+    span.arg("warmup_cost", cost_label(best_cost));
+    if (cfg.max_lc_ops > 0 && !large)
+      last_change_node = search(root, cfg, false);
+  };
+  if (spec.graph.words_per_row() == 1)
+    both_searches(BasicReductionState<1>(spec, ne, cfg.dangler));
+  else
+    both_searches(ReductionState(spec, ne, cfg.dangler));
   span.arg("nodes", static_cast<std::uint64_t>(result.nodes_explored));
   span.arg("exhausted", std::uint64_t{result.exhausted ? 1u : 0u});
+  span.arg("cost", cost_label(best_cost));
+  span.arg("last_change_node", std::uint64_t{last_change_node});
   if (candidates.empty()) return result;
 
   result.success = true;

@@ -6,7 +6,10 @@
 // low-degree photons first, swap high-degree hubs into emitters). Up to six
 // cheapest sequences are kept, each synthesized into a forward circuit,
 // and the one with the smallest average photon-loss duration (T_loss)
-// wins — the paper's two-stage selection.
+// wins — the paper's two-stage selection. The search records moves, not
+// ops: each kept sequence's ops come from replaying its move path on a
+// fresh, logged ReductionState. Parts of at most 64 vertices search on
+// one-word rows (BasicReductionState<1>), wider parts on ReductionState.
 //
 // Synthesis replays the reverse sequence on a tableau and *calibrates* the
 // residual local Cliffords of each absorption against the expected reduced
@@ -101,7 +104,8 @@ SubgraphCompileResult compile_subgraph(const SubgraphSpec& spec,
 /// branch-and-bound at exactly `ne` emitters, then synthesis (and, with
 /// cfg.verify, the tableau check) of the winner. A pure function of
 /// (spec, cfg, ne) that never reads cfg.ne_limit. Traced as one
-/// `level_search` span (args: ne, policy, nodes, exhausted).
+/// `level_search` span (args: ne, policy, nodes, exhausted, warmup_cost,
+/// cost, last_change_node; see docs/observability.md).
 struct SubgraphLevelResult {
   bool success = false;
   SubgraphCircuit best;

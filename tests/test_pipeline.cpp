@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/compile_spec.hpp"
+#include "common/json_value.hpp"
 #include "graph/generators.hpp"
 #include "graph/local_complement.hpp"
 #include "io/graph_io.hpp"
@@ -94,6 +95,7 @@ TEST(Pipeline, WorkCountersEqualAcrossInnerThreadCounts) {
   // level_searches / exhausted_searches count part-memo entries, not lane
   // computations, so lanes racing to search one level cannot move them.
   std::size_t exhausted = 0;
+  std::size_t improved = 0;  // levels whose full search beat the warmup
   for (int which = 0; which < 3; ++which) {
     const Graph g = test_instance(which);
     FrameworkConfig cfg = pipeline_config();
@@ -114,6 +116,32 @@ TEST(Pipeline, WorkCountersEqualAcrossInnerThreadCounts) {
                   events.begin(), events.end(),
                   [](const TraceEvent& e) { return e.name == "level_search"; })),
               serial.level_searches);
+    // Each level reports its cost after the LC-free warmup and at the end;
+    // the full search's node count at its last strict improvement is 0
+    // exactly when the warmup's cost stood.
+    for (const TraceEvent& e : events) {
+      if (e.name != "level_search") continue;
+      const JsonValue args = JsonValue::parse("{" + e.args_json + "}");
+      const std::string warmup = args.get_string("warmup_cost", "");
+      const std::string cost = args.get_string("cost", "");
+      const std::uint64_t last_change = args.get_u64("last_change_node", ~0ULL);
+      ASSERT_FALSE(warmup.empty()) << e.args_json;
+      ASSERT_FALSE(cost.empty()) << e.args_json;
+      EXPECT_LE(last_change, args.get_u64("nodes", 0)) << e.args_json;
+      EXPECT_EQ(last_change == 0, cost == warmup) << e.args_json;
+      if (cost != warmup) {
+        improved += 1;
+        if (warmup != "none") {
+          // "disconnects/swaps" compares lexicographically as numbers.
+          const auto parse = [](const std::string& c) {
+            const std::size_t slash = c.find('/');
+            return std::pair{std::stoul(c.substr(0, slash)),
+                             std::stoul(c.substr(slash + 1))};
+          };
+          EXPECT_LT(parse(cost), parse(warmup)) << e.args_json;
+        }
+      }
+    }
     cfg.inner_threads = 3;
     const FrameworkResult pooled = compile_framework(g, cfg);
     EXPECT_EQ(pooled.level_searches, serial.level_searches) << which;
@@ -121,6 +149,7 @@ TEST(Pipeline, WorkCountersEqualAcrossInnerThreadCounts) {
     EXPECT_EQ(pooled.subgraph_nodes, serial.subgraph_nodes) << which;
   }
   EXPECT_GT(exhausted, 0u);
+  EXPECT_GT(improved, 0u);
 
   // A cold_paper graph (servebench seed 101) at its spec, lc 4. Its
   // partition has a 1-vertex part, whose variant walks end at level 2

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
 
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
@@ -90,7 +91,8 @@ TEST(Reduction, DisconnectCostsTracked) {
 TEST(Reduction, AutoRetireFreesSlotForReuse) {
   const SubgraphSpec st_spec((make_linear_cluster(3)));
 
-  ReductionState st(st_spec, 1);
+  std::vector<ReduceOp> log;
+  ReductionState st(st_spec, 1, DanglerPolicy::free_form, &log);
   st.swap_photon(2);
   st.absorb_dangler(2, 1);
   st.absorb_leaf(2, 0);  // emitter isolates -> auto retire
@@ -98,8 +100,8 @@ TEST(Reduction, AutoRetireFreesSlotForReuse) {
   EXPECT_TRUE(st.reduced());
   EXPECT_EQ(st.slots_used(), 1u);
   // Ops: swap, dangler, leaf, retire.
-  ASSERT_EQ(st.ops().size(), 4u);
-  EXPECT_EQ(st.ops().back().kind, ReduceOpKind::retire_emitter);
+  ASSERT_EQ(log.size(), 4u);
+  EXPECT_EQ(log.back().kind, ReduceOpKind::retire_emitter);
 }
 
 TEST(Reduction, BoundaryPhotonExitRules) {
@@ -108,7 +110,8 @@ TEST(Reduction, BoundaryPhotonExitRules) {
   // ride); they may leave via swap (dedicated anchor) or, when enabled,
   // via absorb_dangler (stem CZs ride on the host's pre-emission window).
   SubgraphSpec spec(make_linear_cluster(2), {true, false});
-  ReductionState st(spec, 2);
+  std::vector<ReduceOp> log;
+  ReductionState st(spec, 2, DanglerPolicy::free_form, &log);
   st.swap_photon(1);
   EXPECT_FALSE(st.can_absorb_leaf(1, 0));    // 0 is boundary
   EXPECT_TRUE(st.can_absorb_dangler(1, 0));  // dangler transfer carries stems
@@ -120,7 +123,7 @@ TEST(Reduction, BoundaryPhotonExitRules) {
   EXPECT_TRUE(st.reduced());
   st.finalize();
   EXPECT_EQ(st.role(0), Role::done);
-  EXPECT_TRUE(st.ops().back().anchor);
+  EXPECT_TRUE(log.back().anchor);
 }
 
 TEST(Reduction, BoundaryDanglerCanBeDisabled) {
@@ -169,16 +172,17 @@ TEST(Reduction, MultiStemBoundaryMustSwapUnderKeyOrder) {
 
 TEST(Reduction, BoundaryDanglerRecordsStemCarrier) {
   SubgraphSpec spec(make_linear_cluster(3), {true, false, false});
-  ReductionState st(spec, 2);
+  std::vector<ReduceOp> log;
+  ReductionState st(spec, 2, DanglerPolicy::free_form, &log);
   st.swap_photon(2);
   st.absorb_dangler(2, 1);  // plain absorb: not a stem carrier
-  EXPECT_FALSE(st.ops().back().anchor);
-  const std::size_t idx = st.ops().size();
+  EXPECT_FALSE(log.back().anchor);
+  const std::size_t idx = log.size();
   st.absorb_dangler(2, 0);  // boundary photon: op marked as stem-carrying
-  EXPECT_EQ(st.ops()[idx].kind, ReduceOpKind::absorb_dangler);
-  EXPECT_TRUE(st.ops()[idx].anchor);
+  EXPECT_EQ(log[idx].kind, ReduceOpKind::absorb_dangler);
+  EXPECT_TRUE(log[idx].anchor);
   // The host became isolated and auto-retired right after the absorb.
-  EXPECT_EQ(st.ops().back().kind, ReduceOpKind::retire_emitter);
+  EXPECT_EQ(log.back().kind, ReduceOpKind::retire_emitter);
   EXPECT_TRUE(st.reduced());
 }
 
@@ -204,13 +208,14 @@ TEST(Reduction, AnchorsUseDedicatedSlots) {
 
 TEST(Reduction, LocalComplementRules) {
   SubgraphSpec spec(make_ring(4), {true, false, false, false});
-  ReductionState st(spec, 2);
+  std::vector<ReduceOp> log;
+  ReductionState st(spec, 2, DanglerPolicy::free_form, &log);
   EXPECT_FALSE(st.can_local_comp(0));  // boundary
   EXPECT_TRUE(st.can_local_comp(1));
   st.local_comp(1);
   EXPECT_TRUE(st.graph().has_edge(0, 2));  // chord added
   EXPECT_EQ(st.lc_count(), 1u);
-  const ReduceOp& op = st.ops().back();
+  const ReduceOp& op = log.back();
   EXPECT_EQ(op.kind, ReduceOpKind::local_comp);
   EXPECT_EQ(op.lc_photon_neighbors.size(), 2u);  // 0 and 2 are photons
 }
@@ -359,7 +364,8 @@ struct Reference {
   }
 };
 
-void expect_matches(const ReductionState& st, const Reference& ref) {
+template <class State>
+void expect_matches(const State& st, const Reference& ref) {
   ASSERT_TRUE(st.graph() == ref.g);
   std::size_t photons = 0;
   for (Vertex v = 0; v < ref.g.vertex_count(); ++v) {
@@ -385,8 +391,8 @@ struct Candidate {
 
 /// Every move legal in `st`, with each legality check compared against
 /// the reference.
-std::vector<Candidate> legal_moves(const ReductionState& st,
-                                   const Reference& ref) {
+template <class State>
+std::vector<Candidate> legal_moves(const State& st, const Reference& ref) {
   std::vector<Candidate> legal;
   const auto n = static_cast<Vertex>(ref.g.vertex_count());
   for (Vertex a = 0; a < n; ++a) {
@@ -412,21 +418,35 @@ std::vector<Candidate> legal_moves(const ReductionState& st,
   return legal;
 }
 
-void apply(const Candidate& c, ReductionState& st, Reference& ref) {
+template <class State>
+void apply(const Candidate& c, State& st) {
   switch (c.move) {
-    case Move::swap: st.swap_photon(c.a); ref.swap(c.a); break;
-    case Move::leaf: st.absorb_leaf(c.a, c.b); ref.leaf(c.a, c.b); break;
-    case Move::dangler:
-      st.absorb_dangler(c.a, c.b);
-      ref.dangler(c.a, c.b);
-      break;
-    case Move::twin: st.absorb_twin(c.a, c.b); ref.twin(c.a, c.b); break;
-    case Move::disconnect:
-      st.disconnect(c.a, c.b);
-      ref.disconnect(c.a, c.b);
-      break;
-    case Move::lc: st.local_comp(c.a); ref.lc(c.a); break;
+    case Move::swap: st.swap_photon(c.a); break;
+    case Move::leaf: st.absorb_leaf(c.a, c.b); break;
+    case Move::dangler: st.absorb_dangler(c.a, c.b); break;
+    case Move::twin: st.absorb_twin(c.a, c.b); break;
+    case Move::disconnect: st.disconnect(c.a, c.b); break;
+    case Move::lc: st.local_comp(c.a); break;
   }
+}
+
+void apply(const Candidate& c, Reference& ref) {
+  switch (c.move) {
+    case Move::swap: ref.swap(c.a); break;
+    case Move::leaf: ref.leaf(c.a, c.b); break;
+    case Move::dangler: ref.dangler(c.a, c.b); break;
+    case Move::twin: ref.twin(c.a, c.b); break;
+    case Move::disconnect: ref.disconnect(c.a, c.b); break;
+    case Move::lc: ref.lc(c.a); break;
+  }
+}
+
+/// Mutates a copy of `st` and assigns it back: the search's copy path.
+template <class State>
+void apply_via_copy(const Candidate& c, State& st) {
+  State next = st;
+  apply(c, next);
+  st = next;
 }
 
 TEST(Reduction, RandomMovesMatchGraphReference) {
@@ -458,20 +478,26 @@ TEST(Reduction, RandomMovesMatchGraphReference) {
         SCOPED_TRACE("n=" + std::to_string(shape.n) + " spec " +
                      std::to_string(s) + " policy " +
                      std::to_string(static_cast<int>(policy)));
-        ReductionState st(spec, ne, policy);
         std::vector<ReduceOp> log;
-        if (rng.chance(0.5)) st.share_op_log(log);
+        ReductionState st(spec, ne, policy,
+                          rng.chance(0.5) ? &log : nullptr);
+        // Parts of at most 64 vertices also run the one-word state.
+        std::optional<BasicReductionState<1>> narrow;
+        if (shape.n <= 64) narrow.emplace(spec, ne, policy);
         Reference ref(spec, ne, policy);
         expect_matches(st, ref);
+        if (narrow) expect_matches(*narrow, ref);
         if (HasFatalFailure()) return;
         for (std::size_t m = 0; m < shape.max_moves && !st.reduced(); ++m) {
           const std::vector<Candidate> legal = legal_moves(st, ref);
+          if (narrow) legal_moves(*narrow, ref);
           if (HasFailure() || legal.empty()) break;
-          // Mutate a copy and assign it back: the search's copy path.
-          ReductionState next = st;
-          apply(legal[rng.below(legal.size())], next, ref);
-          st = next;
+          const Candidate& c = legal[rng.below(legal.size())];
+          apply_via_copy(c, st);
+          if (narrow) apply_via_copy(c, *narrow);
+          apply(c, ref);
           expect_matches(st, ref);
+          if (narrow) expect_matches(*narrow, ref);
           if (HasFatalFailure()) return;
         }
       }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 
@@ -249,6 +250,97 @@ TEST(SubgraphCompiler, LevelWalkWithBoundaryMatchesSeparateCalls) {
   anchors.dangler = DanglerPolicy::anchors_only;
   expect_level_walk_matches_separate_calls(spec, anchors,
                                            subgraph_ne_min(g));
+}
+
+/// Fingerprint of a reduction op list: every field a ReduceOp carries,
+/// LC neighbour lists included.
+std::uint64_t ops_fingerprint(const std::vector<ReduceOp>& ops) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ULL; };
+  for (const ReduceOp& op : ops) {
+    mix(static_cast<std::uint64_t>(op.kind));
+    mix(op.p);
+    mix(op.e);
+    mix(op.slot_p);
+    mix(op.slot_e);
+    mix(op.twin_adjacent);
+    mix(op.anchor);
+    mix(op.lc_on_emitter);
+    mix(op.lc_slot);
+    for (const auto& [v, slot] : op.lc_emitter_neighbors) {
+      mix(v);
+      mix(slot);
+    }
+    mix(~0ULL);
+    for (const Vertex v : op.lc_photon_neighbors) mix(v);
+    mix(~1ULL);
+  }
+  return h;
+}
+
+TEST(SubgraphCompiler, LevelSearchOutputIsPinned) {
+  // Node counts, candidate counts and winning op lists recorded before the
+  // search kernel's rework; a change here means the search visits other
+  // nodes or keeps other candidates.
+  const Graph seven = make_erdos_renyi(7, 0.45, 22);
+  const SubgraphSpec small(seven, {true, false, false, true, false, false,
+                                   false},
+                           {3, 0, 0, 1, 0, 0, 0});
+  // The same 7-vertex core with a 63-vertex tail: two words per row.
+  Graph wide_graph(70);
+  for (const auto& [u, v] : seven.edges()) wide_graph.add_edge(u, v);
+  wide_graph.add_edge(6, 7);
+  for (Vertex v = 7; v + 1 < 70; ++v) wide_graph.add_edge(v, v + 1);
+  std::vector<bool> wide_boundary(70, false);
+  wide_boundary[3] = wide_boundary[40] = true;
+  const SubgraphSpec wide(wide_graph, wide_boundary);
+
+  struct Case {
+    const SubgraphSpec* spec;
+    DanglerPolicy policy;
+    std::size_t large_part_threshold;
+    std::uint32_t ne;
+    std::size_t nodes, sequences;
+    bool exhausted;
+    std::size_t ops;
+    std::uint64_t fingerprint;
+  };
+  const Case cases[] = {
+      {&small, DanglerPolicy::free_form, 24, 2,
+       13720, 4, false, 13, 9624597486085236552ULL},
+      {&small, DanglerPolicy::key_ordered, 24, 2,
+       13703, 2, false, 13, 18144902019099460680ULL},
+      {&small, DanglerPolicy::anchors_only, 24, 2,
+       13560, 2, false, 17, 12415537079603905766ULL},
+      // The large-part path: the LC-free search up to its first reduction.
+      {&wide, DanglerPolicy::free_form, 24, 3,
+       164, 1, false, 152, 14908914536960022396ULL},
+      // The full branch-and-bound on the wide part, cut by its budget.
+      {&wide, DanglerPolicy::free_form, 100, 2,
+       45002, 6, true, 78, 4958513839052131240ULL},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("n " + std::to_string(c.spec->graph.vertex_count()) +
+                 " policy " + std::to_string(static_cast<int>(c.policy)) +
+                 " threshold " + std::to_string(c.large_part_threshold));
+    SubgraphCompileConfig cfg;
+    cfg.dangler = c.policy;
+    cfg.large_part_threshold = c.large_part_threshold;
+    const SubgraphLevelResult r = compile_subgraph_level(*c.spec, cfg, c.ne);
+    ASSERT_TRUE(r.success);
+    EXPECT_EQ(r.nodes_explored, c.nodes);
+    EXPECT_EQ(r.sequences_found, c.sequences);
+    EXPECT_EQ(r.exhausted, c.exhausted);
+    EXPECT_EQ(r.best.ops.size(), c.ops);
+    EXPECT_EQ(ops_fingerprint(r.best.ops), c.fingerprint);
+    // Every winner of a search with LC moves uses one.
+    if (c.spec->graph.vertex_count() < c.large_part_threshold) {
+      EXPECT_TRUE(std::any_of(r.best.ops.begin(), r.best.ops.end(),
+                              [](const ReduceOp& op) {
+                                return op.kind == ReduceOpKind::local_comp;
+                              }));
+    }
+  }
 }
 
 }  // namespace
