@@ -2,7 +2,7 @@
 //
 // Reads a manifest describing many compile jobs — graph files and/or
 // generated instances, each optionally swept over parameter lists — fans
-// them across the work-stealing batch runtime, and reports per-job metrics
+// them across the batch runtime's thread pool, and reports per-job metrics
 // as an aligned table plus optional CSV/JSON files. Repeated instances
 // (identical graph + configuration) are compiled once through the result
 // cache; per-job metrics are identical to what serial `epgc_compile` runs

@@ -49,6 +49,7 @@ int main() {
         faithful_baseline_config(fw_jobs[i].framework.seed),
         checked(ours[i]).ne_limit));
   const std::vector<JobResult> base = batch.run(base_jobs);
+  const Executor pooled(batch.pool());
 
   Table table({"family", "#qubit", "base survive", "ours survive",
                "suppression(x)", "ours fidelity", "f^k bound"});
@@ -64,19 +65,18 @@ int main() {
       ours_alive.reserve(fw.schedule.photon_emit.size());
       for (Tick e : fw.schedule.photon_emit)
         ours_alive.push_back(fw.schedule.makespan - e);
-      const LossMcResult mc_ours = sample_photon_loss_parallel(
-          hw, ours_alive, 2000, n * 5 + 1, &batch.pool());
+      const LossMcResult mc_ours =
+          sample_photon_loss(hw, ours_alive, 2000, n * 5 + 1, pooled);
       // The baseline circuit's emission times come from its own timing.
       const CircuitTiming bt = analyze_timing(bl.circuit, hw);
-      const LossMcResult mc_base = sample_photon_loss_parallel(
-          hw, bt.photon_alive_ticks(), 2000, n * 5 + 2, &batch.pool());
+      const LossMcResult mc_base = sample_photon_loss(
+          hw, bt.photon_alive_ticks(), 2000, n * 5 + 2, pooled);
 
       PauliMcConfig pc;
       pc.shots = 300;
       pc.seed = n;
-      const PauliMcResult fid = sample_ee_noise_parallel(
-          fw.schedule.circuit, fw_jobs[idx - 1].graph, hw, pc,
-          &batch.pool());
+      const PauliMcResult fid = sample_ee_noise(
+          fw.schedule.circuit, fw_jobs[idx - 1].graph, hw, pc, pooled);
 
       const double supp = (1.0 - mc_base.state.mean) /
                           std::max(1e-9, 1.0 - mc_ours.state.mean);

@@ -523,8 +523,8 @@ std::string cost_label(std::uint64_t cost) {
          std::to_string(cost & 0xffffffffULL);
 }
 
-}  // namespace
-
+/// Synthesize (and calibrate) the forward circuit for a finalized reduction
+/// op sequence.
 SubgraphCircuit synthesize_forward(const SubgraphSpec& spec,
                                    const std::vector<ReduceOp>& ops,
                                    std::uint32_t slots_used,
@@ -629,6 +629,8 @@ SubgraphCircuit synthesize_forward(const SubgraphSpec& spec,
   out.stats = compute_stats(c, timing, hw);
   return out;
 }
+
+}  // namespace
 
 std::uint32_t subgraph_ne_min(const Graph& g) {
   const std::size_t n = g.vertex_count();

@@ -136,11 +136,4 @@ SubgraphCompileResult walk_subgraph_levels(
 /// natural emission orders of the height-function maximum).
 std::uint32_t subgraph_ne_min(const Graph& g);
 
-/// Synthesize (and calibrate) the forward circuit for a finalized reduction
-/// op sequence. Exposed for tests.
-SubgraphCircuit synthesize_forward(const SubgraphSpec& spec,
-                                   const std::vector<ReduceOp>& ops,
-                                   std::uint32_t slots_used,
-                                   const HardwareModel& hw);
-
 }  // namespace epg

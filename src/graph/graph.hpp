@@ -42,17 +42,6 @@ class Graph {
 
   std::size_t degree(Vertex v) const;
 
-  /// Smallest neighbor of v, or kNoVertex if v is isolated. O(n/64) and
-  /// allocation-free.
-  Vertex first_neighbor(Vertex v) const {
-    const std::uint64_t* r = adj_.data() + v * words_;
-    for (std::size_t w = 0; w < words_; ++w)
-      if (r[w] != 0)
-        return static_cast<Vertex>(
-            w * 64 + static_cast<std::size_t>(__builtin_ctzll(r[w])));
-    return kNoVertex;
-  }
-
   /// Visit v's neighbors in ascending order without materializing a list.
   /// `fn` takes the neighbor Vertex. `fn` may change edges between other
   /// vertices (local complementation toggles pairs of v's neighbors), but

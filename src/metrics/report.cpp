@@ -16,11 +16,6 @@ double reduction_pct(double baseline, double ours) {
   return 100.0 * (baseline - ours) / baseline;
 }
 
-double ComparisonRow::cnot_reduction_pct() const {
-  return reduction_pct(static_cast<double>(baseline.ee_cnot_count),
-                       static_cast<double>(ours.ee_cnot_count));
-}
-
 double ComparisonRow::duration_reduction_pct() const {
   return reduction_pct(baseline.duration_tau, ours.duration_tau);
 }

@@ -23,7 +23,6 @@ struct ComparisonRow {
   std::uint32_t ne_limit = 0;
   std::size_t stem_count = 0;
 
-  double cnot_reduction_pct() const;
   double duration_reduction_pct() const;
   /// Fig. 11a's figure of merit: baseline state loss / ours (higher = more
   /// suppression).

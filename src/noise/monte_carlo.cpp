@@ -6,7 +6,6 @@
 #include "common/assert.hpp"
 #include "hardware/loss_model.hpp"
 #include "runtime/graph_hash.hpp"
-#include "runtime/thread_pool.hpp"
 #include "stab/tableau.hpp"
 
 namespace epg {
@@ -77,19 +76,9 @@ LossMcResult finish_loss(const LossTally& tally, std::size_t shots) {
 
 LossMcResult sample_photon_loss(const HardwareModel& hw,
                                 const std::vector<Tick>& alive_ticks,
-                                std::size_t shots, std::uint64_t seed) {
-  EPG_REQUIRE(shots > 0, "photon-loss MC needs at least one shot");
-  const std::vector<double> survival = survival_probs(hw, alive_ticks);
-  Rng rng(seed);
-  return finish_loss(run_loss_shots(survival, shots, rng), shots);
-}
-
-LossMcResult sample_photon_loss_parallel(const HardwareModel& hw,
-                                         const std::vector<Tick>& alive_ticks,
-                                         std::size_t shots,
-                                         std::uint64_t seed,
-                                         ThreadPool* pool,
-                                         std::size_t chunk_shots) {
+                                std::size_t shots, std::uint64_t seed,
+                                const Executor& exec,
+                                std::size_t chunk_shots) {
   EPG_REQUIRE(shots > 0, "photon-loss MC needs at least one shot");
   EPG_REQUIRE(chunk_shots > 0, "chunk size must be positive");
   const std::vector<double> survival = survival_probs(hw, alive_ticks);
@@ -101,11 +90,7 @@ LossMcResult sample_photon_loss_parallel(const HardwareModel& hw,
     Rng rng(HashStream().mix(seed).mix(std::uint64_t{c}).digest());
     tallies[c] = run_loss_shots(survival, count, rng);
   };
-  if (pool != nullptr) {
-    pool->parallel_for(chunks, body);
-  } else {
-    for (std::size_t c = 0; c < chunks; ++c) body(c);
-  }
+  exec.parallel_for(chunks, body);
   LossTally merged;
   merged.histogram.assign(survival.size() + 1, 0);
   for (const LossTally& t : tallies) {
@@ -207,25 +192,8 @@ PauliMcResult prepare_pauli_result(const Circuit& c, const HardwareModel& hw,
 
 PauliMcResult sample_ee_noise(const Circuit& c, const Graph& target,
                               const HardwareModel& hw,
-                              const PauliMcConfig& cfg) {
-  EPG_REQUIRE(target.vertex_count() == c.num_photons(),
-              "target size must match the circuit's photon register");
-  double p = 0.0;
-  PauliMcResult out = prepare_pauli_result(c, hw, cfg, p);
-  const Tableau want = Tableau::graph_state(target, c.num_emitters());
-  Rng rng(cfg.seed);
-  std::size_t ok = 0;
-  for (std::size_t shot = 0; shot < cfg.shots; ++shot)
-    if (replay_noisy_shot(c, want, p, rng)) ++ok;
-  out.fidelity = make_estimate(ok, cfg.shots);
-  return out;
-}
-
-PauliMcResult sample_ee_noise_parallel(const Circuit& c, const Graph& target,
-                                       const HardwareModel& hw,
-                                       const PauliMcConfig& cfg,
-                                       ThreadPool* pool,
-                                       std::size_t chunk_shots) {
+                              const PauliMcConfig& cfg, const Executor& exec,
+                              std::size_t chunk_shots) {
   EPG_REQUIRE(target.vertex_count() == c.num_photons(),
               "target size must match the circuit's photon register");
   EPG_REQUIRE(chunk_shots > 0, "chunk size must be positive");
@@ -243,11 +211,7 @@ PauliMcResult sample_ee_noise_parallel(const Circuit& c, const Graph& target,
       if (replay_noisy_shot(c, want, p, rng)) ++ok;
     ok_per_chunk[chunk] = ok;
   };
-  if (pool != nullptr) {
-    pool->parallel_for(chunks, body);
-  } else {
-    for (std::size_t chunk = 0; chunk < chunks; ++chunk) body(chunk);
-  }
+  exec.parallel_for(chunks, body);
   std::size_t ok = 0;
   for (std::size_t k : ok_per_chunk) ok += k;
   out.fidelity = make_estimate(ok, cfg.shots);

@@ -15,6 +15,11 @@
 //     equals the target graph state exactly. Estimates the state fidelity
 //     the paper's ee-CNOT-fidelity discussion (Section III, challenge 2)
 //     points at, beyond the simple f^k product bound.
+//
+// Both engines split their shots into fixed-size chunks: chunk c draws from
+// an independent RNG seeded by hash(seed, c), and chunk tallies merge by
+// summation. The counts are therefore identical for any executor, serial
+// or pooled, at any lane count.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +29,7 @@
 #include "common/rng.hpp"
 #include "graph/graph.hpp"
 #include "hardware/hardware_model.hpp"
+#include "runtime/executor.hpp"
 
 namespace epg {
 
@@ -46,7 +52,9 @@ struct LossMcResult {
 /// CircuitTiming::photon_alive_ticks() or GlobalSchedule::photon_emit.
 LossMcResult sample_photon_loss(const HardwareModel& hw,
                                 const std::vector<Tick>& alive_ticks,
-                                std::size_t shots, std::uint64_t seed);
+                                std::size_t shots, std::uint64_t seed,
+                                const Executor& exec = Executor::serial(),
+                                std::size_t chunk_shots = 256);
 
 struct PauliMcConfig {
   std::size_t shots = 200;
@@ -66,34 +74,11 @@ struct PauliMcResult {
 /// shots whose final state is exactly |target> (emitters back in |0>).
 PauliMcResult sample_ee_noise(const Circuit& c, const Graph& target,
                               const HardwareModel& hw,
-                              const PauliMcConfig& cfg);
+                              const PauliMcConfig& cfg,
+                              const Executor& exec = Executor::serial(),
+                              std::size_t chunk_shots = 32);
 
 /// Wilson 95% score interval for k successes out of n.
 McEstimate make_estimate(std::size_t successes, std::size_t shots);
-
-// ---- Parallel engines -----------------------------------------------------
-//
-// Chunked variants for the batch runtime: shots are partitioned into
-// fixed-size chunks, chunk c draws from an independent RNG seeded by
-// hash(seed, c), and chunk tallies are merged by summation. The merged
-// counts are therefore identical for ANY execution order and thread count
-// — `pool == nullptr` runs the same chunks serially and reproduces the
-// parallel result bit-for-bit (and vice versa). Note the chunked stream
-// differs from the legacy single-stream engines above by design.
-
-class ThreadPool;
-
-LossMcResult sample_photon_loss_parallel(const HardwareModel& hw,
-                                         const std::vector<Tick>& alive_ticks,
-                                         std::size_t shots,
-                                         std::uint64_t seed,
-                                         ThreadPool* pool,
-                                         std::size_t chunk_shots = 256);
-
-PauliMcResult sample_ee_noise_parallel(const Circuit& c, const Graph& target,
-                                       const HardwareModel& hw,
-                                       const PauliMcConfig& cfg,
-                                       ThreadPool* pool,
-                                       std::size_t chunk_shots = 32);
 
 }  // namespace epg

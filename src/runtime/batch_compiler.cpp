@@ -183,11 +183,6 @@ std::size_t BatchCompiler::cache_size() const {
   return total;
 }
 
-void BatchCompiler::clear_cache() {
-  std::unique_lock lock(cache_mutex_);
-  cache_.clear();
-}
-
 const char* tier_name(ResultTier tier) {
   switch (tier) {
     case ResultTier::compiled: return "compiled";

@@ -1,6 +1,6 @@
 // Batch compilation runtime (the paper's scalability claim, made
 // operational): fan a set of compile jobs — many graphs, or one graph
-// under a sweep of configurations — across a work-stealing thread pool,
+// under a sweep of configurations — across a shared thread pool,
 // deduplicate repeated instances through a result cache, and collect
 // structured per-job metrics.
 //
@@ -161,9 +161,9 @@ class BatchCompiler {
 
   /// One job's memory-tier result, exactly as a one-job run() would
   /// return it, or nullopt on a miss. Thread-safe, also against a
-  /// concurrent run(); it only reads the cache (run() and clear_cache()
-  /// write it) and never probes the persistent store. A hit counts in
-  /// the job and tier counters as run() counts it, a miss counts nothing.
+  /// concurrent run(); it only reads the cache (run() writes it) and
+  /// never probes the persistent store. A hit counts in the job and tier
+  /// counters as run() counts it, a miss counts nothing.
   /// summary() and the ms totals stay the last run()'s.
   std::optional<JobResult> lookup(const CompileJob& job);
 
@@ -178,7 +178,6 @@ class BatchCompiler {
   /// Total concurrency (pool workers + the calling thread).
   std::size_t parallelism() const { return pool_.thread_count() + 1; }
   std::size_t cache_size() const;
-  void clear_cache();
   ThreadPool& pool() { return pool_; }
 
  private:

@@ -14,12 +14,11 @@
 //                       compile_framework calls with inner_threads > 0.
 //
 // A borrowing executor can additionally cap its fan-out at `max_lanes`
-// concurrent lanes: `max_lanes` lane tasks then claim indices from one
-// shared counter, so a wide shared pool still runs at most that many lanes
-// of this executor's work at once, and an uneven index stalls only its own
-// lane. Every flavor runs fn(i) exactly once per index —
-// callers that keep per-index state and reduce in index order are
-// bit-identical at any lane count.
+// concurrent lanes, which it passes to ThreadPool::parallel_for: a wide
+// shared pool then runs at most that many lanes of this executor's work at
+// once. Every flavor runs fn(i) exactly once per index — callers that keep
+// per-index state and reduce in index order are bit-identical at any lane
+// count.
 #pragma once
 
 #include <cstddef>
@@ -48,8 +47,6 @@ class Executor {
   /// Total concurrent lanes parallel_for can use (>= 1; the calling
   /// thread always counts as one lane).
   std::size_t parallelism() const;
-
-  bool is_serial() const { return pool_ == nullptr; }
 
   /// Run fn(0..count-1), each index exactly once. Exceptions propagate to
   /// the caller (first one wins). Safe to call from inside a task running

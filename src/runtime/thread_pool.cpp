@@ -1,19 +1,14 @@
 #include "runtime/thread_pool.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <exception>
+#include <memory>
 
 #include "obs/trace.hpp"
 
 namespace epg {
-
-namespace {
-
-// Identifies the pool/worker the current thread belongs to, so submit()
-// can push to the local deque and parallel_for can detect re-entrancy.
-thread_local const ThreadPool* tls_pool = nullptr;
-thread_local std::size_t tls_worker_id = 0;
-
-}  // namespace
 
 std::size_t ThreadPool::hardware_default() {
   const std::size_t n = std::thread::hardware_concurrency();
@@ -21,112 +16,42 @@ std::size_t ThreadPool::hardware_default() {
 }
 
 ThreadPool::ThreadPool(std::size_t threads) {
-  queues_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i)
-    queues_.push_back(std::make_unique<WorkerQueue>());
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i)
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
-  wait_idle();
   {
-    std::lock_guard<std::mutex> lock(wake_mu_);  // same window as submit()
-    stop_.store(true, std::memory_order_release);
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
   }
-  wake_cv_.notify_all();
+  wake_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
 
-bool ThreadPool::on_worker_thread() const { return tls_pool == this; }
-
-void ThreadPool::submit(std::function<void()> task) {
-  if (queues_.empty()) {  // zero-worker pool: degrade to inline execution
-    task();
-    return;
-  }
-  pending_.fetch_add(1, std::memory_order_acq_rel);
-  const std::size_t target =
-      on_worker_thread()
-          ? tls_worker_id
-          : round_robin_.fetch_add(1, std::memory_order_relaxed) %
-                queues_.size();
-  {
-    std::lock_guard<std::mutex> lock(queues_[target]->mu);
-    queues_[target]->tasks.push_back(std::move(task));
-  }
-  // Publish under wake_mu_: a worker that has just found queued_ == 0 in
-  // its wait predicate holds wake_mu_ until it blocks, so an unlocked
-  // increment + notify could land in that window and be lost, leaving the
-  // task queued with every worker asleep (and wait_idle() blocked on it).
-  {
-    std::lock_guard<std::mutex> lock(wake_mu_);
-    queued_.fetch_add(1, std::memory_order_acq_rel);
-  }
-  wake_cv_.notify_one();
-}
-
-bool ThreadPool::try_acquire(std::size_t self, std::function<void()>& out) {
-  // Own deque first, newest task (LIFO keeps nested work depth-first)...
-  {
-    WorkerQueue& q = *queues_[self];
-    std::lock_guard<std::mutex> lock(q.mu);
-    if (!q.tasks.empty()) {
-      out = std::move(q.tasks.back());
-      q.tasks.pop_back();
-      queued_.fetch_sub(1, std::memory_order_acq_rel);
-      return true;
-    }
-  }
-  // ...then steal the oldest task from the first non-empty victim.
-  for (std::size_t k = 1; k < queues_.size(); ++k) {
-    WorkerQueue& q = *queues_[(self + k) % queues_.size()];
-    std::lock_guard<std::mutex> lock(q.mu);
-    if (!q.tasks.empty()) {
-      out = std::move(q.tasks.front());
-      q.tasks.pop_front();
-      queued_.fetch_sub(1, std::memory_order_acq_rel);
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::worker_loop(std::size_t id) {
-  tls_pool = this;
-  tls_worker_id = id;
-  std::function<void()> task;
+void ThreadPool::worker_loop() {
   while (true) {
-    if (try_acquire(id, task)) {
-      task();
-      task = nullptr;
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(wake_mu_);
-        idle_cv_.notify_all();
-      }
-      continue;
+    std::function<void()> helper;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      wake_.wait(lock, [this] { return stop_ || !helpers_.empty(); });
+      // Every parallel_for has returned by the time the pool is destroyed,
+      // so helpers left at stop are stale and drain without running fn.
+      if (helpers_.empty()) return;
+      helper = std::move(helpers_.front());
+      helpers_.pop_front();
     }
-    std::unique_lock<std::mutex> lock(wake_mu_);
-    wake_cv_.wait(lock, [this] {
-      return stop_.load(std::memory_order_acquire) ||
-             queued_.load(std::memory_order_acquire) > 0;
-    });
-    if (stop_.load(std::memory_order_acquire)) return;
+    helper();
   }
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(wake_mu_);
-  idle_cv_.wait(lock, [this] {
-    return pending_.load(std::memory_order_acquire) == 0;
-  });
 }
 
 void ThreadPool::parallel_for(std::size_t count,
-                              const std::function<void(std::size_t)>& fn) {
-  if (count == 0) return;
-  if (count == 1 || thread_count() == 0) {
+                              const std::function<void(std::size_t)>& fn,
+                              std::size_t max_lanes) {
+  std::size_t lanes = std::min(thread_count() + 1, count);
+  if (max_lanes != 0) lanes = std::min(lanes, max_lanes);
+  if (lanes <= 1) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
@@ -139,7 +64,7 @@ void ThreadPool::parallel_for(std::size_t count,
   };
   auto state = std::make_shared<State>();
   // The submitting thread's trace recorder rides along so spans opened
-  // inside pool tasks land in the same per-request trace. The recorder is
+  // inside pool lanes land in the same per-request trace. The recorder is
   // owned by the caller and may be destroyed as soon as parallel_for
   // returns, so the drain below is careful about lifetimes:
   //   * a helper that never wins an index exits without dereferencing the
@@ -167,6 +92,7 @@ void ThreadPool::parallel_for(std::size_t count,
         }
       } while ((i = state->next.fetch_add(1, std::memory_order_relaxed)) <
                count);
+      task_span.arg("indices", static_cast<std::uint64_t>(claimed));
     }
     if (state->completed.fetch_add(claimed, std::memory_order_acq_rel) +
             claimed ==
@@ -175,8 +101,11 @@ void ThreadPool::parallel_for(std::size_t count,
       state->done.notify_all();
     }
   };
-  const std::size_t helpers = std::min(thread_count(), count - 1);
-  for (std::size_t h = 0; h < helpers; ++h) submit(drain);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (std::size_t h = 1; h < lanes; ++h) helpers_.push_back(drain);
+  }
+  for (std::size_t h = 1; h < lanes; ++h) wake_.notify_one();
   drain();
   {
     std::unique_lock<std::mutex> lock(state->mu);

@@ -1,27 +1,19 @@
-// Work-stealing thread pool — the execution substrate of the batch
-// compilation runtime.
+// Thread pool — the execution substrate of the batch compilation runtime.
 //
-// Each worker owns a deque: it pushes and pops its own work LIFO (hot
-// caches, depth-first descent of nested submissions) and steals FIFO from a
-// random victim when its deque runs dry (oldest task first, which tends to
-// be the largest remaining unit of work). Tasks submitted from a worker
-// thread land on that worker's own deque; tasks submitted from outside are
-// distributed round-robin.
-//
-// The pool is task-count aware: `wait_idle()` blocks until every submitted
-// task (including tasks spawned by tasks) has finished. `parallel_for`
-// provides deterministic indexed fan-out — the caller participates in the
-// loop, so it is safe to call from inside a pool task and never deadlocks,
-// even on a pool with zero threads (it then simply runs serially on the
-// caller).
+// The pool has one operation: `parallel_for`, a deterministic indexed
+// fan-out. A call pushes up to `lanes - 1` helper closures onto one shared
+// FIFO; the caller and every helper that a worker picks up claim indices
+// from the call's own atomic counter until it runs out. Because the caller
+// always participates, the call is safe from inside a pool task (nested
+// fan-outs never deadlock) and on a pool with zero threads (it then simply
+// runs serially on the caller). A helper that a worker picks up after its
+// call has returned finds the counter exhausted and exits at once.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
+#include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -33,10 +25,8 @@ class ThreadPool {
   /// Worker threads this machine supports (>= 1).
   static std::size_t hardware_default();
 
-  /// `threads` is the exact worker count; 0 is allowed and makes submit()
-  /// run tasks inline on the caller (parallel_for then degenerates to a
-  /// serial loop). Note parallel_for's total concurrency is
-  /// thread_count() + 1 — the caller always participates.
+  /// `threads` is the exact worker count; 0 is allowed and makes
+  /// parallel_for a serial loop on the caller.
   explicit ThreadPool(std::size_t threads);
   ~ThreadPool();
 
@@ -45,41 +35,24 @@ class ThreadPool {
 
   std::size_t thread_count() const { return workers_.size(); }
 
-  /// Enqueue one task. Thread-safe; may be called from inside a task.
-  void submit(std::function<void()> task);
-
-  /// Block until every submitted task has completed.
-  void wait_idle();
-
-  /// True when the calling thread is one of this pool's workers.
-  bool on_worker_thread() const;
-
-  /// Run fn(0..count-1), fanning indices across the pool. The calling
-  /// thread participates, so total parallelism is thread_count()+1 and the
-  /// call works from any context. Indices are claimed atomically; each
-  /// index runs exactly once. Exceptions thrown by `fn` propagate to the
-  /// caller (the first one wins; remaining indices still run).
+  /// Run fn(0..count-1) on at most `max_lanes` concurrent lanes (0 means
+  /// thread_count() + 1: every worker plus the calling thread, which always
+  /// participates). Indices are claimed atomically, so each runs exactly
+  /// once and a slow index holds up only its own lane. Exceptions thrown by
+  /// `fn` propagate to the caller (the first one wins; remaining indices
+  /// still run).
   void parallel_for(std::size_t count,
-                    const std::function<void(std::size_t)>& fn);
+                    const std::function<void(std::size_t)>& fn,
+                    std::size_t max_lanes = 0);
 
  private:
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
+  void worker_loop();
 
-  void worker_loop(std::size_t id);
-  bool try_acquire(std::size_t self, std::function<void()>& out);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> workers_;
-  std::atomic<std::size_t> pending_{0};   // submitted but not finished
-  std::atomic<std::size_t> queued_{0};    // enqueued but not yet acquired
-  std::atomic<std::size_t> round_robin_{0};
-  std::atomic<bool> stop_{false};
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;   // workers sleep here
-  std::condition_variable idle_cv_;   // wait_idle() sleeps here
+  std::mutex mu_;
+  std::condition_variable wake_;               // workers sleep here
+  std::deque<std::function<void()>> helpers_;  // guarded by mu_
+  bool stop_ = false;                          // guarded by mu_
+  std::vector<std::thread> workers_;           // last: they use the above
 };
 
 }  // namespace epg

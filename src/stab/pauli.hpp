@@ -50,9 +50,6 @@ class PauliString {
   std::size_t weight() const;
   std::vector<std::size_t> support() const;
 
-  /// i-exponent of the global phase (mod 4).
-  int phase_exponent() const { return phase_; }
-
   bool is_hermitian() const;
   /// +1 or -1; only valid for Hermitian strings.
   int sign() const;

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -39,9 +40,6 @@ TEST(ThreadPool, ZeroWorkerPoolRunsInline) {
   std::vector<int> hits(17, 0);  // no atomics needed: everything is inline
   pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i] += 1; });
   for (int h : hits) EXPECT_EQ(h, 1);
-  bool ran = false;
-  pool.submit([&] { ran = true; });
-  EXPECT_TRUE(ran);
 }
 
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
@@ -63,12 +61,32 @@ TEST(ThreadPool, ParallelForPropagatesExceptions) {
       std::runtime_error);
 }
 
-TEST(ThreadPool, WaitIdleDrainsSubmittedTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 64; ++i) pool.submit([&] { done.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 64);
+TEST(ThreadPool, NestedCappedParallelForRespectsItsCap) {
+  // BatchCompiler's shape: an uncapped fan-out over jobs whose tasks each
+  // run a lane-capped inner fan-out on the same pool. Each inner call must
+  // run every index once on at most `kCap` lanes at a time, although idle
+  // workers could give it more.
+  constexpr std::size_t kOuter = 2, kInner = 32, kCap = 2;
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  std::vector<std::atomic<std::size_t>> running(kOuter), peak(kOuter);
+  pool.parallel_for(kOuter, [&](std::size_t job) {
+    pool.parallel_for(
+        kInner,
+        [&](std::size_t i) {
+          const std::size_t now = running[job].fetch_add(1) + 1;
+          std::size_t seen = peak[job].load();
+          while (now > seen && !peak[job].compare_exchange_weak(seen, now)) {
+          }
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+          hits[job * kInner + i].fetch_add(1);
+          running[job].fetch_sub(1);
+        },
+        kCap);
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  for (std::size_t job = 0; job < kOuter; ++job)
+    EXPECT_LE(peak[job].load(), kCap) << "job " << job;
 }
 
 // ---- Graph hashing -------------------------------------------------------
@@ -443,11 +461,9 @@ TEST(ParallelMc, PhotonLossMatchesSerialChunking) {
   const HardwareModel hw = HardwareModel::quantum_dot();
   std::vector<Tick> alive;
   for (int i = 0; i < 14; ++i) alive.push_back(40 + 13 * i);
-  ThreadPool pool(3);
-  const LossMcResult par =
-      sample_photon_loss_parallel(hw, alive, 1000, 42, &pool);
-  const LossMcResult ser =
-      sample_photon_loss_parallel(hw, alive, 1000, 42, nullptr);
+  const Executor pooled(3);
+  const LossMcResult par = sample_photon_loss(hw, alive, 1000, 42, pooled);
+  const LossMcResult ser = sample_photon_loss(hw, alive, 1000, 42);
   EXPECT_EQ(par.state.successes, ser.state.successes);
   EXPECT_EQ(par.lost_histogram, ser.lost_histogram);
   EXPECT_DOUBLE_EQ(par.mean_lost_photons, ser.mean_lost_photons);
@@ -460,11 +476,10 @@ TEST(ParallelMc, EeNoiseMatchesSerialChunking) {
   PauliMcConfig cfg;
   cfg.shots = 200;
   cfg.seed = 9;
-  ThreadPool pool(3);
+  const Executor pooled(3);
   const PauliMcResult par =
-      sample_ee_noise_parallel(r.schedule.circuit, g, hw, cfg, &pool);
-  const PauliMcResult ser =
-      sample_ee_noise_parallel(r.schedule.circuit, g, hw, cfg, nullptr);
+      sample_ee_noise(r.schedule.circuit, g, hw, cfg, pooled);
+  const PauliMcResult ser = sample_ee_noise(r.schedule.circuit, g, hw, cfg);
   EXPECT_EQ(par.fidelity.successes, ser.fidelity.successes);
   EXPECT_EQ(par.ee_gate_count, ser.ee_gate_count);
 }

@@ -70,7 +70,7 @@ TEST(Trace, SpansNestUnderMultiThreadedExecutor) {
   }
   const std::vector<TraceEvent> events = rec.events();
   // 64 inner + 1 outer land in ONE recorder despite running on 8+1 lanes;
-  // the executor adds its own executor_chunk spans on top.
+  // the pool adds one pool_drain span per lane on top.
   ASSERT_GE(events.size(), 65u);
 
   const TraceEvent* outer = nullptr;
